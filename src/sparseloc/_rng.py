@@ -25,28 +25,25 @@ def _fold(state: np.ndarray, word: np.ndarray) -> np.ndarray:
     return _mix64(state + _GOLDEN + word)
 
 
-def site_uniforms(seed: int, tag: int, realization: int, coords: np.ndarray) -> np.ndarray:
+def site_uniforms(seed: int, tag: int, realization, coords: np.ndarray) -> np.ndarray:
     """Uniform(0,1) variates, one per row of ``coords``.
 
-    coords: integer array of shape (n, nu).  The result only depends on
-    the row values, never on their order in the array.
+    coords: integer array of shape (n, nu).  ``realization`` is an index,
+    or a 1-D array of R indices for an (R, n) result whose row i is the
+    draw of ``realization[i]`` alone.  Values depend only on the row
+    values, never on their order in the array.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim == 1:
         coords = coords[:, None]
-    n = coords.shape[0]
+    real = np.asarray(realization, dtype=np.int64)
     with np.errstate(over="ignore"):
-        state = np.full(n, np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        state = _fold(state, np.full(n, np.uint64(tag & 0xFFFFFFFFFFFFFFFF)))
-        state = _fold(state, np.full(n, np.uint64(realization & 0xFFFFFFFFFFFFFFFF)))
-        for j in range(coords.shape[1]):
-            state = _fold(state, coords[:, j].astype(np.int64).view(np.uint64))
+        state = _fold(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                      np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
+        state = _fold(state, real.reshape(-1, 1).view(np.uint64))
+        for j in range(coords.shape[1]):  # broadcasts to one row per realization
+            state = _fold(state, coords[:, j].view(np.uint64))
         bits = _mix64(state)
     # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-
-
-def scalar_uniform(seed: int, tag: int, realization: int, index: int) -> float:
-    """Single uniform draw keyed by an integer index instead of a site."""
-    u = site_uniforms(seed, tag, realization, np.array([[index]], dtype=np.int64))
-    return float(u[0])
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return u if real.ndim else u[0]

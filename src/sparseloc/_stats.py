@@ -1,7 +1,9 @@
-"""Mergeable running statistics for Monte-Carlo accumulation.
+"""Running statistics for Monte-Carlo accumulation.
 
-Welford (count, mean, M2) vectors merged in a fixed order give results
-that are bit-identical no matter how realizations were scheduled.
+Welford (count, mean, M2) vectors fed samples in realization order give
+results that are bit-identical no matter how realizations were
+scheduled: ``run_indexed`` returns results in index order, and the
+reduction consumes them in that order.
 """
 
 from __future__ import annotations
@@ -33,21 +35,6 @@ class RunningMoments:
         delta = sample - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (sample - self.mean)
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return
-        n1, n2 = self.count, other.count
-        delta = other.mean - self.mean
-        total = n1 + n2
-        self.mean = self.mean + delta * (n2 / total)
-        self.m2 = self.m2 + other.m2 + delta * delta * (n1 * n2 / total)
-        self.count = total
 
     def stderr(self) -> np.ndarray:
         if self.count < 2:

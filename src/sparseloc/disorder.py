@@ -202,19 +202,25 @@ class DisorderModel:
         return cls(law, raw.get("lambda", 1.0), gamma, raw.get("seed", 0))
 
 
+def sample_potentials(model: DisorderModel, sparse: SparseSet, realizations) -> np.ndarray:
+    """Potentials on S, shape (R, |S|): row i is realization
+    ``realizations[i]`` in ``sparse.sites`` order, bit for bit what
+    ``sample_potential`` gives (counter-based draws batch exactly)."""
+    realizations = np.asarray(realizations, dtype=np.int64).reshape(-1)
+    if not sparse.sites:
+        return np.zeros((realizations.size, 0))
+    u = site_uniforms(model.seed, _TAG_POTENTIAL, realizations, sparse.coords_array())
+    values = np.asarray(model.law.inverse_cdf(u), dtype=float)
+    couplings = np.array([model.coupling_for(site) for site in sparse.sites])
+    return couplings * values
+
+
 def sample_potential(
     model: DisorderModel, sparse: SparseSet, realization_index: int
 ) -> dict[Site, float]:
     """One realization of the potential on S; zero (absent) off S."""
-    if not sparse.sites:
-        return {}
-    coords = sparse.coords_array()
-    u = site_uniforms(model.seed, _TAG_POTENTIAL, realization_index, coords)
-    values = np.asarray(model.law.inverse_cdf(u), dtype=float)
-    out = {}
-    for site, x in zip(sparse.sites, values):
-        out[site] = model.coupling_for(site) * float(x)
-    return out
+    row = sample_potentials(model, sparse, [realization_index])[0]
+    return dict(zip(sparse.sites, row.tolist()))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.special import jv
 
+from .disorder import sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site, centered_subcubes, max_norm, sparseness_profile
 from .operators import SymbolSpec
@@ -416,8 +417,6 @@ def cook_integrand(
     E ||V psi||^2 = sigma^2 sum_S w(m)^2 |psi_t(m)|^2 exactly, so the
     sampled median should sit below the envelope.
     """
-    from .disorder import sample_potential
-
     if n_samples < 30:
         raise ValueError("need at least 30 disorder samples per time")
     phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
@@ -425,17 +424,12 @@ def cook_integrand(
     sigma = math.sqrt(model.law.second_moment())
     gamma = model.weight_gamma
     coupling_profile = np.array([model.coupling_for(s) for s in sparse.sites])
+    potentials = sample_potentials(model, sparse, range(n_samples))  # reused at every t
     rows = []
     for t in sorted(t_grid):
         psi = _site_amplitudes(spec, phi, sites, float(t))
-        w = coupling_profile if len(sparse) else np.zeros(0)
-        bound = sigma * float(np.sqrt(np.sum((w * np.abs(psi)) ** 2)))
-        norms = []
-        for r in range(n_samples):
-            pot = sample_potential(model, sparse, r)
-            v = np.array([pot[s] for s in sparse.sites]) if len(sparse) else np.zeros(0)
-            norms.append(float(np.sqrt(np.sum((v * np.abs(psi)) ** 2))))
-        norms_arr = np.array(norms)
+        bound = sigma * float(np.sqrt(np.sum((coupling_profile * np.abs(psi)) ** 2)))
+        norms_arr = np.sqrt(np.sum((potentials * np.abs(psi)) ** 2, axis=1))
         q10, q50, q90 = (
             (np.quantile(norms_arr, q) if len(norms_arr) else 0.0) for q in (0.1, 0.5, 0.9)
         )

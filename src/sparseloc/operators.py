@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .lattice import Cube, SparseSet, Site, cube_sites
+from .lattice import Cube, SparseSet, Site
 
 _DERIV_GRID = 8192
 
@@ -112,9 +112,6 @@ class KernelOperator:
             self, "hopping", tuple(sorted((o, a) for o, a in norm.items() if a != 0.0))
         )
 
-    def amplitude(self, offset: Site) -> float:
-        return dict(self.hopping).get(tuple(offset), 0.0)
-
     @property
     def offsets(self) -> list[Site]:
         return [o for o, _ in self.hopping]
@@ -197,10 +194,20 @@ class AssembledOperator:
         return lo, strides
 
     def index_of(self, site: Site) -> int:
-        if not self.cube.contains(site):
-            raise KeyError(f"site {site} outside volume")
+        return int(self.indices_of([site])[0])
+
+    def indices_of(self, coords) -> np.ndarray:
+        """Matrix indices of the rows of an (n, nu) site array, in row
+        order; KeyError names the first site outside the volume."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] != self.cube.dim:
+            raise KeyError(f"sites of shape {coords.shape} outside a {self.cube.dim}D volume")
         lo, strides = self._lows_strides()
-        return sum((x - l) * st for x, l, st in zip(site, lo, strides))
+        rel = coords - np.asarray(lo, dtype=np.int64)
+        outside = np.any((rel < 0) | (rel >= self.cube.side), axis=1)
+        if outside.any():
+            raise KeyError(f"site {tuple(coords[np.argmax(outside)].tolist())} outside volume")
+        return rel @ np.asarray(strides, dtype=np.int64)
 
     def site_of(self, index: int) -> Site:
         lo, strides = self._lows_strides()
@@ -209,9 +216,6 @@ class AssembledOperator:
             q, index = divmod(index, st)
             out.append(l + q)
         return tuple(out)
-
-    def sites(self) -> list[Site]:
-        return cube_sites(self.cube)
 
     def to_coordinate_text(self) -> str:
         coo = self.matrix.tocoo()
@@ -290,8 +294,7 @@ def restrict_complement(
             raise ValueError(f"sparse-set site {site} outside the cube")
     base = assemble_finite_volume(kernel, None, cube)
     mask = np.ones(base.size)
-    for site in sparse.sites:
-        mask[base.index_of(site)] = 0.0
+    mask[base.indices_of(sparse.coords_array())] = 0.0
     matrix = base.matrix.multiply(mask[:, None]).multiply(mask[None, :]).tocsr()
     matrix.eliminate_zeros()
     return AssembledOperator(cube, matrix)

@@ -1,11 +1,11 @@
 """Finite-volume Green functions, fractional moments, decoupling,
 localization thresholds, and decay-rate fits.
 
-One sparse complex solve per disorder realization yields a whole Green
-row: for the symmetric assembly A, the solution of (A - z) x = delta_n
-gives x(m) = G(z; n, m) = G(z; m, n).  Fractional moments E|G|^s are
-accumulated with mergeable Welford statistics so any thread partition
-reproduces the sequential result bit for bit.
+One complex solve per disorder realization yields a whole Green row:
+for the symmetric assembly A, the solution of (A - z) x = delta_n gives
+x(m) = G(z; n, m) = G(z; m, n).  The Monte-Carlo kinds share one
+realization engine (``RealizationEngine``) whose results are reduced in
+realization order, so any thread count reproduces the sequential bits.
 """
 
 from __future__ import annotations
@@ -17,14 +17,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from ._stats import RunningMoments, run_indexed
-from .disorder import DisorderModel, sample_potential
+from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site, max_norm
-from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
+from .operators import (AssembledOperator, KernelOperator, _coords_and_index,
+                        assemble_finite_volume, s_norm)
 
 _RESIDUAL_TOL = 1e-10
+_CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,8 @@ class GreenRow:
     def at(self, op: AssembledOperator, site: Site) -> complex:
         return complex(self.vector[op.index_of(site)])
 
-    def as_dict(self, op: AssembledOperator) -> dict[Site, complex]:
-        return {op.site_of(i): complex(v) for i, v in enumerate(self.vector)}
-
     def sum_abs_pow(self, s: float) -> float:
         return float(np.sum(np.abs(self.vector) ** s))
-
-    def sum_abs_sq(self) -> float:
-        return float(np.sum(np.abs(self.vector) ** 2))
 
 
 def green_row(op: AssembledOperator, z: complex, source: Site) -> GreenRow:
@@ -102,6 +99,7 @@ class MomentEstimate:
     stderr: np.ndarray
     count: int
     _op: AssembledOperator
+    set_index: np.ndarray | None = None  # matrix indices of the sites of S
 
     def at(self, site: Site) -> tuple[float, float]:
         i = self._op.index_of(site)
@@ -111,13 +109,9 @@ class MomentEstimate:
         """Rows (distance, mean, stderr, n_sites) by max-norm distance
         from the source, excluding sites within ``boundary_margin`` hops
         of the volume boundary."""
-        cube = self.query.volume
-        lo = np.array([c - cube.half_side for c in cube.center])
-        hi = np.array([c + cube.half_side for c in cube.center])
+        coords, lo, _ = _coords_and_index(self.query.volume)
+        hi = lo + (self.query.volume.side - 1)
         src = np.asarray(self.query.source)
-        from .operators import _coords_and_index
-
-        coords, _, _ = _coords_and_index(cube)
         dist = np.max(np.abs(coords - src), axis=1)
         interior = np.all(
             (coords - lo >= boundary_margin) & (hi - coords >= boundary_margin), axis=1
@@ -134,30 +128,81 @@ class MomentEstimate:
         return rows
 
 
-def _shifted_solver_factory(kernel: KernelOperator, volume: Cube):
-    """Pre-assemble the free matrix once; realizations only add diagonals."""
-    base = assemble_finite_volume(kernel, None, volume)
-    base_c = base.matrix.astype(complex)
-    ident = sp.identity(base.size, dtype=complex, format="csr")
+class RealizationEngine:
+    """Green rows of A_omega - z over disorder realizations on one volume.
 
-    def solve(z: complex, diag: np.ndarray, source_index: int) -> np.ndarray:
-        shifted = (base_c + sp.diags(diag.astype(complex)) - z * ident).tocsc()
-        rhs = np.zeros(base.size, dtype=complex)
-        rhs[source_index] = 1.0
-        x = spla.splu(shifted).solve(rhs)
-        residual = float(np.linalg.norm(shifted @ x - rhs))
-        if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
-            raise NumericalError("solver residual above tolerance", residual=residual)
-        return x
+    The free matrix and the S -> matrix index vector are built once, and
+    each block of realizations is drawn in one batched call.  1D volumes
+    are banded (bandwidth = hopping range) and go to LAPACK through
+    ``solve_banded``, ?gtsv for nearest neighbours; other dimensions
+    factor with ``splu``, as ``green_row`` does at every size.  Every
+    residual ||(A - z) x - delta|| must be <= 1e-10; a failed or
+    inaccurate solve raises NumericalError tagged with its realization.
+    """
 
-    return base, solve
+    def __init__(self, kernel: KernelOperator, volume: Cube, sparse: SparseSet,
+                 model: DisorderModel, source: Site):
+        self.op = assemble_finite_volume(kernel, None, volume)
+        self.index = self.op.indices_of(sparse.coords_array())
+        self.source = self.op.index_of(source)
+        self.sparse, self.model = sparse, model
+        n = self.op.size
+        self.chunk = max(1, _CHUNK_ENTRIES // n)
+        self.band = None  # half-bandwidth on the banded path
+        if kernel.dim == 1:
+            k = self.band = max((abs(o[0]) for o in kernel.offsets), default=0)
+            self.ab = np.zeros((2 * k + 1, n), dtype=complex)  # LAPACK band storage
+            for d in range(-k, k + 1):
+                self.ab[k - d, max(d, 0):n + min(d, 0)] = self.op.matrix.diagonal(d)
 
+    def diagonals(self, realizations) -> np.ndarray:
+        """Potentials of a block of realizations on the volume diagonal."""
+        diags = np.zeros((len(realizations), self.op.size))
+        diags[:, self.index] += sample_potentials(self.model, self.sparse, realizations)
+        return diags
 
-def _potential_diag(op: AssembledOperator, potential: dict[Site, float]) -> np.ndarray:
-    diag = np.zeros(op.size)
-    for site, value in potential.items():
-        diag[op.index_of(site)] = value
-    return diag
+    def green_rows(self, z: complex, diags: np.ndarray, first: int = 0):
+        """(Green rows, residuals) for realizations first, first + 1, ..."""
+        rhs = np.zeros(self.op.size, dtype=complex)
+        rhs[self.source] = 1.0
+        rows = np.empty(diags.shape, dtype=complex)
+        for i, diag in enumerate(diags):
+            try:
+                if self.band is not None:
+                    ab = self.ab.copy()
+                    ab[self.band] += diag - z
+                    rows[i] = solve_banded((self.band, self.band), ab, rhs,
+                                           overwrite_ab=True, check_finite=False)
+                else:
+                    rows[i] = spla.splu((self.op.matrix + sp.diags(diag - z)).tocsc()).solve(rhs)
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
+                raise NumericalError(f"realization {first + i}: solve failed: {exc}",
+                                     realization=first + i) from exc
+        applied = (self.op.matrix @ rows.T).T + (diags - z) * rows
+        applied[:, self.source] -= 1.0
+        residuals = np.linalg.norm(applied, axis=1)
+        if not np.all(residuals <= _RESIDUAL_TOL):
+            i = int(np.argmin(residuals <= _RESIDUAL_TOL))  # first failed, NaN included
+            raise NumericalError(f"realization {first + i}: solver residual above tolerance",
+                                 realization=first + i, residual=float(residuals[i]))
+        return rows, residuals
+
+    def reduce(self, fn, count: int, size: int, threads: int = 1) -> RunningMoments:
+        """Running moments of the rows fn(first, diagonals) returns for
+        blocks of realizations 0..count-1.  The blocks depend on the volume
+        only and are reduced in index order, so any thread count gives
+        the same bits."""
+        starts = range(0, count, self.chunk)
+
+        def block(c: int):
+            first = starts[c]
+            return fn(first, self.diagonals(range(first, min(first + self.chunk, count))))
+
+        acc = RunningMoments(size)
+        for rows in run_indexed(block, len(starts), threads):
+            for sample in rows:
+                acc.add(sample)
+        return acc
 
 
 def fractional_moment_estimate(
@@ -169,30 +214,18 @@ def fractional_moment_estimate(
 ) -> MomentEstimate:
     """Monte-Carlo mean of |G(E + i eps; source, m)|^s over realizations.
 
-    One solve per realization.  Realization r is fully determined by
-    (model.seed, r, site), so the estimate is reproducible under any
-    thread count; accumulation merges per-realization vectors in index
-    order.
+    One solve per realization; draws are counter-based and reduced in
+    realization order, so any thread count reproduces the estimate.
     """
     if query.realizations < 2:
         raise ValueError("need at least 2 realizations")
-    op, solve = _shifted_solver_factory(kernel, query.volume)
-    src = op.index_of(query.source)
-    z = query.z
+    engine = RealizationEngine(kernel, query.volume, sparse, model, query.source)
 
-    def one(r: int) -> np.ndarray:
-        try:
-            pot = sample_potential(model, sparse, r)
-            x = solve(z, _potential_diag(op, pot), src)
-            return np.abs(x) ** query.s
-        except NumericalError as exc:
-            raise NumericalError(f"realization {r}: {exc}", realization=r, **exc.diagnostics)
+    def block(first: int, diags: np.ndarray) -> np.ndarray:
+        return np.abs(engine.green_rows(query.z, diags, first)[0]) ** query.s
 
-    samples = run_indexed(one, query.realizations, threads)
-    acc = RunningMoments(op.size)
-    for vec in samples:
-        acc.add(vec)
-    return MomentEstimate(query, acc.mean, acc.stderr(), acc.count, op)
+    acc = engine.reduce(block, query.realizations, engine.op.size, threads)
+    return MomentEstimate(query, acc.mean, acc.stderr(), acc.count, engine.op, engine.index)
 
 
 @dataclass(frozen=True)
@@ -417,25 +450,19 @@ def simon_wolff_proxy(
     ladder = [float(e) for e in eps_ladder]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps_ladder must be strictly decreasing")
-    op, solve = _shifted_solver_factory(kernel, query.volume)
-    src = op.index_of(query.source)
+    engine = RealizationEngine(kernel, query.volume, sparse, model, query.source)
 
+    def block(first: int, diags: np.ndarray) -> np.ndarray:
+        sums = []  # one draw per realization, reused on every rung
+        for eps in ladder:
+            rows, _ = engine.green_rows(complex(query.energy, eps), diags, first)
+            sums.append(np.sum(np.abs(rows) ** 2, axis=1))
+        return np.stack(sums, axis=1)
+
+    acc = engine.reduce(block, max(1, query.realizations), len(ladder), threads)
     rows: list[SimonWolffRow] = []
     prev_mean = None
-    for eps in ladder:
-        z = complex(query.energy, eps)
-
-        def one(r: int) -> np.ndarray:
-            pot = sample_potential(model, sparse, r)
-            x = solve(z, _potential_diag(op, pot), src)
-            return np.array([np.sum(np.abs(x) ** 2)])
-
-        samples = run_indexed(one, max(1, query.realizations), threads)
-        acc = RunningMoments(1)
-        for v in samples:
-            acc.add(v)
-        mean = float(acc.mean[0])
-        err = float(acc.stderr()[0])
+    for eps, mean, err in zip(ladder, acc.mean.tolist(), acc.stderr().tolist()):
         ratio = mean / prev_mean if prev_mean else math.nan
         rows.append(SimonWolffRow(eps, mean, err, ratio))
         prev_mean = mean

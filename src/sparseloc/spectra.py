@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stats import run_indexed
-from .disorder import DisorderModel, sample_potential
+from .disorder import DisorderModel, sample_potentials
 from .lattice import Cube, SparseSet
 from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
 
@@ -126,8 +126,10 @@ def mobility_edge_scan(
     if realizations < 20:
         raise ValueError("need at least 20 realizations")
 
+    potentials = sample_potentials(model, sparse, range(realizations))
+
     def one(r: int) -> EigenReport:
-        pot = sample_potential(model, sparse, r)
+        pot = dict(zip(sparse.sites, potentials[r].tolist()))
         op = assemble_finite_volume(kernel, pot, volume)
         return eigensystem(op, realization=r)
 

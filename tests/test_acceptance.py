@@ -47,6 +47,23 @@ def test_criterion_02_neumann_domination(workdir):
     assert result.passed, result.details
 
 
+def test_criterion_02_reports_a_failed_domination(workdir, monkeypatch):
+    """With the 1/|E|-prefactor form put back, the verdict is false and
+    the summary says where domination fails instead of printing "<="."""
+    from sparseloc.operators import s_norm
+
+    def one_over_e_form(kernel, energy, s):
+        return (1.0 / abs(energy)) / (1.0 - s_norm(kernel, s) ** s / abs(energy) ** s)
+
+    monkeypatch.setattr(acceptance, "neumann_fractional_bound", one_over_e_form)
+    result = acceptance.criterion_02_neumann_domination(workdir=workdir)
+    assert not result.passed
+    details = dict(part.split(": ", 1) for part in result.details.split("; "))
+    assert details["E=4"] == "direct 0.614656 > bound 0.587336 (FAILS: not dominated)"
+    assert details["E=6"].startswith("direct 0.318406 > bound 0.277197")
+    assert details["E=3"] == "direct 1.188253 <= bound 1.302501"
+
+
 def test_criterion_03_propagator(workdir):
     assert _run(acceptance.criterion_03_propagator, workdir).passed
 

@@ -377,3 +377,20 @@ def test_cook_pipeline_median_below_bound(tmp_path):
     lines = (tmp_path / "cook" / "cook.csv").read_text().strip().splitlines()
     assert lines[0] == "t,bound,q10,q50,q90,mc_mean_sq"
     assert len(lines) == 4
+
+
+def test_moments_am_bound_checks_only_the_sites_of_s(tmp_path):
+    # inside the band the free sites carry E|G|^s above the AM bound; the
+    # verdict must look at the random sites of S alone
+    raw = _moments_raw(
+        sparse_set={"generator": "explicit_list", "alpha": 0.5, "sites": [[15], [-12], [18]]},
+        disorder={"law": "uniform", "params": [-1.0, 1.0], "lambda": 30.0},
+        query={"energy": 0.5, "epsilon": 1e-3, "s": 0.5, "source": [0], "realizations": 20},
+        check_am_bound=True,
+    )
+    cfg = validate_config(raw)
+    manifest = run_experiment(cfg, out_dir=str(tmp_path / "am"))
+    assert manifest.verdicts["am_bound"]
+    bound = json.loads((tmp_path / "am" / "summary.json").read_text())["am_bound"]
+    rows = (tmp_path / "am" / "moments.csv").read_text().strip().splitlines()[1:]
+    assert max(float(r.split(",")[5]) for r in rows) > bound  # off S the bound fails

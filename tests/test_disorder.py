@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseloc._rng import site_uniforms
 from sparseloc.disorder import (
@@ -12,6 +14,7 @@ from sparseloc.disorder import (
     check_regularity,
     make_law,
     sample_potential,
+    sample_potentials,
     weight_value,
 )
 from sparseloc.lattice import sparse_set_from_sites
@@ -172,3 +175,58 @@ def test_model_from_config():
     assert model.weight_gamma == 0.5
     assert model.seed == 42
     assert model.coupling_for((3,)) == pytest.approx(2.0)
+
+
+def test_site_uniforms_pinned_draws():
+    # the counter-based hash is part of the reproducibility contract:
+    # these draws must never change, whether taken one realization at a
+    # time or batched
+    one = site_uniforms(7, 201, 3, np.array([[0], [5], [-2]]))
+    assert [float(x).hex() for x in one] == [
+        "0x1.d02d0a3f88408p-1", "0x1.86ae1df4d1c5ep-1", "0x1.2de671ce403d6p-1",
+    ]
+    two = site_uniforms(2 ** 40 + 1, 201, [9, 123456], np.array([[1, -4], [0, 0]]))
+    assert [float(x).hex() for x in two[1]] == ["0x1.0ba8c4c8084c2p-1", "0x1.baa96eda12348p-1"]
+    cauchy = DisorderModel(TruncatedCauchyLaw(1.0, 5.0), coupling=0.7, seed=9)
+    sparse = sparse_set_from_sites([(0,), (3,), (-8,)], 0.5, 1)
+    assert [v.hex() for v in sample_potential(cauchy, sparse, 17).values()] == [
+        "0x1.21fced565713ap-4", "-0x1.ed5b267d29348p-4", "0x1.741281aaf0af4p-1",
+    ]
+    weighted = DisorderModel(GaussianLaw(0.5, 2.0), weight_gamma=0.5, seed=9)
+    sparse = sparse_set_from_sites([(0, 1), (3, 3), (-8, 2)], 0.5, 2)
+    assert [v.hex() for v in sample_potential(weighted, sparse, 4).values()] == [
+        "0x1.84629453955dap+1", "0x1.0971823ee5176p+2", "0x1.c2fddc3e88f00p-9",
+    ]
+
+
+_LAWS = [UniformLaw(-1.0, 1.0), UniformLaw(0.25, 3.0), GaussianLaw(0.0, 1.0),
+         GaussianLaw(-0.5, 2.5), TruncatedCauchyLaw(1.0, 5.0), TruncatedCauchyLaw(0.3, 40.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=st.sampled_from(_LAWS),
+    gamma=st.one_of(st.none(), st.floats(0.1, 3.0)),
+    coupling=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2 ** 63 - 1),
+    dim=st.integers(1, 3),
+    raw_sites=st.lists(st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+                       max_size=30),
+    realizations=st.lists(st.integers(0, 10 ** 6), max_size=12),
+)
+def test_batched_sampling_bitwise_equals_row_by_row(
+    law, gamma, coupling, seed, dim, raw_sites, realizations
+):
+    sites = list(dict.fromkeys(tuple(c[:dim]) for c in raw_sites))  # may be empty
+    sparse = sparse_set_from_sites(sites, 0.5, dim)
+    model = DisorderModel(law, coupling=coupling, weight_gamma=gamma, seed=seed)
+    batch = sample_potentials(model, sparse, realizations)
+    assert batch.shape == (len(realizations), len(sites))
+    for row, r in zip(batch, realizations):
+        one = np.array(list(sample_potential(model, sparse, r).values()), dtype=float)
+        assert row.tobytes() == one.reshape(len(sites)).tobytes()
+    if realizations:  # each site alone, so SIMD main loops and tails both show
+        for j, site in enumerate(sparse.sites):
+            alone = sample_potentials(model, sparse_set_from_sites([site], 0.5, dim),
+                                      realizations[:1])
+            assert alone.tobytes() == batch[0, j:j + 1].tobytes()

@@ -155,6 +155,19 @@ def test_index_site_round_trip():
         assert op.site_of(i) == site
 
 
+def test_indices_of_vectorizes_index_of_and_rejects_outside_sites():
+    kernel = kernel_from_symbol(delta_symbol(2))
+    op = assemble_finite_volume(kernel, None, Cube((1, -2), 2))
+    sites = cube_sites(op.cube)[::-3]
+    assert op.indices_of(np.array(sites)).tolist() == [op.index_of(s) for s in sites]
+    assert op.indices_of(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    for bad in ([(1, -2), (4, 0)], [(1, -2, 0)], [(1,)]):
+        with pytest.raises(KeyError):
+            op.indices_of(bad)
+    with pytest.raises(KeyError):
+        op.index_of((-2, -2))
+
+
 def test_restrict_complement_empty_set_identity():
     kernel = kernel_from_symbol(delta_symbol(1))
     cube = Cube((0,), 3)

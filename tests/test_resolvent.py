@@ -1,8 +1,11 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sparseloc import resolvent
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, cube_sites, sparse_set_from_sites
 from sparseloc.operators import (
@@ -12,11 +15,12 @@ from sparseloc.operators import (
     kernel_from_symbol,
     s_norm,
 )
-from sparseloc.disorder import DisorderModel, UniformLaw
+from sparseloc.disorder import DisorderModel, UniformLaw, sample_potential
 from sparseloc.resolvent import (
     DecouplingEstimate,
     GreenQuery,
     MomentEstimate,
+    RealizationEngine,
     am_uniform_bound,
     coupling_constant_C,
     decay_rate_fit,
@@ -96,15 +100,23 @@ def test_fractional_moments_empty_set_matches_free():
     np.testing.assert_allclose(est.mean, free, rtol=1e-12)
 
 
-def test_fractional_moments_thread_count_invariance():
+def test_fractional_moments_thread_count_invariance(monkeypatch):
     volume = Cube((0,), 40)
     sparse = sparse_set_from_sites([(i,) for i in range(-40, 41)], 0.5, 1)
     model = DisorderModel(UniformLaw(-1, 1), coupling=20.0, seed=9)
     query = GreenQuery(4.0, 1e-3, 0.5, (0,), volume, 16)
-    single = fractional_moment_estimate(query, DELTA1, sparse, model, threads=1)
-    multi = fractional_moment_estimate(query, DELTA1, sparse, model, threads=4)
-    np.testing.assert_array_equal(single.mean, multi.mean)
-    np.testing.assert_array_equal(single.stderr, multi.stderr)
+    ladder = [1e-1, 1e-2, 1e-3]
+    runs = []
+    # default blocks (all 16 realizations in one), then blocks of 3 so
+    # that 4 threads really split the work; neither may change a bit
+    for chunk_entries in (resolvent._CHUNK_ENTRIES, 3 * volume.volume):
+        monkeypatch.setattr(resolvent, "_CHUNK_ENTRIES", chunk_entries)
+        for threads in (1, 4):
+            est = fractional_moment_estimate(query, DELTA1, sparse, model, threads=threads)
+            rows = simon_wolff_proxy(query, DELTA1, sparse, model, ladder, threads=threads)
+            runs.append((est.mean.tobytes(), est.stderr.tobytes(),
+                         [(r.mean_sum_g2, r.stderr, r.trend_ratio) for r in rows]))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_fractional_moments_requires_two_realizations():
@@ -356,3 +368,135 @@ def test_simon_wolff_free_sum_matches_analytic():
     for row in rows:
         analytic = 1.0 / (row.epsilon * math.sqrt(4.0 - energy ** 2))
         assert row.mean_sum_g2 == pytest.approx(analytic, rel=0.01)
+
+
+# ------------------------------------------------ realization engine: banded vs splu
+
+DELTA1_RANGE2 = kernel_from_symbol(SymbolSpec((((1, 1.0), (2, 0.35)),)))
+
+
+def _assert_close(got, want):
+    """The differential tolerance: rtol 1e-12 plus an absolute floor of
+    1e-14 times the largest entry (far-tail entries sit near round-off)."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.max(np.abs(want)))
+
+
+def _green_row_reference(kernel, volume, sparse, model, source, z, realizations):
+    """Green rows one realization at a time through green_row and splu."""
+    rows = []
+    for r in realizations:
+        op = assemble_finite_volume(kernel, sample_potential(model, sparse, r), volume)
+        rows.append(green_row(op, z, source).vector)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kernel", [DELTA1, DELTA1_RANGE2], ids=["range1", "range2"])
+@pytest.mark.parametrize("energy,eps", [(5.0, 1e-3), (0.5, 1e-4), (-1.7, 1e-2), (3.0, 1e-1)])
+@pytest.mark.parametrize("coupling", [30.0, 1.0, 0.0], ids=["strong", "weak", "free"])
+def test_banded_rows_match_splu_reference(kernel, energy, eps, coupling):
+    volume = Cube((0,), 60)
+    sparse = sparse_set_from_sites([(i,) for i in range(-60, 61, 2)], 0.5, 1)
+    model = DisorderModel(UniformLaw(-1, 1), coupling=coupling, seed=4)
+    engine = RealizationEngine(kernel, volume, sparse, model, (3,))
+    assert engine.band == (2 if kernel is DELTA1_RANGE2 else 1)
+    z = complex(energy, eps)
+    rows, residuals = engine.green_rows(z, engine.diagonals(range(5, 17)), 5)
+    ref_rows = _green_row_reference(kernel, volume, sparse, model, (3,), z, range(5, 17))
+    assert np.max(residuals) <= 1e-10
+    _assert_close(np.abs(rows) ** 0.5, np.abs(ref_rows) ** 0.5)
+    _assert_close(np.sum(np.abs(rows) ** 2, axis=1), np.sum(np.abs(ref_rows) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("energy,eps", [(5.0, 1e-3), (0.5, 1e-4), (2.5, 1e-2)])
+@pytest.mark.parametrize("coupling,step", [(30.0, 1), (2.0, 3), (0.0, 1), (9.0, 200)],
+                         ids=["full", "sparse", "zero-coupling", "empty-set"])
+def test_moments_and_simon_wolff_match_green_row_reference(energy, eps, coupling, step):
+    volume = Cube((0,), 50)
+    sites = [(i,) for i in range(-50, 51, step)] if step < 200 else []
+    sparse = sparse_set_from_sites(sites, 0.5, 1)
+    model = DisorderModel(UniformLaw(-1, 1), coupling=coupling, seed=17)
+    count = 6
+    query = GreenQuery(energy, eps, 0.5, (-7,), volume, count)
+    ref = _green_row_reference(DELTA1, volume, sparse, model, (-7,), query.z, range(count))
+    est = fractional_moment_estimate(query, DELTA1, sparse, model)
+    _assert_close(est.mean, np.mean(np.abs(ref) ** 0.5, axis=0))
+    ladder = [eps * 10, eps]
+    rows = simon_wolff_proxy(query, DELTA1, sparse, model, ladder)
+    want = []
+    for e in ladder:
+        g = _green_row_reference(DELTA1, volume, sparse, model, (-7,), complex(energy, e),
+                                 range(count))
+        want.append(np.mean(np.sum(np.abs(g) ** 2, axis=1)))
+    _assert_close([r.mean_sum_g2 for r in rows], want)
+
+
+def test_engine_scatters_the_set_onto_its_sites():
+    volume = Cube((2,), 5)
+    sparse = sparse_set_from_sites([(6,), (-3,), (0,)], 0.5, 1)
+    model = DisorderModel(UniformLaw(-1, 1), coupling=3.0, seed=2)
+    engine = RealizationEngine(DELTA1, volume, sparse, model, (2,))
+    assert engine.index.tolist() == [engine.op.index_of(s) for s in sparse.sites]
+    diags = engine.diagonals(range(4))
+    for r in range(4):
+        pot = sample_potential(model, sparse, r)
+        want = np.zeros(volume.volume)
+        for site, value in pot.items():
+            want[engine.op.index_of(site)] = value
+        assert diags[r].tobytes() == want.tobytes()
+    with pytest.raises(KeyError):
+        RealizationEngine(DELTA1, volume, sparse_set_from_sites([(9,)], 0.5, 1), model, (2,))
+
+
+# ------------------------------------------------ error contract on the engine path
+
+def _fail_on_call(fn, n, fault):
+    """Wrap fn so that call number n (0-based) is replaced by ``fault``."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        if next(calls) == n:
+            return fault(fn, *args, **kwargs)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _raise(exc):
+    def fault(fn, *args, **kwargs):
+        raise exc
+    return fault
+
+
+def _nan_result(fn, *args, **kwargs):
+    return np.full_like(fn(*args, **kwargs), np.nan)
+
+
+def _run_kind(kind, kernel, volume, source):
+    sparse = sparse_set_from_sites([source], 0.5, len(source))
+    model = DisorderModel(UniformLaw(-1, 1), coupling=5.0, seed=3)
+    query = GreenQuery(0.3, 1e-2, 0.5, source, volume, 4)
+    if kind == "moments":
+        fractional_moment_estimate(query, kernel, sparse, model)
+    else:
+        simon_wolff_proxy(query, kernel, sparse, model, [1e-1, 1e-2])
+
+
+@pytest.mark.parametrize("kind", ["moments", "simon_wolff"])
+@pytest.mark.parametrize("fault", [
+    _raise(np.linalg.LinAlgError("singular matrix")), _nan_result,
+], ids=["lapack-singular", "non-finite"])
+def test_banded_path_faults_raise_tagged_numerical_error(monkeypatch, kind, fault):
+    monkeypatch.setattr(resolvent, "solve_banded", _fail_on_call(resolvent.solve_banded, 2, fault))
+    with pytest.raises(NumericalError, match="realization 2") as info:
+        _run_kind(kind, DELTA1, Cube((0,), 10), (0,))
+    assert info.value.diagnostics["realization"] == 2
+
+
+@pytest.mark.parametrize("kind", ["moments", "simon_wolff"])
+def test_splu_path_faults_raise_tagged_numerical_error(monkeypatch, kind):
+    splu = _fail_on_call(resolvent.spla.splu, 2, _raise(RuntimeError("Factor is exactly singular")))
+    monkeypatch.setattr(resolvent, "spla", SimpleNamespace(splu=splu))
+    with pytest.raises(NumericalError, match="realization 2") as info:
+        _run_kind(kind, kernel_from_symbol(delta_symbol(2)), Cube((0, 0), 3), (0, 0))
+    assert info.value.diagnostics["realization"] == 2
