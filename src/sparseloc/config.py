@@ -255,6 +255,11 @@ def _validate_sparse_set(
         if any(len(s) != d for s in sites):
             chk.fail(f"{path}.sites", "sites of mixed dimension")
             return None
+        outside = [i for i, s in enumerate(sites) if volume is not None and not volume.contains(s)]
+        for i in outside:
+            chk.fail(f"{path}.sites[{i}]", f"site {list(sites[i])} lies outside the volume")
+        if outside:
+            return None
         return sparse_set_from_sites(sites, alpha, d, seed)
     if gen == "full_cube":
         target = volume

@@ -250,12 +250,16 @@ def _site_amplitudes(
     sources = list(phi.items())
     d_maxes = []
     tables = []
+    shared = {}  # (axis series, d_max) -> table: equal axes share one FFT
     for axis in range(spec.dim):
         lo = int(sites[:, axis].min()) - max(n[axis] for n, _ in sources)
         hi = int(sites[:, axis].max()) - min(n[axis] for n, _ in sources)
         d_max = max(abs(lo), abs(hi))
         d_maxes.append(d_max)
-        tables.append(axis_factor_table(spec, axis, t, d_max))
+        key = (spec.axes[axis], d_max)
+        if key not in shared:
+            shared[key] = axis_factor_table(spec, axis, t, d_max)
+        tables.append(shared[key])
     psi = np.zeros(sites.shape[0], dtype=complex)
     for n, amp in sources:
         factors = np.ones(sites.shape[0], dtype=complex)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,14 +68,20 @@ class SymbolSpec:
 
     def axis_derivative_sup(self, axis: int) -> float:
         """sup |h_axis'| over a fine grid (2 pi / 8192 spacing)."""
-        thetas = np.linspace(0.0, 2.0 * math.pi, _DERIV_GRID, endpoint=False)
-        d = np.zeros(_DERIV_GRID)
-        for k, c in self.axes[axis]:
-            d -= 2.0 * c * k * np.sin(k * thetas)
-        return float(np.max(np.abs(d)))
+        return _series_derivative_sup(self.axes[axis])
 
     def derivative_sup(self) -> float:
         return max(self.axis_derivative_sup(i) for i in range(self.dim))
+
+
+@cache
+def _series_derivative_sup(series: tuple[tuple[int, float], ...]) -> float:
+    """Grid sup of |h'| for one axis series, computed once per distinct series."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, _DERIV_GRID, endpoint=False)
+    d = np.zeros(_DERIV_GRID)
+    for k, c in series:
+        d -= 2.0 * c * k * np.sin(k * thetas)
+    return float(np.max(np.abs(d)))
 
 
 def delta_symbol(dim: int, k: int = 1, amplitude: float = 1.0) -> SymbolSpec:

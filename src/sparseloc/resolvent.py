@@ -288,16 +288,21 @@ def estimate_decoupling(
     ims = np.linspace(0.0, radius, n_imag)
     points = [complex(a, b) for a in res for b in ims]
 
-    denom_cache: dict[complex, float] = {}
+    # one quad per distinct integral: denominators keyed on beta, numerators
+    # on {eta, beta} (symmetric: both orders give bitwise the same value)
+    integrals: dict = {}
+
+    def integral(key, eta: complex, beta: complex | None) -> float:
+        value = integrals.get(key)
+        if value is None:
+            value = integrals[key] = _frac_integral(law, s, eta, beta)
+        return value
 
     def ratio(eta: complex, beta: complex) -> float:
-        den = denom_cache.get(beta)
-        if den is None:
-            den = _frac_integral(law, s, beta, None)
-            denom_cache[beta] = den
+        den = integral(beta, beta, None)
         if den <= 0:
             return math.inf
-        return _frac_integral(law, s, eta, beta) / den
+        return integral(frozenset((eta, beta)), eta, beta) / den
 
     best = (math.inf, points[0], points[0])
     for eta in points:

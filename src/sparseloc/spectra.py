@@ -15,6 +15,7 @@ import numpy as np
 
 from ._stats import run_indexed
 from .disorder import DisorderModel, sample_potentials
+from .errors import NumericalError
 from .lattice import Cube, SparseSet
 from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
 
@@ -52,7 +53,8 @@ def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CA
     values, vectors = np.linalg.eigh(dense)
     residual = np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0))
     if residual > 1e-8:
-        raise RuntimeError(f"eigendecomposition residual {residual} above 1e-8")
+        raise NumericalError("eigendecomposition residual above 1e-8",
+                             residual=float(residual), realization=realization)
     iprs = np.sum(np.abs(vectors) ** 4, axis=0)
     return EigenReport(values, iprs, n, realization)
 

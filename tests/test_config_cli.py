@@ -394,3 +394,26 @@ def test_moments_am_bound_checks_only_the_sites_of_s(tmp_path):
     bound = json.loads((tmp_path / "am" / "summary.json").read_text())["am_bound"]
     rows = (tmp_path / "am" / "moments.csv").read_text().strip().splitlines()[1:]
     assert max(float(r.split(",")[5]) for r in rows) > bound  # off S the bound fails
+
+
+def _outside_site_raw():
+    return _moments_raw(
+        sparse_set={"generator": "explicit_list", "alpha": 0.5, "sites": [[3], [25], [-21]]}
+    )
+
+
+def test_validate_rejects_explicit_sites_outside_the_volume():
+    with pytest.raises(ConfigError) as err:
+        validate_config(_outside_site_raw())
+    fields = [f for f, _ in err.value.violations]
+    assert fields == ["sparse_set.sites[1]", "sparse_set.sites[2]"]
+
+
+def test_cli_outside_site_exits_two_without_traceback(tmp_path, capsys):
+    path = _write_config(tmp_path, _outside_site_raw())
+    code = main(["moments", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sparse_set.sites[1]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

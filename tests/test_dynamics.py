@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from sparseloc import dynamics
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.dynamics import (
     PropagatorQuery,
+    _site_amplitudes,
+    _weights,
     axis_factor_bessel,
     axis_factor_table,
     cook_integrand,
@@ -237,3 +240,82 @@ def test_negative_amplitude_axis_matches_bessel():
     for d in range(-40, 41):
         oracle = axis_factor_bessel(2, -0.75, t, d)
         assert table[40 + d] == pytest.approx(oracle, abs=1e-10)
+
+
+# --- one axis table per distinct (axis series, d_max) -----------------------
+
+
+def _site_amplitudes_reference(spec, phi, sites, t):
+    """One axis_factor_table call per axis, shared by no other axis."""
+    sources = list(phi.items())
+    d_maxes = []
+    tables = []
+    for axis in range(spec.dim):
+        lo = int(sites[:, axis].min()) - max(n[axis] for n, _ in sources)
+        hi = int(sites[:, axis].max()) - min(n[axis] for n, _ in sources)
+        d_max = max(abs(lo), abs(hi))
+        d_maxes.append(d_max)
+        tables.append(axis_factor_table(spec, axis, t, d_max))
+    psi = np.zeros(sites.shape[0], dtype=complex)
+    for n, amp in sources:
+        factors = np.ones(sites.shape[0], dtype=complex)
+        for axis in range(spec.dim):
+            factors *= tables[axis][sites[:, axis] - n[axis] + d_maxes[axis]]
+        psi += amp * factors
+    return psi
+
+
+def _projected_norm_reference(spec, sparse, phi, t, gamma):
+    sites = sparse.coords_array()
+    psi = _site_amplitudes_reference(spec, phi, sites, t)
+    w = _weights(sites, gamma)
+    return float(np.sqrt(np.sum((w * np.abs(psi)) ** 2)))
+
+
+_SHARED_TABLE_CASES = {
+    # equal axes, symmetric set: one table serves all five axes
+    "delta5": (
+        delta_symbol(5),
+        [(0, 0, 0, 0, 0), (3, -3, 3, -3, 3), (-3, 3, -3, 3, -3), (2, 0, -1, 0, 1)],
+        {(0, 0, 0, 0, 0): 1.0, (1, 1, 1, 1, 1): 0.5j},
+        1,
+    ),
+    # distinct c on one axis and distinct k on another: no sharing
+    "anisotropic": (
+        SymbolSpec((((1, 1.0),), ((1, 0.5),), ((2, 1.0), (1, 0.3)))),
+        [(0, 0, 0), (4, -1, 2), (-3, 5, 0), (1, 1, -6)],
+        {(0, 0, 0): 1.0},
+        3,
+    ),
+    # equal axes whose d_max differ (set not symmetric): axes 0 and 2 share
+    "equal_axes_unequal_reach": (
+        delta_symbol(3),
+        [(7, 1, -7), (-2, 3, 0), (0, 0, 4)],
+        {(0, 0, 0): 1.0, (1, 0, 0): -0.25},
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_TABLE_CASES))
+@pytest.mark.parametrize("t", [0.7, 3.0, 25.0])
+def test_shared_axis_tables_bitwise_equal_reference(monkeypatch, case, t):
+    spec, sites, phi, n_tables = _SHARED_TABLE_CASES[case]
+    sparse = sparse_set_from_sites(sites, 0.5, spec.dim)
+    coords = sparse.coords_array()
+    want = _site_amplitudes_reference(spec, phi, coords, t)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return axis_factor_table(*args)
+
+    monkeypatch.setattr(dynamics, "axis_factor_table", counted)
+    got = _site_amplitudes(spec, phi, coords, t)
+    assert len(calls) == n_tables
+    assert got.tobytes() == want.tobytes()
+    for gamma in (None, 1.5):
+        assert projected_norm(spec, sparse, phi, t, gamma) == _projected_norm_reference(
+            spec, sparse, phi, t, gamma
+        )

@@ -270,3 +270,32 @@ def test_c_h_estimate_for_pure_cosine():
     # every derivative of 2 cos(theta) has sup exactly 2
     assert _estimate_c_h(lambda th: 2.0 * math.cos(th), 1) == pytest.approx(2.0, rel=1e-9)
     assert _estimate_c_h(lambda th: 2.0 * math.cos(th), 2) == pytest.approx(2.0, rel=1e-9)
+
+
+def _derivative_sup_reference(series):
+    """The 8192-point grid formula, evaluated afresh on every call."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
+    d = np.zeros(8192)
+    for k, c in series:
+        d -= 2.0 * c * k * np.sin(k * thetas)
+    return float(np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        (((1, 1.0),),),
+        (((3, -0.7),), ((1, 1.0),)),
+        (((1, 0.25), (2, -0.5), (5, 0.125)), ((2, 1.0),), ((1, 0.25), (2, -0.5), (5, 0.125))),
+        ((),),
+    ],
+)
+def test_axis_derivative_sup_matches_grid_formula(axes):
+    first, second = SymbolSpec(axes), SymbolSpec(axes)  # built separately, equal series
+    for axis in range(len(axes)):
+        want = _derivative_sup_reference(first.axes[axis])
+        assert first.axis_derivative_sup(axis) == want
+        assert second.axis_derivative_sup(axis) == want
+    assert first.derivative_sup() == max(
+        _derivative_sup_reference(series) for series in first.axes
+    )

@@ -15,7 +15,7 @@ from sparseloc.operators import (
     kernel_from_symbol,
     s_norm,
 )
-from sparseloc.disorder import DisorderModel, UniformLaw, sample_potential
+from sparseloc.disorder import DisorderModel, GaussianLaw, UniformLaw, sample_potential
 from sparseloc.resolvent import (
     DecouplingEstimate,
     GreenQuery,
@@ -500,3 +500,82 @@ def test_splu_path_faults_raise_tagged_numerical_error(monkeypatch, kind):
     with pytest.raises(NumericalError, match="realization 2") as info:
         _run_kind(kind, kernel_from_symbol(delta_symbol(2)), Cube((0, 0), 3), (0, 0))
     assert info.value.diagnostics["realization"] == 2
+
+
+# --- one quad per distinct decoupling integral ---------------------------------
+
+
+def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
+    """Grid + zoom search that integrates every (eta, beta) numerator and
+    every denominator afresh.  Returns the estimate's fields and the keys of
+    every integral it needed (beta for a denominator, {eta, beta} for a
+    numerator)."""
+    radius = 10.0 * law.scale
+    res = np.linspace(-radius, radius, n_real)
+    ims = np.linspace(0.0, radius, n_imag)
+    points = [complex(a, b) for a in res for b in ims]
+    needed = set()
+
+    def ratio(eta, beta):
+        needed.add(beta)
+        den = resolvent._frac_integral(law, s, beta, None)
+        if den <= 0:
+            return math.inf
+        needed.add(frozenset((eta, beta)))
+        return resolvent._frac_integral(law, s, eta, beta) / den
+
+    best = (math.inf, points[0], points[0])
+    for eta in points:
+        for beta in points:
+            r = ratio(eta, beta)
+            if r < best[0]:
+                best = (r, eta, beta)
+    step_re, step_im = res[1] - res[0], ims[1] - ims[0]
+    kappa, eta0, beta0 = best
+    interior = (
+        abs(abs(eta0.real) - radius) > 1e-12
+        and abs(abs(beta0.real) - radius) > 1e-12
+        and abs(eta0.imag - radius) > 1e-12
+        and abs(beta0.imag - radius) > 1e-12
+    )
+    shifts = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
+    for _ in range(refine_rounds):
+        etas = [complex(eta0.real + u * step_re, max(0.0, eta0.imag + v * step_im))
+                for u in shifts for v in (-0.5, 0.0, 0.5)]
+        betas = [complex(beta0.real + u * step_re, max(0.0, beta0.imag + v * step_im))
+                 for u in shifts for v in (-0.5, 0.0, 0.5)]
+        for eta in etas:
+            for beta in betas:
+                r = ratio(eta, beta)
+                if r < kappa:
+                    kappa, eta0, beta0 = r, eta, beta
+        step_re *= 0.5
+        step_im *= 0.5
+    fields = (float(kappa), float(kappa / (1.0 - s) ** s), (eta0, beta0), interior)
+    return fields, needed
+
+
+@pytest.mark.parametrize(
+    "law, s, grid",
+    [
+        (UniformLaw(-1, 1), 0.3, (9, 4, 2)),
+        (UniformLaw(-1, 1), 0.5, (9, 4, 5)),  # the default grid
+        (UniformLaw(-1, 1), 0.7, (9, 4, 2)),
+        (GaussianLaw(0.0, 1.0), 0.5, (7, 3, 3)),
+    ],
+)
+def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
+    want, needed = _decoupling_reference(law, s, *grid)
+
+    original = resolvent._frac_integral
+    keys = []
+
+    def spy(law_, s_, eta, beta):
+        keys.append(eta if beta is None else frozenset((eta, beta)))
+        return original(law_, s_, eta, beta)
+
+    monkeypatch.setattr(resolvent, "_frac_integral", spy)
+    dec = estimate_decoupling(law, s, None, *grid)
+    assert (dec.kappa_hat, dec.d_eff, dec.minimizer, dec.interior) == want
+    assert len(keys) == len(set(keys))  # one call per distinct integral
+    assert set(keys) == needed

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sparseloc.cli import main
 from sparseloc.disorder import DisorderModel, UniformLaw
+from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, sparse_set_from_sites, generate_sparse_set
 from sparseloc.operators import SymbolSpec, assemble_finite_volume, delta_symbol, kernel_from_symbol
 from sparseloc.spectra import (
@@ -153,3 +156,43 @@ def test_edge_scan_realization_floor():
     empty = sparse_set_from_sites([], 0.5, 1)
     with pytest.raises(ValueError):
         _scan(DisorderModel(UniformLaw(-1, 1), coupling=0.0, seed=1), empty, realizations=5)
+
+
+def _perturbed_eigh(monkeypatch):
+    exact = np.linalg.eigh
+
+    def eigh(a):
+        values, vectors = exact(a)
+        return values, vectors + 1e-4
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
+    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(1)), {}, Cube((0,), 5))
+    _perturbed_eigh(monkeypatch)
+    with pytest.raises(NumericalError) as err:
+        eigensystem(op, realization=7)
+    assert err.value.diagnostics["realization"] == 7
+    assert err.value.diagnostics["residual"] > 1e-8
+
+
+def test_edge_scan_residual_fault_exits_three(monkeypatch, tmp_path, capsys):
+    raw = {
+        "kind": "edge_scan",
+        "seed": 31,
+        "symbol": {"delta": 1},
+        "volume": {"center": [0], "half_side": 10},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
+        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 1.0},
+        "realizations": 20,
+        "s": 0.5,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    _perturbed_eigh(monkeypatch)
+    code = main(["edge_scan", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "'realization': 0" in err
+    assert "Traceback" not in err
