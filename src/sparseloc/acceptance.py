@@ -76,7 +76,7 @@ def criterion_01_s_norm_exactness(workdir=None, threads=1) -> CriterionResult:
 
 def criterion_02_neumann_domination(workdir=None, threads=1) -> CriterionResult:
     kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, None, Cube((0,), 1000))
+    op = assemble_finite_volume(kernel, Cube((0,), 1000))
     s = 0.9
     dominated = True
     details = []

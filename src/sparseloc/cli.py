@@ -2,7 +2,8 @@
 ``verify`` for the acceptance suite.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error,
-3 numerical error.
+3 numerical error, 4 internal error (any other exception, reported as
+one ``internal error: <Type>: <message>`` line).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 _THREADS_ENV = "SPARSELOC_THREADS"
 
@@ -51,6 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="directory for acceptance artifacts")
     v.add_argument("--threads", type=int, default=None)
     return parser
+
+
+def _internal(exc: Exception) -> int:
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _run_kind(kind: str, args) -> int:
@@ -88,6 +95,8 @@ def _run_kind(kind: str, args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        return _internal(exc)
     for name, ok in sorted(manifest.verdicts.items()):
         print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
     print(f"artifacts: {args.out or cfg.out or os.path.join('runs', kind)}")
@@ -108,6 +117,8 @@ def _run_verify(args) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        return _internal(exc)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
 
 

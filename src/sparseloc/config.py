@@ -534,14 +534,6 @@ def _moments_core(chk, raw, min_real=2):
     if spec is not None and query is not None:
         kernel = kernel_from_symbol(spec)
         derived["h0_norm_s"] = s_norm(kernel, query["s"])
-        if model is not None:
-            # coarse grid: an echo for sanity reading, not the run-time estimate
-            from .resolvent import estimate_decoupling, lambda_threshold
-
-            dec = estimate_decoupling(
-                model.law, query["s"], n_real=5, n_imag=2, refine_rounds=2
-            )
-            derived["lambda_threshold_coarse"] = lambda_threshold(kernel, query["s"], dec)
     return {"spec": spec, "volume": volume, "sparse": sparse, "model": model, "query": query}, derived
 
 

@@ -449,19 +449,3 @@ def cook_integrand(
         )
     return rows
 
-
-def weighted_tail_norm(
-    spec: SymbolSpec,
-    phi: dict[Site, complex],
-    t: float,
-    beta: float,
-    sparse: SparseSet,
-) -> float:
-    """sum_{m in S} |(1 + |m|)^beta psi_t(m)|^2 (S explicit, sum exact)."""
-    if beta <= spec.dim:
-        raise ValueError(f"beta must exceed the dimension {spec.dim}")
-    phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
-    sites = sparse.coords_array()
-    psi = _site_amplitudes(spec, phi, sites, t)
-    w = _weights(sites, beta)
-    return float(np.sum((w * np.abs(psi)) ** 2))

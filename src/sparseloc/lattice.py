@@ -64,6 +64,24 @@ class Cube:
     def contains(self, site: Site) -> bool:
         return len(site) == self.dim and max_norm(site, self.center) <= self.half_side
 
+    def coords(self) -> np.ndarray:
+        """All sites as a (volume, nu) array, in ``cube_sites`` order."""
+        lo = np.asarray(self.center, dtype=np.int64) - self.half_side
+        grid = np.indices((self.side,) * self.dim, dtype=np.int64)
+        return grid.reshape(self.dim, -1).T + lo
+
+    def indices_of(self, coords) -> np.ndarray:
+        """Row numbers in ``coords()`` of the rows of an (n, nu) site array;
+        KeyError names the first site outside the cube."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise KeyError(f"sites of shape {coords.shape} outside a {self.dim}D cube")
+        rel = coords - (np.asarray(self.center, dtype=np.int64) - self.half_side)
+        outside = np.any((rel < 0) | (rel >= self.side), axis=1)
+        if outside.any():
+            raise KeyError(f"site {tuple(coords[np.argmax(outside)].tolist())} outside the cube")
+        return rel @ self.side ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+
 
 def cube_sites(cube: Cube) -> list[Site]:
     """All sites of the cube in lexicographic coordinate order."""
@@ -328,20 +346,3 @@ def sparse_set_to_text(sparse: SparseSet) -> str:
         lines.append(" ".join(str(c) for c in site))
     return "\n".join(lines) + "\n"
 
-
-def sparse_set_from_text(text: str) -> SparseSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing sparse-set header line")
-    fields = dict(item.split("=", 1) for item in lines[0][1:].split())
-    alpha = float(fields["alpha"])
-    generator = fields["generator"]
-    seed = int(fields["seed"])
-    dim = int(fields["nu"])
-    sites = []
-    for ln in lines[1:]:
-        coords = tuple(int(tok) for tok in ln.split())
-        if len(coords) != dim:
-            raise ValueError(f"site line {ln!r} does not match nu={dim}")
-        sites.append(coords)
-    return SparseSet(tuple(sites), alpha, generator, seed, dim)

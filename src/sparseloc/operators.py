@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .lattice import Cube, SparseSet, Site
+from .lattice import Cube, Site
 
 _DERIV_GRID = 8192
 
@@ -51,13 +51,6 @@ class SymbolSpec:
     @property
     def dim(self) -> int:
         return len(self.axes)
-
-    @classmethod
-    def from_config(cls, raw) -> "SymbolSpec":
-        axes = []
-        for series in raw["axes"]:
-            axes.append(tuple((item["k"], item["c"]) for item in series))
-        return cls(tuple(axes))
 
     def axis_values(self, axis: int, thetas: np.ndarray) -> np.ndarray:
         """h_axis evaluated on an array of angles."""
@@ -181,129 +174,48 @@ def neumann_fractional_bound(kernel: KernelOperator, energy: float, s: float) ->
 class AssembledOperator:
     """Finite-volume matrix over a cube's sites, Dirichlet truncation.
 
-    Sites are ordered by cube_sites (lexicographic); row n holds
-    c(m - n) plus the diagonal potential.
+    Row n is the site ``cube.coords()[n]`` (lexicographic order) and
+    holds c(m - n), plus whatever diagonal the caller added.
     """
 
     cube: Cube
     matrix: sp.csr_matrix
-    boundary: str = "dirichlet"
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def _lows_strides(self):
-        lo = [c - self.cube.half_side for c in self.cube.center]
-        side = self.cube.side
-        dim = self.cube.dim
-        strides = [side ** (dim - 1 - j) for j in range(dim)]
-        return lo, strides
-
     def index_of(self, site: Site) -> int:
-        return int(self.indices_of([site])[0])
-
-    def indices_of(self, coords) -> np.ndarray:
-        """Matrix indices of the rows of an (n, nu) site array, in row
-        order; KeyError names the first site outside the volume."""
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] != self.cube.dim:
-            raise KeyError(f"sites of shape {coords.shape} outside a {self.cube.dim}D volume")
-        lo, strides = self._lows_strides()
-        rel = coords - np.asarray(lo, dtype=np.int64)
-        outside = np.any((rel < 0) | (rel >= self.cube.side), axis=1)
-        if outside.any():
-            raise KeyError(f"site {tuple(coords[np.argmax(outside)].tolist())} outside volume")
-        return rel @ np.asarray(strides, dtype=np.int64)
-
-    def site_of(self, index: int) -> Site:
-        lo, strides = self._lows_strides()
-        out = []
-        for l, st in zip(lo, strides):
-            q, index = divmod(index, st)
-            out.append(l + q)
-        return tuple(out)
-
-    def to_coordinate_text(self) -> str:
-        coo = self.matrix.tocoo()
-        lines = [
-            f"{r} {c} {v:.17g}"
-            for r, c, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return int(self.cube.indices_of([site])[0])
 
 
-def _coords_and_index(cube: Cube):
-    lo = np.array([c - cube.half_side for c in cube.center], dtype=np.int64)
-    side = cube.side
-    dim = cube.dim
-    strides = np.array([side ** (dim - 1 - j) for j in range(dim)], dtype=np.int64)
-    idx = np.arange(cube.volume, dtype=np.int64)
-    coords = np.empty((cube.volume, dim), dtype=np.int64)
-    rest = idx.copy()
-    for j in range(dim):
-        coords[:, j] = rest // strides[j] + lo[j]
-        rest = rest % strides[j]
-    return coords, lo, strides
+def assemble_finite_volume(kernel: KernelOperator, cube: Cube) -> AssembledOperator:
+    """(A u)(n) = sum_d c(d) u(n + d) [n + d in cube], the free part only.
 
-
-def assemble_finite_volume(
-    kernel: KernelOperator, potential: dict[Site, float] | None, cube: Cube
-) -> AssembledOperator:
-    """(A u)(n) = sum_d c(d) u(n + d) [n + d in cube] + V(n) u(n)."""
+    Lexicographic indices are affine in the site, so every pair (n, n + d)
+    inside the cube sits one fixed index shift apart.
+    """
     if cube.dim != kernel.dim:
         raise ValueError("kernel and cube dimensions differ")
     n = cube.volume
     if n > 4_000_000:
         raise ValueError(f"volume {n} too large to assemble")
-    coords, lo, strides = _coords_and_index(cube)
-    side = cube.side
-    rows_all = []
-    cols_all = []
-    vals_all = []
+    coords = cube.coords()
+    lo, hi = coords[0], coords[-1]
+    rows, cols, vals = [], [], []
     for offset, amp in kernel.hopping:
         target = coords + np.asarray(offset, dtype=np.int64)
-        rel = target - lo
-        valid = np.all((rel >= 0) & (rel < side), axis=1)
-        src = np.nonzero(valid)[0]
-        tgt = rel[valid] @ strides
-        rows_all.append(src)
-        cols_all.append(tgt)
-        vals_all.append(np.full(src.shape[0], amp))
-    diag = np.zeros(n)
-    if potential:
-        for site, value in potential.items():
-            if not cube.contains(site):
-                raise ValueError(f"potential site {site} outside the cube")
-            rel = np.asarray(site, dtype=np.int64) - lo
-            diag[int(rel @ strides)] += float(value)
-    nz = np.nonzero(diag)[0]
-    rows_all.append(nz)
-    cols_all.append(nz)
-    vals_all.append(diag[nz])
-    if rows_all:
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-        vals = np.concatenate(vals_all)
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return AssembledOperator(cube, matrix)
-
-
-def restrict_complement(
-    kernel: KernelOperator, sparse: SparseSet, cube: Cube
-) -> AssembledOperator:
-    """P_{S^c} H0 P_{S^c} on the volume: rows and columns of S zeroed."""
-    for site in sparse.sites:
-        if not cube.contains(site):
-            raise ValueError(f"sparse-set site {site} outside the cube")
-    base = assemble_finite_volume(kernel, None, cube)
-    mask = np.ones(base.size)
-    mask[base.indices_of(sparse.coords_array())] = 0.0
-    matrix = base.matrix.multiply(mask[:, None]).multiply(mask[None, :]).tocsr()
-    matrix.eliminate_zeros()
+        src = np.nonzero(np.all((target >= lo) & (target <= hi), axis=1))[0]
+        if src.size:
+            shift = cube.indices_of(target[src[:1]])[0] - src[0]
+            rows.append(src)
+            cols.append(src + shift)
+            vals.append(np.full(src.size, amp))
+    if not rows:
+        return AssembledOperator(cube, sp.csr_matrix((n, n)))
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
     return AssembledOperator(cube, matrix)
 
 

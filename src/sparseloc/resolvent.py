@@ -23,8 +23,7 @@ from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site, max_norm
-from .operators import (AssembledOperator, KernelOperator, _coords_and_index,
-                        assemble_finite_volume, s_norm)
+from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
 
 _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block
@@ -109,13 +108,11 @@ class MomentEstimate:
         """Rows (distance, mean, stderr, n_sites) by max-norm distance
         from the source, excluding sites within ``boundary_margin`` hops
         of the volume boundary."""
-        coords, lo, _ = _coords_and_index(self.query.volume)
-        hi = lo + (self.query.volume.side - 1)
-        src = np.asarray(self.query.source)
-        dist = np.max(np.abs(coords - src), axis=1)
-        interior = np.all(
-            (coords - lo >= boundary_margin) & (hi - coords >= boundary_margin), axis=1
-        )
+        volume = self.query.volume
+        coords = volume.coords()
+        dist = np.max(np.abs(coords - np.asarray(self.query.source)), axis=1)
+        depth = volume.half_side - np.max(np.abs(coords - volume.center), axis=1)
+        interior = depth >= boundary_margin  # depth: hops to the nearest face
         rows = []
         for d in range(0, int(dist[interior].max()) + 1 if interior.any() else 0):
             mask = interior & (dist == d)
@@ -142,8 +139,8 @@ class RealizationEngine:
 
     def __init__(self, kernel: KernelOperator, volume: Cube, sparse: SparseSet,
                  model: DisorderModel, source: Site):
-        self.op = assemble_finite_volume(kernel, None, volume)
-        self.index = self.op.indices_of(sparse.coords_array())
+        self.op = assemble_finite_volume(kernel, volume)
+        self.index = volume.indices_of(sparse.coords_array())
         self.source = self.op.index_of(source)
         self.sparse, self.model = sparse, model
         n = self.op.size

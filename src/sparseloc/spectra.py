@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._stats import run_indexed
-from .disorder import DisorderModel, sample_potentials
+from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
+from .operators import AssembledOperator, KernelOperator, s_norm
+from .resolvent import RealizationEngine
 
 DENSE_CAP = 4096
 
@@ -128,11 +130,12 @@ def mobility_edge_scan(
     if realizations < 20:
         raise ValueError("need at least 20 realizations")
 
-    potentials = sample_potentials(model, sparse, range(realizations))
+    # the free matrix is assembled once; no Green row is solved, so the source is unused
+    engine = RealizationEngine(kernel, volume, sparse, model, volume.center)
+    diags = engine.diagonals(range(realizations))
 
     def one(r: int) -> EigenReport:
-        pot = dict(zip(sparse.sites, potentials[r].tolist()))
-        op = assemble_finite_volume(kernel, pot, volume)
+        op = AssembledOperator(volume, engine.op.matrix + sp.diags(diags[r]))
         return eigensystem(op, realization=r)
 
     reports = run_indexed(one, realizations, threads)
@@ -153,10 +156,13 @@ def mobility_edge_scan(
     for i in range(n_bins):
         lo = lo_edge + i * bin_width
         hi = lo + bin_width
-        mask = (energies >= lo) & (energies < hi)
+        # the next bin's lo, not hi (an ulp away at most), closes the bin: a
+        # state on the edge then lands in exactly one bin
+        top = lo_edge + (i + 1) * bin_width
+        mask = (energies >= lo) & (energies < top)
         count = int(mask.sum())
         med = float(np.median(iprs[mask])) if count else math.nan
-        rmask = (r_energy >= lo) & (r_energy < hi) & np.isfinite(r_value)
+        rmask = (r_energy >= lo) & (r_energy < top) & np.isfinite(r_value)
         rstat = float(np.mean(r_value[rmask])) if rmask.any() else math.nan
         bins.append(EdgeBin(lo, hi, count, med, rstat))
     total = sum(b.count for b in bins)

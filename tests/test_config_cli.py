@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sparseloc import experiments
 from sparseloc.cli import main
 from sparseloc.config import validate_config
 from sparseloc.errors import ConfigError
@@ -298,9 +299,9 @@ def test_validate_is_total_on_malformed_input():
 
 def test_moments_validation_echoes_threshold(tmp_path):
     cfg = validate_config(_moments_raw())
+    # the Neumann-series energy threshold ||H0||_s, and no decoupling estimate
     assert cfg.derived["h0_norm_s"] == pytest.approx(4.0)
-    # coarse echo of the coupling threshold (2/kappa)^2 for s = 1/2
-    assert 8.0 < cfg.derived["lambda_threshold_coarse"] < 14.0
+    assert set(cfg.derived) == {"h0_norm_s", "objects"}
 
 
 def test_simon_wolff_verdict_recomputable_from_csv(tmp_path):
@@ -417,3 +418,53 @@ def test_cli_outside_site_exits_two_without_traceback(tmp_path, capsys):
     assert "sparse_set.sites[1]" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _degenerate_gaussian_raw():
+    return _moments_raw(
+        kind="decay_fit", disorder={"law": "gaussian", "params": [0, 0], "lambda": 20.0}
+    )
+
+
+def test_validate_rejects_degenerate_gaussian():
+    with pytest.raises(ConfigError) as err:
+        validate_config(_degenerate_gaussian_raw())
+    assert [f for f, _ in err.value.violations] == ["disorder"]
+    assert "sd > 0" in err.value.violations[0][1]
+
+
+def test_cli_degenerate_gaussian_exits_two_before_running(tmp_path, capsys):
+    path = _write_config(tmp_path, _degenerate_gaussian_raw())
+    code = main(["decay_fit", "--config", path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "disorder: gaussian law requires sd > 0" in captured.err
+    assert "derived" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def _raise_key_error(cfg, stage, threads):
+    raise KeyError("no such column")
+
+
+def test_cli_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(experiments._RUNNERS, "norms", _raise_key_error)
+    path = _write_config(tmp_path, {"kind": "norms", "symbol": {"delta": 1}, "s_grid": [0.5]})
+    code = main(["norms", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "internal error: KeyError: 'no such column'\n"
+    manifest = json.loads((tmp_path / "out" / "failed" / "manifest.json").read_text())
+    assert manifest["failure"].startswith("KeyError")
+
+
+def test_cli_verify_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(experiments._RUNNERS, "moments", _raise_key_error)
+    code = main(["verify", "--criteria", "8", "--out", str(tmp_path / "verify")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "internal error: KeyError" in err
+    assert "Traceback" not in err
+    manifest = json.loads((tmp_path / "verify" / "moments_E3" / "failed" / "manifest.json")
+                          .read_text())
+    assert manifest["failure"].startswith("KeyError")

@@ -166,15 +166,12 @@ def test_make_law_dispatch():
         make_law("uniform", [1, -1])
 
 
-def test_model_from_config():
-    model = DisorderModel.from_config(
-        {"law": "uniform", "params": [-1, 1], "lambda": 12.0,
-         "weight": {"gamma": 0.5}, "seed": 42}
-    )
-    assert model.coupling == 12.0
-    assert model.weight_gamma == 0.5
-    assert model.seed == 42
-    assert model.coupling_for((3,)) == pytest.approx(2.0)
+def test_gaussian_law_requires_positive_sd():
+    for sd in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="sd > 0"):
+            GaussianLaw(0.0, sd)
+    with pytest.raises(ValueError):
+        make_law("gaussian", [0, 0])
 
 
 def test_site_uniforms_pinned_draws():

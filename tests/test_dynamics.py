@@ -16,7 +16,6 @@ from sparseloc.dynamics import (
     sparseness_integral,
     verify_offdiagonal_decay,
     verify_time_decay,
-    weighted_tail_norm,
 )
 from sparseloc.lattice import Cube, generate_sparse_set, sparse_set_from_sites
 from sparseloc.operators import SymbolSpec, delta_symbol
@@ -205,27 +204,6 @@ def test_cook_requires_enough_samples():
     model = DisorderModel(UniformLaw(-1, 1), coupling=1.0)
     with pytest.raises(ValueError):
         cook_integrand(DELTA1, sparse, model, {(0,): 1.0}, [1.0], n_samples=10)
-
-
-def test_weighted_tail_norm_identity_time():
-    on = sparse_set_from_sites([(0,), (3,)], 0.5, 1)
-    off = sparse_set_from_sites([(3,), (5,)], 0.5, 1)
-    assert weighted_tail_norm(DELTA1, {(0,): 1.0}, 0.0, 1.5, on) == pytest.approx(1.0)
-    assert weighted_tail_norm(DELTA1, {(0,): 1.0}, 0.0, 1.5, off) == pytest.approx(0.0)
-
-
-def test_weighted_tail_norm_box_doubling_stable():
-    box = sparse_set_from_sites([(i,) for i in range(-20, 21)], 0.5, 1)
-    double = sparse_set_from_sites([(i,) for i in range(-40, 41)], 0.5, 1)
-    a = weighted_tail_norm(DELTA1, {(0,): 1.0}, 2.0, 1.5, box)
-    b = weighted_tail_norm(DELTA1, {(0,): 1.0}, 2.0, 1.5, double)
-    assert abs(a - b) < 1e-10
-
-
-def test_weighted_tail_norm_requires_beta_above_dim():
-    sparse = sparse_set_from_sites([(0,)], 0.5, 1)
-    with pytest.raises(ValueError):
-        weighted_tail_norm(DELTA1, {(0,): 1.0}, 1.0, 0.9, sparse)
 
 
 def test_propagator_query_validates_offsets():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from sparseloc.lattice import (
     generate_sparse_set,
     max_norm,
     sparse_set_from_sites,
-    sparse_set_from_text,
     sparse_set_to_text,
     sparseness_profile,
 )
@@ -139,23 +139,38 @@ def test_subgroup_lattice_is_negative_control():
     assert not rows[0].passed
 
 
-def test_serialization_round_trip():
-    cube = Cube((0, 0), 9)
-    sparse = generate_sparse_set(0.4, cube, "bernoulli_thinned", 5)
-    text = sparse_set_to_text(sparse)
-    back = sparse_set_from_text(text)
-    assert back.sites == sparse.sites
-    assert back.alpha == sparse.alpha
-    assert back.generator == sparse.generator
-    assert back.seed == sparse.seed
-    assert back.dim == sparse.dim
+def test_serialization_pinned_text():
+    sparse = sparse_set_from_sites([(2, -1), (0, 0), (-3, 4)], 0.4, 2, seed=5)
+    assert sparse_set_to_text(sparse) == (
+        "# alpha=0.40000000000000002 generator=explicit_list seed=5 nu=2\n"
+        "-3 4\n"
+        "0 0\n"
+        "2 -1\n"
+    )
 
 
-def test_serialization_rejects_garbage():
-    with pytest.raises(ValueError):
-        sparse_set_from_text("0 0\n1 1\n")
-    with pytest.raises(ValueError):
-        sparse_set_from_text("# alpha=0.5 generator=explicit_list seed=0 nu=2\n0\n")
+@pytest.mark.parametrize("center,half", [((7,), 3), ((1, -2), 2), ((-4, 3, 9), 1), ((5, 5), 0)],
+                         ids=["1d", "2d", "3d", "single-site"])
+def test_cube_coords_match_cube_sites_and_invert(center, half):
+    cube = Cube(center, half)
+    coords = cube.coords()
+    assert coords.dtype == np.int64 and coords.shape == (cube.volume, cube.dim)
+    assert [tuple(row) for row in coords.tolist()] == cube_sites(cube)
+    assert cube.indices_of(coords).tolist() == list(range(cube.volume))
+    picked = coords[::-3]
+    assert cube.indices_of(picked).tolist() == list(range(cube.volume))[::-3]
+
+
+def test_cube_indices_of_rejects_outside_sites_and_wrong_shapes():
+    cube = Cube((1, -2), 2)
+    assert cube.indices_of(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    with pytest.raises(KeyError, match=r"\(4, 0\)"):
+        cube.indices_of([(1, -2), (4, 0)])  # first outside site named
+    for bad in ([(1, -2, 0)], [(1,)], [1, -2], np.zeros((2, 2, 2))):
+        with pytest.raises(KeyError):
+            cube.indices_of(bad)
+    with pytest.raises(KeyError):
+        Cube((3,), 1).indices_of([(1,)])
 
 
 def test_sites_are_sorted_and_deduplicated():

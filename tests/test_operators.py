@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseloc.config import periodized_gaussian
-from sparseloc.lattice import Cube, cube_sites, sparse_set_from_sites
+from sparseloc.lattice import Cube, cube_sites
 from sparseloc.operators import (
+    AssembledOperator,
     KernelOperator,
     SymbolSpec,
     assemble_finite_volume,
@@ -15,7 +17,6 @@ from sparseloc.operators import (
     kernel_decay_check,
     kernel_from_symbol,
     neumann_fractional_bound,
-    restrict_complement,
     s_norm,
 )
 from sparseloc.resolvent import green_row
@@ -104,14 +105,22 @@ def test_neumann_bound_value_and_limits():
 @pytest.mark.parametrize("energy", [3.0, 4.0, 6.0])
 def test_neumann_bound_dominates_direct_sum(energy):
     kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, None, Cube((0,), 200))
+    op = assemble_finite_volume(kernel, Cube((0,), 200))
     direct = green_row(op, complex(energy, 1e-6), (0,)).sum_abs_pow(0.9)
     assert direct <= neumann_fractional_bound(kernel, energy, 0.9)
 
 
+def _with_potential(op, potential):
+    """The operator plus a dict potential, placed site by site."""
+    diag = np.zeros(op.size)
+    for site, value in potential.items():
+        diag[op.index_of(site)] += value
+    return AssembledOperator(op.cube, (op.matrix + sp.diags(diag)).tocsr())
+
+
 def test_assemble_tridiagonal():
     kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, None, Cube((0,), 1))
+    op = assemble_finite_volume(kernel, Cube((0,), 1))
     np.testing.assert_array_equal(
         op.matrix.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     )
@@ -119,7 +128,7 @@ def test_assemble_tridiagonal():
 
 def test_assemble_with_potential():
     kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, {(0,): 5.0}, Cube((0,), 1))
+    op = _with_potential(assemble_finite_volume(kernel, Cube((0,), 1)), {(0,): 5.0})
     np.testing.assert_array_equal(
         op.matrix.toarray(), [[0, 1, 0], [1, 5, 1], [0, 1, 0]]
     )
@@ -127,14 +136,8 @@ def test_assemble_with_potential():
 
 def test_assemble_zero_everything():
     kernel = kernel_from_symbol(SymbolSpec(((),)))
-    op = assemble_finite_volume(kernel, None, Cube((0,), 2))
+    op = assemble_finite_volume(kernel, Cube((0,), 2))
     assert op.matrix.nnz == 0
-
-
-def test_assemble_rejects_outside_potential():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    with pytest.raises(ValueError):
-        assemble_finite_volume(kernel, {(9,): 1.0}, Cube((0,), 1))
 
 
 def test_assembly_is_symmetric():
@@ -142,96 +145,63 @@ def test_assembly_is_symmetric():
     rng = np.random.default_rng(0)
     cube = Cube((0, 0), 3)
     potential = {s: float(rng.normal()) for s in cube_sites(cube)}
-    op = assemble_finite_volume(kernel, potential, cube)
+    op = _with_potential(assemble_finite_volume(kernel, cube), potential)
     diff = (op.matrix - op.matrix.T).toarray()
     assert np.max(np.abs(diff)) == 0.0
 
 
 def test_index_site_round_trip():
-    kernel = kernel_from_symbol(delta_symbol(2))
-    op = assemble_finite_volume(kernel, None, Cube((1, -2), 2))
+    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(2)), Cube((1, -2), 2))
+    coords = op.cube.coords()
     for i, site in enumerate(cube_sites(op.cube)):
         assert op.index_of(site) == i
-        assert op.site_of(i) == site
+        assert tuple(coords[i].tolist()) == site
 
 
 def test_indices_of_vectorizes_index_of_and_rejects_outside_sites():
-    kernel = kernel_from_symbol(delta_symbol(2))
-    op = assemble_finite_volume(kernel, None, Cube((1, -2), 2))
+    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(2)), Cube((1, -2), 2))
     sites = cube_sites(op.cube)[::-3]
-    assert op.indices_of(np.array(sites)).tolist() == [op.index_of(s) for s in sites]
-    assert op.indices_of(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
-    for bad in ([(1, -2), (4, 0)], [(1, -2, 0)], [(1,)]):
+    assert op.cube.indices_of(np.array(sites)).tolist() == [op.index_of(s) for s in sites]
+    for bad in ((4, 0), (1, -2, 0), (1,)):
         with pytest.raises(KeyError):
-            op.indices_of(bad)
-    with pytest.raises(KeyError):
-        op.index_of((-2, -2))
+            op.index_of(bad)
 
 
-def test_restrict_complement_empty_set_identity():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    cube = Cube((0,), 3)
-    plain = assemble_finite_volume(kernel, None, cube)
-    restricted = restrict_complement(kernel, sparse_set_from_sites([], 0.5, 1), cube)
-    assert (plain.matrix - restricted.matrix).nnz == 0
+def _coo_assembly_reference(kernel, cube):
+    """The free matrix as the COO assembly with an explicit stride map built it."""
+    side, dim, n = cube.side, cube.dim, cube.volume
+    lo = np.array([c - cube.half_side for c in cube.center], dtype=np.int64)
+    strides = np.array([side ** (dim - 1 - j) for j in range(dim)], dtype=np.int64)
+    coords = np.array(cube_sites(cube), dtype=np.int64).reshape(n, dim)
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for offset, amp in kernel.hopping:
+        rel = coords + np.asarray(offset, dtype=np.int64) - lo
+        valid = np.all((rel >= 0) & (rel < side), axis=1)
+        rows.append(np.nonzero(valid)[0])
+        cols.append(rel[valid] @ strides)
+        vals.append(np.full(int(valid.sum()), amp))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
 
 
-def test_restrict_complement_full_set_zero():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    cube = Cube((0,), 3)
-    sparse = sparse_set_from_sites(cube_sites(cube), 0.5, 1)
-    restricted = restrict_complement(kernel, sparse, cube)
-    assert restricted.matrix.nnz == 0
-
-
-def test_restrict_complement_hand_assembly():
-    # cube [-2, 2], S = {0}: hoppings touching the middle site vanish
-    kernel = kernel_from_symbol(delta_symbol(1))
-    cube = Cube((0,), 2)
-    sparse = sparse_set_from_sites([(0,)], 0.5, 1)
-    restricted = restrict_complement(kernel, sparse, cube)
-    expected = np.array(
-        [
-            [0, 1, 0, 0, 0],
-            [1, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 1],
-            [0, 0, 0, 1, 0],
-        ],
-        dtype=float,
-    )
-    np.testing.assert_array_equal(restricted.matrix.toarray(), expected)
-
-
-def test_restrict_complement_requires_containment():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    with pytest.raises(ValueError):
-        restrict_complement(kernel, sparse_set_from_sites([(9,)], 0.5, 1), Cube((0,), 2))
-
-
-def test_restricted_rows_never_exceed_kernel_norm():
-    kernel = kernel_from_symbol(delta_symbol(2))
-    cube = Cube((0, 0), 4)
-    sparse = sparse_set_from_sites([(0, 0), (1, 2), (-3, 1)], 0.5, 2)
-    restricted = restrict_complement(kernel, sparse, cube)
-    s = 0.7
-    norm = s_norm(kernel, s)
-    dense = np.abs(restricted.matrix.toarray()) ** s
-    row_norms = np.sum(dense, axis=1) ** (1 / s)
-    assert np.all(row_norms <= norm + 1e-12)
-
-
-def test_coordinate_export_round_trips_entries():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, {(0,): 2.5}, Cube((0,), 1))
-    lines = op.to_coordinate_text().strip().splitlines()
-    entries = {}
-    for line in lines:
-        r, c, v = line.split()
-        entries[(int(r), int(c))] = float(v)
-    assert entries[(1, 1)] == 2.5
-    assert entries[(0, 1)] == 1.0
-    assert len(entries) == 5
+@pytest.mark.parametrize(
+    "spec,cube",
+    [
+        (delta_symbol(1), Cube((7,), 9)),
+        (SymbolSpec((((1, 1.0), (3, -0.25)),)), Cube((-4,), 2)),
+        (delta_symbol(2, k=2), Cube((3, -5), 4)),
+        (SymbolSpec((((1, 0.5),), ((2, 1.5),))), Cube((0, 0), 1)),
+        (SymbolSpec(((),)), Cube((2,), 3)),
+    ],
+    ids=["1d", "1d-range3-exceeds-side", "2d-k2", "2d-anisotropic-small", "empty-kernel"],
+)
+def test_free_assembly_equals_coo_reference(spec, cube):
+    op = assemble_finite_volume(kernel_from_symbol(spec), cube)
+    ref = _coo_assembly_reference(kernel_from_symbol(spec), cube)
+    assert op.matrix.shape == ref.shape and op.matrix.dtype == ref.dtype
+    assert (op.matrix != ref).nnz == 0
+    np.testing.assert_array_equal(op.matrix.toarray(), ref.toarray())
 
 
 def test_decay_check_pure_cosine():

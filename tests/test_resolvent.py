@@ -4,11 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparseloc import resolvent
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, cube_sites, sparse_set_from_sites
 from sparseloc.operators import (
+    AssembledOperator,
     SymbolSpec,
     assemble_finite_volume,
     delta_symbol,
@@ -37,15 +39,24 @@ DELTA1 = kernel_from_symbol(delta_symbol(1))
 ZERO1 = kernel_from_symbol(SymbolSpec(((),)))
 
 
+def _assemble(kernel, potential, cube):
+    """Free assembly plus a dict potential, placed site by site."""
+    op = assemble_finite_volume(kernel, cube)
+    diag = np.zeros(op.size)
+    for site, value in potential.items():
+        diag[op.index_of(site)] += value
+    return AssembledOperator(cube, (op.matrix + sp.diags(diag)).tocsr())
+
+
 def test_green_row_zero_operator():
-    op = assemble_finite_volume(ZERO1, None, Cube((0,), 2))
+    op = assemble_finite_volume(ZERO1, Cube((0,), 2))
     row = green_row(op, -1j, (0,))
     assert row.at(op, (0,)) == pytest.approx(-1j)
     assert abs(row.at(op, (1,))) < 1e-14
 
 
 def test_green_row_free_value_outside_band():
-    op = assemble_finite_volume(DELTA1, None, Cube((0,), 1000))
+    op = assemble_finite_volume(DELTA1, Cube((0,), 1000))
     row = green_row(op, 3 + 1e-6j, (0,))
     # (1/2pi) int dtheta / (2 cos theta - 3) = -1/sqrt(5)
     assert row.at(op, (0,)).real == pytest.approx(-1.0 / math.sqrt(5.0), abs=1e-9)
@@ -53,7 +64,7 @@ def test_green_row_free_value_outside_band():
 
 def test_green_row_huge_diagonal_suppresses_value():
     cube = Cube((0,), 4)
-    op = assemble_finite_volume(DELTA1, {(0,): 1e6}, cube)
+    op = _assemble(DELTA1, {(0,): 1e6}, cube)
     row = green_row(op, 0.5 + 1e-3j, (0,))
     dense = np.linalg.inv(op.matrix.toarray() - (0.5 + 1e-3j) * np.eye(op.size))
     assert abs(row.at(op, (0,))) == pytest.approx(1e-6, rel=1e-2)
@@ -63,7 +74,7 @@ def test_green_row_huge_diagonal_suppresses_value():
 def test_green_row_symmetry():
     cube = Cube((0,), 6)
     potential = {(i,): 0.3 * i for i in range(-6, 7)}
-    op = assemble_finite_volume(DELTA1, potential, cube)
+    op = _assemble(DELTA1, potential, cube)
     z = 0.7 + 1e-4j
     row_a = green_row(op, z, (2,))
     row_b = green_row(op, z, (-3,))
@@ -71,7 +82,7 @@ def test_green_row_symmetry():
 
 
 def test_green_row_residual_and_preconditions():
-    op = assemble_finite_volume(DELTA1, None, Cube((0,), 10))
+    op = assemble_finite_volume(DELTA1, Cube((0,), 10))
     row = green_row(op, 1.0 + 1e-5j, (0,))
     assert row.residual <= 1e-10
     with pytest.raises(ValueError):
@@ -84,7 +95,7 @@ def test_fractional_moments_deterministic_when_coupling_zero():
     model = DisorderModel(UniformLaw(-1, 1), coupling=0.0, seed=5)
     query = GreenQuery(3.0, 1e-4, 0.5, (0,), volume, 4)
     est = fractional_moment_estimate(query, DELTA1, sparse, model)
-    op = assemble_finite_volume(DELTA1, None, volume)
+    op = assemble_finite_volume(DELTA1, volume)
     free = np.abs(green_row(op, query.z, (0,)).vector) ** 0.5
     np.testing.assert_allclose(est.mean, free, rtol=1e-12)
     assert np.max(est.stderr) == 0.0
@@ -95,7 +106,7 @@ def test_fractional_moments_empty_set_matches_free():
     model = DisorderModel(UniformLaw(-1, 1), coupling=40.0, seed=5)
     query = GreenQuery(3.0, 1e-4, 0.5, (0,), volume, 3)
     est = fractional_moment_estimate(query, DELTA1, sparse_set_from_sites([], 0.5, 1), model)
-    op = assemble_finite_volume(DELTA1, None, volume)
+    op = assemble_finite_volume(DELTA1, volume)
     free = np.abs(green_row(op, query.z, (0,)).vector) ** 0.5
     np.testing.assert_allclose(est.mean, free, rtol=1e-12)
 
@@ -195,7 +206,7 @@ def test_am_uniform_bound_values():
 
 
 def _synthetic_estimate(rate: float, volume: Cube, count=100):
-    op = assemble_finite_volume(DELTA1, None, volume)
+    op = assemble_finite_volume(DELTA1, volume)
     query = GreenQuery(5.0, 1e-3, 0.5, (0,), volume, count)
     dist = np.array([abs(s[0]) for s in cube_sites(volume)], dtype=float)
     mean = 0.37 * np.exp(rate * dist)
@@ -212,7 +223,7 @@ def test_decay_fit_recovers_exact_rate():
 
 def test_decay_fit_excludes_noise_dominated_bins():
     volume = Cube((0,), 40)
-    op = assemble_finite_volume(DELTA1, None, volume)
+    op = assemble_finite_volume(DELTA1, volume)
     query = GreenQuery(5.0, 1e-3, 0.5, (0,), volume, 100)
     dist = np.array([abs(s[0]) for s in cube_sites(volume)], dtype=float)
     mean = np.exp(-0.8 * dist)
@@ -351,7 +362,7 @@ def test_green_row_matches_quadrature_oracle():
         quad(lambda t: ((2 * np.cos(t) - z) ** -1).real / (2 * np.pi), 0, 2 * np.pi, limit=200)[0],
         quad(lambda t: ((2 * np.cos(t) - z) ** -1).imag / (2 * np.pi), 0, 2 * np.pi, limit=200)[0],
     )
-    op = assemble_finite_volume(DELTA1, None, Cube((0,), 1000))
+    op = assemble_finite_volume(DELTA1, Cube((0,), 1000))
     value = green_row(op, z, (0,)).at(op, (0,))
     assert value == pytest.approx(oracle, abs=1e-10)
 
@@ -383,10 +394,11 @@ def _assert_close(got, want):
 
 
 def _green_row_reference(kernel, volume, sparse, model, source, z, realizations):
-    """Green rows one realization at a time through green_row and splu."""
+    """Green rows one realization at a time through green_row and splu,
+    each potential placed site by site."""
     rows = []
     for r in realizations:
-        op = assemble_finite_volume(kernel, sample_potential(model, sparse, r), volume)
+        op = _assemble(kernel, sample_potential(model, sparse, r), volume)
         rows.append(green_row(op, z, source).vector)
     return np.array(rows)
 

@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparseloc.cli import main
-from sparseloc.disorder import DisorderModel, UniformLaw
+from sparseloc.disorder import DisorderModel, GaussianLaw, UniformLaw, sample_potential
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, sparse_set_from_sites, generate_sparse_set
-from sparseloc.operators import SymbolSpec, assemble_finite_volume, delta_symbol, kernel_from_symbol
+from sparseloc.operators import (
+    AssembledOperator,
+    SymbolSpec,
+    assemble_finite_volume,
+    delta_symbol,
+    kernel_from_symbol,
+)
 from sparseloc.spectra import (
     eigensystem,
     ipr,
@@ -17,6 +24,15 @@ from sparseloc.spectra import (
 )
 
 DELTA1 = kernel_from_symbol(delta_symbol(1))
+
+
+def _assemble(kernel, potential, cube):
+    """Free assembly plus a dict potential, placed site by site."""
+    op = assemble_finite_volume(kernel, cube)
+    diag = np.zeros(op.size)
+    for site, value in potential.items():
+        diag[op.index_of(site)] += value
+    return AssembledOperator(cube, (op.matrix + sp.diags(diag)).tocsr())
 
 
 def test_ipr_point_mass():
@@ -41,7 +57,7 @@ def test_ipr_requires_normalization():
 
 def test_eigensystem_zero_operator():
     zero = kernel_from_symbol(SymbolSpec(((),)))
-    op = assemble_finite_volume(zero, None, Cube((0,), 4))
+    op = assemble_finite_volume(zero, Cube((0,), 4))
     report = eigensystem(op)
     assert np.max(np.abs(report.eigenvalues)) == 0.0
     assert np.all(report.iprs >= 1.0 / report.volume - 1e-12)
@@ -50,7 +66,7 @@ def test_eigensystem_zero_operator():
 
 def test_eigensystem_dirichlet_spectrum():
     n_half = 10
-    op = assemble_finite_volume(DELTA1, None, Cube((0,), n_half))
+    op = assemble_finite_volume(DELTA1, Cube((0,), n_half))
     report = eigensystem(op)
     n = 2 * n_half + 1
     expected = np.sort(2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
@@ -63,7 +79,7 @@ def test_eigensystem_trace_identity():
     from sparseloc.lattice import cube_sites
 
     potential = {s: float(rng.normal()) for s in cube_sites(cube)}
-    op = assemble_finite_volume(DELTA1, potential, cube)
+    op = _assemble(DELTA1, potential, cube)
     report = eigensystem(op)
     assert np.sum(report.eigenvalues) == pytest.approx(
         float(op.matrix.diagonal().sum()), abs=1e-8
@@ -71,7 +87,7 @@ def test_eigensystem_trace_identity():
 
 
 def test_eigensystem_single_strong_site():
-    op = assemble_finite_volume(DELTA1, {(0,): 10.0}, Cube((0,), 5))
+    op = _assemble(DELTA1, {(0,): 10.0}, Cube((0,), 5))
     report = eigensystem(op)
     top = np.argmax(report.eigenvalues)
     # rank-one dominated state: eigenvalue near 10, sharply peaked
@@ -80,7 +96,7 @@ def test_eigensystem_single_strong_site():
 
 
 def test_eigensystem_respects_cap():
-    op = assemble_finite_volume(DELTA1, None, Cube((0,), 60))
+    op = assemble_finite_volume(DELTA1, Cube((0,), 60))
     with pytest.raises(ValueError, match="cap"):
         eigensystem(op, cap=100)
 
@@ -152,6 +168,54 @@ def test_edge_scan_weighted_contrast_smoke():
     assert outer > center
 
 
+def _edge_bins_reference(kernel, sparse, model, volume, realizations, bin_width):
+    """Edge-scan bins with every realization re-assembled from its dict
+    potential, placed site by site; each bin is [lo, next lo)."""
+    reports = [eigensystem(_assemble(kernel, sample_potential(model, sparse, r), volume), r)
+               for r in range(realizations)]
+    energies = np.concatenate([rep.eigenvalues for rep in reports])
+    iprs = np.concatenate([rep.iprs for rep in reports])
+    ratios = [spacing_ratios(rep.eigenvalues) for rep in reports]
+    r_energy = np.concatenate([e for e, _ in ratios])
+    r_value = np.concatenate([r for _, r in ratios])
+    lo_edge = math.floor(float(energies.min()) / bin_width) * bin_width
+    n_bins = int(math.ceil((float(energies.max()) - lo_edge) / bin_width)) + 1
+    bins = []
+    for i in range(n_bins):
+        lo, top = lo_edge + i * bin_width, lo_edge + (i + 1) * bin_width
+        mask = (energies >= lo) & (energies < top)
+        rmask = (r_energy >= lo) & (r_energy < top) & np.isfinite(r_value)
+        bins.append((lo, lo + bin_width, int(mask.sum()),
+                     float(np.median(iprs[mask])) if mask.any() else math.nan,
+                     float(np.mean(r_value[rmask])) if rmask.any() else math.nan))
+    return bins
+
+
+@pytest.mark.parametrize(
+    "kernel,volume,sparse,model,threads",
+    [
+        (DELTA1, Cube((3,), 30), sparse_set_from_sites([(i,) for i in range(-27, 34, 2)], 0.5, 1),
+         DisorderModel(UniformLaw(-1, 1), coupling=4.0, seed=3), 1),
+        (kernel_from_symbol(SymbolSpec((((1, 1.0), (2, 0.35)),))), Cube((-5,), 25),
+         sparse_set_from_sites([(i,) for i in range(-30, 21, 3)], 0.5, 1),
+         DisorderModel(GaussianLaw(0.5, 2.0), weight_gamma=0.5, seed=9), 3),
+        (kernel_from_symbol(delta_symbol(2)), Cube((1, -1), 5),
+         generate_sparse_set(0.5, Cube((1, -1), 5), "bernoulli_thinned", 7),
+         DisorderModel(UniformLaw(-1, 1), weight_gamma=0.5, seed=31), 1),
+        (DELTA1, Cube((0,), 30), sparse_set_from_sites([], 0.5, 1),
+         DisorderModel(UniformLaw(-1, 1), coupling=25.0, seed=4), 1),
+    ],
+    ids=["uniform", "weighted-gaussian-range2", "bernoulli-2d", "empty-set"],
+)
+def test_edge_scan_bins_match_site_by_site_reference(kernel, volume, sparse, model, threads):
+    scan = mobility_edge_scan(kernel, sparse, model, volume, 20, 0.5, bin_width=0.1,
+                              threads=threads)
+    got = [(b.lo, b.hi, b.count, b.median_ipr, b.r_stat) for b in scan.bins]
+    want = _edge_bins_reference(kernel, sparse, model, volume, 20, 0.1)
+    assert repr(got) == repr(want)  # bitwise: repr round-trips every float
+    assert sum(b.count for b in scan.bins) == 20 * volume.volume
+
+
 def test_edge_scan_realization_floor():
     empty = sparse_set_from_sites([], 0.5, 1)
     with pytest.raises(ValueError):
@@ -169,7 +233,7 @@ def _perturbed_eigh(monkeypatch):
 
 
 def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
-    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(1)), {}, Cube((0,), 5))
+    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(1)), Cube((0,), 5))
     _perturbed_eigh(monkeypatch)
     with pytest.raises(NumericalError) as err:
         eigensystem(op, realization=7)
