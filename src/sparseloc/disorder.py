@@ -184,10 +184,11 @@ class DisorderModel:
         if self.weight_gamma is not None and self.weight_gamma <= 0:
             raise ValueError("weight gamma must be > 0")
 
-    def coupling_for(self, site: Site) -> float:
-        if self.weight_gamma is not None:
-            return weight_value(self.weight_gamma, site)
-        return self.coupling
+    def couplings(self, sparse: SparseSet) -> float | np.ndarray:
+        """The constant coupling, or the weight of each site of S in order."""
+        if self.weight_gamma is None:
+            return self.coupling
+        return np.array([weight_value(self.weight_gamma, site) for site in sparse.sites])
 
 
 def sample_potentials(model: DisorderModel, sparse: SparseSet, realizations) -> np.ndarray:
@@ -199,8 +200,7 @@ def sample_potentials(model: DisorderModel, sparse: SparseSet, realizations) -> 
         return np.zeros((realizations.size, 0))
     u = site_uniforms(model.seed, _TAG_POTENTIAL, realizations, sparse.coords_array())
     values = np.asarray(model.law.inverse_cdf(u), dtype=float)
-    couplings = np.array([model.coupling_for(site) for site in sparse.sites])
-    return couplings * values
+    return model.couplings(sparse) * values
 
 
 def sample_potential(

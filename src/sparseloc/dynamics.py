@@ -427,7 +427,7 @@ def cook_integrand(
     sites = sparse.coords_array()
     sigma = math.sqrt(model.law.second_moment())
     gamma = model.weight_gamma
-    coupling_profile = np.array([model.coupling_for(s) for s in sparse.sites])
+    coupling_profile = model.couplings(sparse)
     potentials = sample_potentials(model, sparse, range(n_samples))  # reused at every t
     rows = []
     for t in sorted(t_grid):

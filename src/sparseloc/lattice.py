@@ -120,12 +120,15 @@ class SparseSet:
     cube: Cube | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(tuple(int(c) for c in s) for s in self.sites)))
+        ordered = tuple(sorted(set(tuple(map(int, s)) for s in self.sites)))
         object.__setattr__(self, "sites", ordered)
         for s in ordered:
             if len(s) != self.dim:
                 raise ValueError(f"site {s} has dimension {len(s)}, expected {self.dim}")
         object.__setattr__(self, "_member", frozenset(ordered))
+        coords = np.array(ordered, dtype=np.int64).reshape(len(ordered), self.dim)
+        coords.flags.writeable = False
+        object.__setattr__(self, "_coords", coords)
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -134,9 +137,8 @@ class SparseSet:
         return tuple(site) in self._member
 
     def coords_array(self) -> np.ndarray:
-        if not self.sites:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.asarray(self.sites, dtype=np.int64)
+        """The sites as a read-only (|S|, nu) int64 array, built once."""
+        return self._coords
 
 
 def sparse_set_from_sites(sites, alpha: float, dim: int, seed: int = 0) -> SparseSet:
@@ -206,51 +208,68 @@ def _binomial_icdf(u: float, n: int, p: float) -> int:
     return k
 
 
-def _enumerate_shell(center: Site, r: int) -> list[Site]:
-    if r == 0:
-        return [center]
-    inner = r - 1
-    out = []
-    for site in cube_sites(Cube(center, r)):
-        if max_norm(site, center) > inner:
-            out.append(site)
-    return out
+def _place_keys(start: int, stop: int, dim: int) -> np.ndarray:
+    """(attempt, axis) draw keys of attempts ``start..stop-1``, attempt-major."""
+    return np.column_stack((np.repeat(np.arange(start, stop, dtype=np.int64), dim),
+                            np.tile(np.arange(dim, dtype=np.int64), stop - start)))
 
 
-def _bernoulli_small_shell(center, r, p, seed) -> list[Site]:
-    shell = _enumerate_shell(center, r)
-    coords = np.asarray(shell, dtype=np.int64)
-    u = site_uniforms(seed, _TAG_SITE_BERNOULLI, r, coords)
-    return [s for s, ui in zip(shell, u) if ui < p]
-
-
-def _bernoulli_large_shell(center, r, p, seed, dim, budget: int) -> list[Site]:
-    n_shell = _shell_size(r, dim)
-    u_count = site_uniforms(seed, _TAG_SHELL_COUNT, r, np.array([[0]], dtype=np.int64))
-    k = min(_binomial_icdf(float(u_count[0]), n_shell, p), budget)
-    if k <= 0:
-        return []
-    # uniform placement on the shell by rejection from the enclosing cube
-    chosen: set[Site] = set()
-    attempt = 0
-    max_attempts = 512 * (k + 4)
+def _place_on_shell(r: int, k: int, seed: int, dim: int, u: np.ndarray) -> np.ndarray:
+    """Offsets of the first ``k`` distinct shell sites hit by uniform draws
+    from the enclosing cube, in attempt order; fewer when the 512(k+4)
+    attempts hit fewer.  ``u`` holds the draws of attempts 0..255.  Draws
+    are keyed on (attempt, axis), so the prefix can grow in any chunks
+    without changing a draw."""
+    limit = 512 * (k + 4)
     side = 2 * r + 1
-    while len(chosen) < k and attempt < max_attempts:
-        batch = 256
-        keys = np.array(
-            [[attempt + i, j] for i in range(batch) for j in range(dim)],
-            dtype=np.int64,
-        )
-        u = site_uniforms(seed, _TAG_SHELL_PLACE, r, keys).reshape(batch, dim)
-        offs = np.floor(u * side).astype(np.int64) - r
-        for row in offs:
-            if len(chosen) >= k:
-                break
-            if np.max(np.abs(row)) == r:
-                site = tuple(int(c) + cc for c, cc in zip(row, center))
-                chosen.add(site)
-        attempt += batch
-    return sorted(chosen)
+    n = 256
+    hits = []
+    while True:
+        offs = np.floor(u.reshape(-1, dim) * side).astype(np.int64) - r
+        hits.append(offs[np.max(np.abs(offs), axis=1) == r])
+        on_shell = np.concatenate(hits)
+        if side ** dim < 2 ** 63:  # lexicographic index in the enclosing cube
+            _, first_at = np.unique((on_shell + r) @ side ** np.arange(dim - 1, -1, -1),
+                                    return_index=True)
+        else:  # that index overflows int64: compare whole rows
+            _, first_at = np.unique(on_shell, axis=0, return_index=True)
+        if len(first_at) >= k or n >= limit:
+            return on_shell[np.sort(first_at)[:k]]
+        stop = min(4 * n, limit)
+        u = site_uniforms(seed, _TAG_SHELL_PLACE, r, _place_keys(n, stop, dim))
+        n = stop
+
+
+def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) -> list[np.ndarray]:
+    """Shell by shell from the center out: each site of a shell with at most
+    1024 sites is kept with probability p; a larger shell draws its count
+    from Binomial(shell size, p) and places that many sites uniformly on it.
+    Every shell is then hard-capped to the running cap."""
+    dim = cube.dim
+    center = np.asarray(cube.center, dtype=np.int64)
+    large = [r for r in range(1, cube.half_side + 1) if _shell_size(r, dim) > 1024]
+    if large:
+        u_count = site_uniforms(seed, _TAG_SHELL_COUNT, large, [[0]])[:, 0].tolist()
+        first = site_uniforms(seed, _TAG_SHELL_PLACE, large, _place_keys(0, 256, dim))
+    out = []
+    for r in range(1, cube.half_side + 1):
+        allowed = cap_at(r) - count
+        if allowed <= 0:
+            continue
+        p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
+        if _shell_size(r, dim) <= 1024:
+            coords = Cube(cube.center, r).coords()
+            shell = coords[np.max(np.abs(coords - center), axis=1) == r]
+            kept = shell[site_uniforms(seed, _TAG_SITE_BERNOULLI, r, shell) < p][:allowed]
+        else:
+            i = r - large[0]
+            k = min(_binomial_icdf(u_count[i], _shell_size(r, dim), p), allowed)
+            if k <= 0:
+                continue
+            kept = center + _place_on_shell(r, k, seed, dim, first[i])
+        out.append(kept)
+        count += len(kept)
+    return out
 
 
 def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> SparseSet:
@@ -283,18 +302,8 @@ def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> 
             sites.extend(new)
             count += len(new)
     elif generator == "bernoulli_thinned":
-        for r in range(1, cube.half_side + 1):
-            allowed = cap_at(r) - count
-            if allowed <= 0:
-                continue
-            p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
-            if _shell_size(r, dim) <= 1024:
-                cand = sorted(_bernoulli_small_shell(cube.center, r, p, seed))
-            else:
-                cand = _bernoulli_large_shell(cube.center, r, p, seed, dim, allowed)
-            kept = cand[:allowed]
-            sites.extend(kept)
-            count += len(kept)
+        for kept in _bernoulli_thinned(cube, alpha, seed, count, cap_at):
+            sites.extend(map(tuple, kept.tolist()))
     else:
         raise ValueError(
             f"unknown generator {generator!r}; expected deterministic_powers or bernoulli_thinned"
@@ -314,9 +323,15 @@ def sparseness_profile(sparse: SparseSet, cubes: list[Cube]) -> list[ProfileRow]
     """Cap check |S intersect Lambda| <= ceil(|Lambda|^alpha) per cube."""
     if not cubes:
         raise ValueError("cubes must be nonempty")
+    coords = sparse.coords_array()
+    dist = {}  # max-norm distance of every site to each center, computed once
     rows = []
     for cube in cubes:
-        count = sum(1 for s in sparse.sites if cube.contains(s))
+        count = 0  # a cube of another dimension contains no site
+        if cube.dim == sparse.dim:
+            if cube.center not in dist:
+                dist[cube.center] = np.max(np.abs(coords - cube.center), axis=1)
+            count = int(np.count_nonzero(dist[cube.center] <= cube.half_side))
         cap = cap_for(cube.volume, sparse.alpha)
         rows.append(ProfileRow(cube.volume, count, cap, count <= cap))
     return rows

@@ -227,3 +227,29 @@ def test_batched_sampling_bitwise_equals_row_by_row(
             alone = sample_potentials(model, sparse_set_from_sites([site], 0.5, dim),
                                       realizations[:1])
             assert alone.tobytes() == batch[0, j:j + 1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    law=st.sampled_from(_LAWS),
+    gamma=st.one_of(st.none(), st.floats(0.1, 3.0)),
+    coupling=st.one_of(st.floats(0.0, 50.0), st.integers(0, 50)),
+    seed=st.integers(0, 2 ** 63 - 1),
+    raw_sites=st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=30),
+    realizations=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+)
+def test_sampling_bitwise_equals_per_site_coupling_reference(
+    law, gamma, coupling, seed, raw_sites, realizations
+):
+    # reference: one coupling per site in a list, multiplied row-wise
+    sparse = sparse_set_from_sites(raw_sites, 0.5, 2)
+    model = DisorderModel(law, coupling=coupling, weight_gamma=gamma, seed=seed)
+    got = sample_potentials(model, sparse, realizations)
+    if not sparse.sites:
+        assert got.shape == (len(realizations), 0)
+        return
+    per_site = np.array([coupling if gamma is None else weight_value(gamma, s)
+                         for s in sparse.sites])
+    u = site_uniforms(seed, 201, realizations, np.asarray(sparse.sites, dtype=np.int64))
+    want = per_site * np.asarray(law.inverse_cdf(u), dtype=float)
+    assert got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseloc._rng import site_uniforms
 from sparseloc.lattice import (
+    _TAG_SHELL_COUNT,
+    _TAG_SHELL_PLACE,
+    _TAG_SITE_BERNOULLI,
     Cube,
+    _axis_shell_sites,
+    _binomial_icdf,
+    _place_on_shell,
+    _shell_radii,
+    _shell_size,
     cap_for,
     centered_subcubes,
     cube_sites,
@@ -112,7 +122,8 @@ def test_generation_is_replay_deterministic():
 
 def test_profile_empty_set():
     sparse = sparse_set_from_sites([], 0.5, 2)
-    rows = sparseness_profile(sparse, [Cube((0, 0), 3), Cube((5, 5), 1)])
+    assert sparse.coords_array().shape == (0, 2)
+    rows = sparseness_profile(sparse, [Cube((0, 0), 3), Cube((5, 5), 1), Cube((0,), 4)])
     assert all(r.count == 0 and r.passed for r in rows)
 
 
@@ -193,3 +204,175 @@ def test_cap_is_at_least_one_and_monotone(volume, alpha):
     assert cap >= 1
     assert cap >= cap_for(max(1, volume // 2), alpha)
     assert cap - 1 < math.pow(volume, alpha) + 1e-9
+
+
+# Scalar reference: the site-by-site generator and cap profile that the
+# array code replaced, kept verbatim in behaviour.  Every set and every
+# profile row must match it exactly.
+
+def _ref_shell(center, r):
+    return [s for s in cube_sites(Cube(center, r)) if max_norm(s, center) > r - 1]
+
+
+def _ref_place(center, r, k, seed, dim):
+    chosen = set()
+    attempt = 0
+    side = 2 * r + 1
+    while len(chosen) < k and attempt < 512 * (k + 4):
+        keys = np.array([[attempt + i, j] for i in range(256) for j in range(dim)], dtype=np.int64)
+        u = site_uniforms(seed, _TAG_SHELL_PLACE, r, keys).reshape(256, dim)
+        for row in np.floor(u * side).astype(np.int64) - r:
+            if len(chosen) >= k:
+                break
+            if np.max(np.abs(row)) == r:
+                chosen.add(tuple(int(c) + cc for c, cc in zip(row, center)))
+        attempt += 256
+    return sorted(chosen)
+
+
+def _ref_generate(alpha, cube, generator, seed):
+    dim = cube.dim
+
+    def cap_at(r):
+        return cap_for((2 * r + 1) ** dim, alpha)
+
+    sites = [cube.center] if cap_at(0) >= 1 else []
+    count = len(sites)
+    if generator == "deterministic_powers":
+        for r in _shell_radii(alpha, dim, cube.half_side):
+            budget = min(2 * dim, cap_at(r) - count)
+            if budget > 0:
+                new = _axis_shell_sites(cube.center, r, budget)
+                sites.extend(new)
+                count += len(new)
+        return sorted(sites)
+    for r in range(1, cube.half_side + 1):
+        allowed = cap_at(r) - count
+        if allowed <= 0:
+            continue
+        p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
+        if _shell_size(r, dim) <= 1024:
+            shell = _ref_shell(cube.center, r)
+            u = site_uniforms(seed, _TAG_SITE_BERNOULLI, r, np.asarray(shell, dtype=np.int64))
+            cand = sorted(s for s, ui in zip(shell, u) if ui < p)
+        else:
+            u = site_uniforms(seed, _TAG_SHELL_COUNT, r, np.array([[0]], dtype=np.int64))
+            k = min(_binomial_icdf(float(u[0]), _shell_size(r, dim), p), allowed)
+            cand = _ref_place(cube.center, r, k, seed, dim) if k > 0 else []
+        sites.extend(cand[:allowed])
+        count += len(cand[:allowed])
+    return sorted(sites)
+
+
+def _ref_profile(sites, alpha, cubes):
+    rows = []
+    for cube in cubes:
+        count = sum(1 for s in sites if cube.contains(s))
+        cap = cap_for(cube.volume, alpha)
+        rows.append((cube.volume, count, cap, count <= cap))
+    return rows
+
+
+def _rows(sparse, cubes):
+    return [(r.volume, r.count, r.cap, r.passed) for r in sparseness_profile(sparse, cubes)]
+
+
+# half-sides that keep the scalar reference fast at every alpha
+_REF_HALF = {1: 40, 2: 20, 3: 8, 4: 4, 5: 3}
+
+
+@given(
+    generator=st.sampled_from(["deterministic_powers", "bernoulli_thinned"]),
+    dim=st.integers(1, 5),
+    alpha=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2 ** 40),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_generation_and_profile_equal_scalar_reference(generator, dim, alpha, seed, data):
+    center = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=dim, max_size=dim)))
+    half = data.draw(st.integers(0, _REF_HALF[dim]))
+    cube = Cube(center, half)
+    sparse = generate_sparse_set(alpha, cube, generator, seed)
+    want = _ref_generate(alpha, cube, generator, seed)
+    assert list(sparse.sites) == want
+    cubes = centered_subcubes(cube) + [
+        Cube(tuple(c + 1 for c in center), max(half - 1, 0)),  # off-center
+        Cube((0,) * (dim % 5 + 1), half + 60),  # another dimension: counts 0
+    ]
+    assert _rows(sparse, cubes) == _ref_profile(want, alpha, cubes)
+    assert sparse.coords_array().tolist() == [list(s) for s in want]
+
+
+@pytest.mark.parametrize("dim,half,alpha", [(4, 16, 0.25), (4, 16, 0.3), (5, 30, 0.25), (5, 30, 0.3)])
+def test_high_dimension_sets_equal_scalar_reference(dim, half, alpha):
+    cube = Cube((0,) * dim, half)
+    cubes = centered_subcubes(cube, dyadic_only=True)
+    for seed in (3, 71):
+        sparse = generate_sparse_set(alpha, cube, "bernoulli_thinned", seed)
+        want = _ref_generate(alpha, cube, "bernoulli_thinned", seed)
+        assert list(sparse.sites) == want
+        assert _rows(sparse, cubes) == _ref_profile(want, alpha, cubes)
+
+
+@pytest.mark.parametrize("dim,half,alpha", [(3, 12, 0.1), (3, 12, 0.3), (4, 8, 0.1)])
+def test_binomial_count_sets_equal_scalar_reference(dim, half, alpha):
+    # here some large shells take their Binomial count, not the remaining cap
+    cube = Cube((0,) * dim, half)
+    for seed in range(10):
+        sparse = generate_sparse_set(alpha, cube, "bernoulli_thinned", seed)
+        assert list(sparse.sites) == _ref_generate(alpha, cube, "bernoulli_thinned", seed)
+
+
+@pytest.mark.parametrize("center,r,k,seed", [
+    ((0, 0, 0), 5, 300, 4),      # more hits needed than 256 attempts can give
+    ((2, -1, 7), 5, 170, 11),    # k reached in the second chunk
+    ((0,), 3, 5, 1),             # two shell sites: k never reached, attempt limit
+    ((4, 4), 1, 20, 2),          # eight shell sites, k never reached
+    ((4, 4), 1, 8, 9),           # every shell site, after many duplicate draws
+    ((0,) * 5, 2, 40, 6),        # k reached in the first chunk
+    ((1,) * 40, 1, 5, 3),        # 3**40 sites: the cube index overflows int64
+    ((0,), 3000, 2, 12),         # both shell sites, the second at attempt 2587
+    ((0,), 3000, 2, 43),         # one site hit at attempt 3063, just inside the
+                                 # limit of 3072, the other only at 3921
+    ((0,), 3000, 2, 29),         # one site at 2954, the other at 3531, past the limit
+], ids=["beyond-256", "second-chunk", "limit-1d", "limit-2d", "duplicates", "first-chunk",
+        "dim40", "third-chunk", "limit-edge-inside", "limit-edge-past"])
+def test_shell_placement_equals_scalar_reference(center, r, k, seed):
+    dim = len(center)
+    keys = np.array([[a, j] for a in range(256) for j in range(dim)], dtype=np.int64)
+    first = site_uniforms(seed, _TAG_SHELL_PLACE, r, keys)
+    got = _place_on_shell(r, k, seed, dim, first) + np.asarray(center)
+    assert sorted(map(tuple, got.tolist())) == _ref_place(center, r, k, seed, dim)
+
+
+# SHA-256 of the concatenated sparse_set_to_text of the criterion-6 sets
+# (nu, half-side, alphas below) for one generator and seed.  Recorded from
+# the scalar generator; any drift in a set, even one that keeps every site
+# count, changes a digest.
+_C06_PLAN = [(1, 31, (0.3, 0.6)), (2, 15, (0.3, 0.6)), (3, 7, (0.3, 0.6)),
+             (4, 16, (0.25, 0.3)), (5, 30, (0.25, 0.3))]
+
+
+@pytest.mark.parametrize("generator,seed,digest", [
+    ("deterministic_powers", 0, "93caecba9122012686153ebba251cbef812e7b55b9e9a37b4592fc85e0808f0a"),
+    ("bernoulli_thinned", 0, "21b9f61d27d8657ddfcdf9336c2b5351250bc195e0101515627838c343495f8d"),
+    ("bernoulli_thinned", 7, "16940416bafcf2d3c62312b79a8a58503f309d5b799cceca872dfa5e0c466217"),
+    ("bernoulli_thinned", 42, "481c5360f4d759418bd739078ada511485bce91490c42ed9cc97763782ec0a57"),
+    ("bernoulli_thinned", 99, "3663fff9d5aaca58b3d28929dc5ebab041c04741e3faadd200914b0f36044158"),
+])
+def test_criterion_6_sets_are_pinned(generator, seed, digest):
+    text = "".join(
+        sparse_set_to_text(generate_sparse_set(alpha, Cube((0,) * nu, half), generator, seed))
+        for nu, half, alphas in _C06_PLAN for alpha in alphas
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_coords_array_is_built_once_and_read_only():
+    sparse = sparse_set_from_sites([(2, 1), (-1, 0)], 0.5, 2)
+    coords = sparse.coords_array()
+    assert coords is sparse.coords_array()
+    assert coords.tolist() == [[-1, 0], [2, 1]]
+    with pytest.raises(ValueError):
+        coords[0, 0] = 5
