@@ -185,10 +185,11 @@ class DisorderModel:
             raise ValueError("weight gamma must be > 0")
 
     def couplings(self, sparse: SparseSet) -> float | np.ndarray:
-        """The constant coupling, or the weight of each site of S in order."""
+        """The constant coupling, or ``weight_value`` of each site of S in
+        order (bitwise; built once per set and gamma)."""
         if self.weight_gamma is None:
             return self.coupling
-        return np.array([weight_value(self.weight_gamma, site) for site in sparse.sites])
+        return sparse.weights(self.weight_gamma)
 
 
 def sample_potentials(model: DisorderModel, sparse: SparseSet, realizations) -> np.ndarray:

@@ -129,6 +129,7 @@ class SparseSet:
         coords = np.array(ordered, dtype=np.int64).reshape(len(ordered), self.dim)
         coords.flags.writeable = False
         object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_weights", {})
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -139,6 +140,18 @@ class SparseSet:
     def coords_array(self) -> np.ndarray:
         """The sites as a read-only (|S|, nu) int64 array, built once."""
         return self._coords
+
+    def weights(self, gamma: float) -> np.ndarray:
+        """(1 + |n|)^gamma for each site in order, max-norm |n|: read-only,
+        built once per gamma.  One Python power per distinct radius, so each
+        entry is bitwise ``(1.0 + max_norm(site)) ** gamma``."""
+        w = self._weights.get(gamma)
+        if w is None:
+            radii, inverse = np.unique(np.max(np.abs(self._coords), axis=1), return_inverse=True)
+            w = np.array([(1.0 + r) ** gamma for r in radii.tolist()])[inverse]
+            w.flags.writeable = False
+            w = self._weights.setdefault(gamma, w)  # atomic: racing threads share one array
+        return w
 
 
 def sparse_set_from_sites(sites, alpha: float, dim: int, seed: int = 0) -> SparseSet:

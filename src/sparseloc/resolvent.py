@@ -68,10 +68,12 @@ class GreenRow:
 def green_row(op: AssembledOperator, z: complex, source: Site) -> GreenRow:
     """Solve (A - z) x = delta_source; x is the Green row by symmetry.
 
-    Direct sparse factorization at every size: for the banded lattice
-    volumes used here LU fill-in is linear and the residual contract
-    (<= 1e-10 relative to the unit right-hand side) is met without an
-    iterative fallback.
+    Direct sparse factorization with SuperLU's defaults (COLAMD ordering,
+    partial pivoting) at every size.  The fill grows faster than the
+    volume: 3.6 M L+U entries for a 2D cube of 40,401 sites.  The
+    residual contract (<= 1e-10 relative to the unit right-hand side) is
+    met without refinement; this is the reference the realization
+    engine's faster path is tested against.
     """
     if z.imag == 0:
         raise ValueError("Im z must be nonzero")
@@ -131,8 +133,13 @@ class RealizationEngine:
     The free matrix and the S -> matrix index vector are built once, and
     each block of realizations is drawn in one batched call.  1D volumes
     are banded (bandwidth = hopping range) and go to LAPACK through
-    ``solve_banded``, ?gtsv for nearest neighbours; other dimensions
-    factor with ``splu``, as ``green_row`` does at every size.  Every
+    ``solve_banded``, ?gtsv for nearest neighbours.  Other dimensions use
+    SuperLU in symmetric mode: A - z is complex symmetric, so a minimum
+    degree ordering of A + A^T with diagonal-preferring threshold pivoting
+    (0.01) roughly halves the fill of the default COLAMD ordering; one
+    step of iterative refinement with the same factor restores the
+    accuracy the relaxed pivoting gives up.  ``green_row``, on default
+    ``splu``, is the reference this path is tested against.  Every
     residual ||(A - z) x - delta|| must be <= 1e-10; a failed or
     inaccurate solve raises NumericalError tagged with its realization.
     """
@@ -171,7 +178,11 @@ class RealizationEngine:
                     rows[i] = solve_banded((self.band, self.band), ab, rhs,
                                            overwrite_ab=True, check_finite=False)
                 else:
-                    rows[i] = spla.splu((self.op.matrix + sp.diags(diag - z)).tocsc()).solve(rhs)
+                    shifted = (self.op.matrix + sp.diags(diag - z)).tocsc()
+                    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                                   options={"SymmetricMode": True})
+                    x = lu.solve(rhs)
+                    rows[i] = x + lu.solve(rhs - shifted @ x)  # one refinement step
             except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise NumericalError(f"realization {first + i}: solve failed: {exc}",
                                      realization=first + i) from exc
@@ -281,9 +292,13 @@ def estimate_decoupling(
         raise ValueError("s must lie in (0, 1)")
     if radius is None:
         radius = 10.0 * law.scale
-    res = np.linspace(-radius, radius, n_real)
-    ims = np.linspace(0.0, radius, n_imag)
-    points = [complex(a, b) for a in res for b in ims]
+    step_re = 2.0 * radius / (n_real - 1) if n_real > 1 else radius
+    step_im = radius / (n_imag - 1) if n_imag > 1 else radius
+
+    def point(units: tuple[float, float]) -> complex:
+        # points are kept in grid units (exact dyadic floats): a point that the
+        # zoom reaches from both eta0 and beta0 is then one complex number
+        return complex(-radius + units[0] * step_re, units[1] * step_im)
 
     # one quad per distinct integral: denominators keyed on beta, numerators
     # on {eta, beta} (symmetric: both orders give bitwise the same value)
@@ -295,43 +310,40 @@ def estimate_decoupling(
             value = integrals[key] = _frac_integral(law, s, eta, beta)
         return value
 
-    def ratio(eta: complex, beta: complex) -> float:
+    def ratio(eta_units, beta_units) -> float:
+        eta, beta = point(eta_units), point(beta_units)
         den = integral(beta, beta, None)
         if den <= 0:
             return math.inf
         return integral(frozenset((eta, beta)), eta, beta) / den
 
-    best = (math.inf, points[0], points[0])
-    for eta in points:
-        for beta in points:
+    coarse = [(float(a), float(b)) for a in range(n_real) for b in range(n_imag)]
+    best = (math.inf, coarse[0], coarse[0])
+    for eta in coarse:
+        for beta in coarse:
             r = ratio(eta, beta)
             if r < best[0]:
                 best = (r, eta, beta)
-    step_re = res[1] - res[0] if n_real > 1 else radius
-    step_im = ims[1] - ims[0] if n_imag > 1 else radius
     kappa, eta0, beta0 = best
-    interior = (
-        abs(abs(eta0.real) - radius) > 1e-12
-        and abs(abs(beta0.real) - radius) > 1e-12
-        and abs(eta0.imag - radius) > 1e-12
-        and abs(beta0.imag - radius) > 1e-12
-    )
+    interior = all(abs(abs(p.real) - radius) > 1e-12 and abs(p.imag - radius) > 1e-12
+                   for p in (point(eta0), point(beta0)))
     shifts = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
+    zoom = 1.0
     for _ in range(refine_rounds):
-        etas = [complex(eta0.real + u * step_re, max(0.0, eta0.imag + v * step_im))
+        etas = [(eta0[0] + u * zoom, max(0.0, eta0[1] + v * zoom))
                 for u in shifts for v in (-0.5, 0.0, 0.5)]
-        betas = [complex(beta0.real + u * step_re, max(0.0, beta0.imag + v * step_im))
+        betas = [(beta0[0] + u * zoom, max(0.0, beta0[1] + v * zoom))
                  for u in shifts for v in (-0.5, 0.0, 0.5)]
         for eta in etas:
             for beta in betas:
                 r = ratio(eta, beta)
                 if r < kappa:
                     kappa, eta0, beta0 = r, eta, beta
-        step_re *= 0.5
-        step_im *= 0.5
+        zoom *= 0.5
     d_eff = kappa / (1.0 - s) ** s
     grid = f"Re x Im grid {n_real}x{n_imag} on radius {radius:g}, {refine_rounds} zooms"
-    return DecouplingEstimate(s, float(kappa), float(d_eff), grid, (eta0, beta0), interior)
+    return DecouplingEstimate(s, float(kappa), float(d_eff), grid, (point(eta0), point(beta0)),
+                              interior)
 
 
 def _kappa_of(dec) -> float:

@@ -253,3 +253,34 @@ def test_sampling_bitwise_equals_per_site_coupling_reference(
     u = site_uniforms(seed, 201, realizations, np.asarray(sparse.sites, dtype=np.int64))
     want = per_site * np.asarray(law.inverse_cdf(u), dtype=float)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.one_of(st.floats(0.01, 8.0), st.integers(1, 4)),
+    dim=st.integers(1, 5),
+    raw_sites=st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=5, max_size=5),
+                       max_size=40),
+)
+def test_site_weights_bitwise_equal_weight_value(gamma, dim, raw_sites):
+    sparse = sparse_set_from_sites({tuple(c[:dim]) for c in raw_sites}, 0.5, dim)
+    model = DisorderModel(UniformLaw(-1, 1), weight_gamma=gamma)
+    got = model.couplings(sparse)
+    want = np.array([weight_value(gamma, site) for site in sparse.sites], dtype=float)
+    assert got.shape == (len(sparse),)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_site_weights_built_once_per_set_and_gamma():
+    sparse = sparse_set_from_sites([(i, j) for i in range(-100, 101) for j in range(-100, 101)],
+                                   0.5, 2)
+    model = DisorderModel(UniformLaw(-1, 1), weight_gamma=0.5, seed=3)
+    weights = model.couplings(sparse)
+    want = np.array([weight_value(0.5, site) for site in sparse.sites])
+    assert weights.tobytes() == want.tobytes()
+    assert not weights.flags.writeable
+    assert model.couplings(sparse) is weights
+    assert DisorderModel(GaussianLaw(0.0, 1.0), weight_gamma=0.5).couplings(sparse) is weights
+    other = DisorderModel(UniformLaw(-1, 1), weight_gamma=0.25).couplings(sparse)
+    assert other is not weights
+    assert other.tobytes() == np.array([weight_value(0.25, s) for s in sparse.sites]).tobytes()

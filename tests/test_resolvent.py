@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import IntegrationWarning
 
 from sparseloc import resolvent
 from sparseloc.errors import NumericalError
@@ -17,7 +19,13 @@ from sparseloc.operators import (
     kernel_from_symbol,
     s_norm,
 )
-from sparseloc.disorder import DisorderModel, GaussianLaw, UniformLaw, sample_potential
+from sparseloc.disorder import (
+    DisorderModel,
+    GaussianLaw,
+    TruncatedCauchyLaw,
+    UniformLaw,
+    sample_potential,
+)
 from sparseloc.resolvent import (
     DecouplingEstimate,
     GreenQuery,
@@ -443,6 +451,82 @@ def test_moments_and_simon_wolff_match_green_row_reference(energy, eps, coupling
     _assert_close([r.mean_sum_g2 for r in rows], want)
 
 
+# ------------------------------------------------ realization engine: nu >= 2 vs splu
+
+# The symmetric-mode factor plus one refinement step against green_row's
+# default splu, over every case below: worst normwise relative difference
+# 5.2e-13 and worst elementwise one 3.7e-12 (above an absolute floor of
+# 1e-14 times the row's largest entry); without the refinement step they
+# reach 4.1e-12 and 2.9e-10.
+_NU_ROW_RTOL = 1e-12
+_NU_ENTRY_RTOL = 1e-11
+
+_LAWS = {"uniform": UniformLaw(-1, 1), "gaussian": GaussianLaw(0.3, 1.0),
+         "cauchy": TruncatedCauchyLaw(1.0, 25.0)}
+_MODELS = {"strong": {"coupling": 30.0}, "weak": {"coupling": 1.0},
+           "weighted": {"weight_gamma": 0.5}}
+_HALF_SIDE = {2: 6, 3: 3, 5: 1}
+
+
+def _range2_kernel(nu):
+    return kernel_from_symbol(SymbolSpec(tuple(((1, 1.0), (2, 0.35)) for _ in range(nu))))
+
+
+def _check_engine_against_splu(kernel, half, sets, law, model_kw, energy, eps,
+                               realizations=range(3, 7)):
+    nu = kernel.dim
+    volume = Cube((0,) * nu, half)
+    coords = volume.coords().tolist()
+    sites = {"full": coords, "checkerboard": [c for c in coords if sum(c) % 2 == 0],
+             "empty": []}[sets]
+    sparse = sparse_set_from_sites(sites, 0.5, nu)
+    model = DisorderModel(law, seed=7, **model_kw)
+    source = (1,) + (0,) * (nu - 1)
+    engine = RealizationEngine(kernel, volume, sparse, model, source)
+    assert engine.band is None
+    z = complex(energy, eps)
+    rows, residuals = engine.green_rows(z, engine.diagonals(realizations), realizations[0])
+    ref = _green_row_reference(kernel, volume, sparse, model, source, z, realizations)
+    assert np.max(residuals) <= 1e-10
+    norm = np.linalg.norm(rows - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.max(norm) <= _NU_ROW_RTOL
+    for got, want in zip(rows, ref):
+        np.testing.assert_allclose(got, want, rtol=_NU_ENTRY_RTOL,
+                                   atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("nu", [2, 3, 5])
+@pytest.mark.parametrize("law", list(_LAWS))
+@pytest.mark.parametrize("model", list(_MODELS))
+@pytest.mark.parametrize("band,eps", [("inside", 1e-2), ("inside", 1e-4),
+                                      ("outside", 1e-2), ("outside", 1e-4)])
+def test_symmetric_mode_rows_match_splu_reference(nu, law, model, band, eps):
+    energy = 0.5 if band == "inside" else 2.0 * nu + 1.0  # free band [-2 nu, 2 nu]
+    _check_engine_against_splu(kernel_from_symbol(delta_symbol(nu)), _HALF_SIDE[nu],
+                               "checkerboard", _LAWS[law], _MODELS[model], energy, eps)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 5])
+@pytest.mark.parametrize("sets", ["full", "empty"])
+@pytest.mark.parametrize("energy", [0.5, 11.0])
+def test_symmetric_mode_full_and_empty_sets_match_splu_reference(nu, sets, energy):
+    _check_engine_against_splu(kernel_from_symbol(delta_symbol(nu)), _HALF_SIDE[nu], sets,
+                               UniformLaw(-1, 1), {"coupling": 30.0}, energy, 1e-4)
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+@pytest.mark.parametrize("model", list(_MODELS))
+@pytest.mark.parametrize("energy,eps", [(0.5, 1e-4), (0.5, 1e-2), (12.0, 1e-4)])
+def test_symmetric_mode_range2_rows_match_splu_reference(nu, model, energy, eps):
+    _check_engine_against_splu(_range2_kernel(nu), _HALF_SIDE[nu], "checkerboard",
+                               _LAWS["gaussian"], _MODELS[model], energy, eps)
+
+
+def test_symmetric_mode_5d_interior_matches_splu_reference():
+    _check_engine_against_splu(kernel_from_symbol(delta_symbol(5)), 2, "full",
+                               UniformLaw(-1, 1), {"coupling": 30.0}, 5.0, 1e-3, range(2))
+
+
 def test_engine_scatters_the_set_onto_its_sites():
     volume = Cube((2,), 5)
     sparse = sparse_set_from_sites([(6,), (-3,), (0,)], 0.5, 1)
@@ -514,21 +598,45 @@ def test_splu_path_faults_raise_tagged_numerical_error(monkeypatch, kind):
     assert info.value.diagnostics["realization"] == 2
 
 
+class _NanSolve:
+    """A SuperLU factor whose solves return NaN."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        return np.full_like(self._lu.solve(rhs), np.nan)
+
+
+@pytest.mark.parametrize("kind", ["moments", "simon_wolff"])
+def test_splu_path_non_finite_solve_raises_tagged_numerical_error(monkeypatch, kind):
+    splu = _fail_on_call(resolvent.spla.splu, 2, lambda fn, *a, **k: _NanSolve(fn(*a, **k)))
+    monkeypatch.setattr(resolvent, "spla", SimpleNamespace(splu=splu))
+    with pytest.raises(NumericalError, match="realization 2: solver residual") as info:
+        _run_kind(kind, kernel_from_symbol(delta_symbol(2)), Cube((0, 0), 3), (0, 0))
+    assert info.value.diagnostics["realization"] == 2
+    assert math.isnan(info.value.diagnostics["residual"])
+
+
 # --- one quad per distinct decoupling integral ---------------------------------
 
 
 def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
     """Grid + zoom search that integrates every (eta, beta) numerator and
-    every denominator afresh.  Returns the estimate's fields and the keys of
+    every denominator afresh.  Points are (Re, Im) grid units, as in
+    estimate_decoupling.  Returns the estimate's fields and the keys of
     every integral it needed (beta for a denominator, {eta, beta} for a
     numerator)."""
     radius = 10.0 * law.scale
-    res = np.linspace(-radius, radius, n_real)
-    ims = np.linspace(0.0, radius, n_imag)
-    points = [complex(a, b) for a in res for b in ims]
+    step_re = 2.0 * radius / (n_real - 1)
+    step_im = radius / (n_imag - 1)
     needed = set()
 
-    def ratio(eta, beta):
+    def point(units):
+        return complex(-radius + units[0] * step_re, units[1] * step_im)
+
+    def ratio(eta_units, beta_units):
+        eta, beta = point(eta_units), point(beta_units)
         needed.add(beta)
         den = resolvent._frac_integral(law, s, beta, None)
         if den <= 0:
@@ -536,34 +644,29 @@ def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
         needed.add(frozenset((eta, beta)))
         return resolvent._frac_integral(law, s, eta, beta) / den
 
-    best = (math.inf, points[0], points[0])
-    for eta in points:
-        for beta in points:
+    coarse = [(float(a), float(b)) for a in range(n_real) for b in range(n_imag)]
+    best = (math.inf, coarse[0], coarse[0])
+    for eta in coarse:
+        for beta in coarse:
             r = ratio(eta, beta)
             if r < best[0]:
                 best = (r, eta, beta)
-    step_re, step_im = res[1] - res[0], ims[1] - ims[0]
     kappa, eta0, beta0 = best
-    interior = (
-        abs(abs(eta0.real) - radius) > 1e-12
-        and abs(abs(beta0.real) - radius) > 1e-12
-        and abs(eta0.imag - radius) > 1e-12
-        and abs(beta0.imag - radius) > 1e-12
-    )
+    interior = all(abs(abs(point(p).real) - radius) > 1e-12
+                   and abs(point(p).imag - radius) > 1e-12 for p in (eta0, beta0))
     shifts = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
-    for _ in range(refine_rounds):
-        etas = [complex(eta0.real + u * step_re, max(0.0, eta0.imag + v * step_im))
+    for k in range(refine_rounds):
+        zoom = 0.5 ** k
+        etas = [(eta0[0] + u * zoom, max(0.0, eta0[1] + v * zoom))
                 for u in shifts for v in (-0.5, 0.0, 0.5)]
-        betas = [complex(beta0.real + u * step_re, max(0.0, beta0.imag + v * step_im))
+        betas = [(beta0[0] + u * zoom, max(0.0, beta0[1] + v * zoom))
                  for u in shifts for v in (-0.5, 0.0, 0.5)]
         for eta in etas:
             for beta in betas:
                 r = ratio(eta, beta)
                 if r < kappa:
                     kappa, eta0, beta0 = r, eta, beta
-        step_re *= 0.5
-        step_im *= 0.5
-    fields = (float(kappa), float(kappa / (1.0 - s) ** s), (eta0, beta0), interior)
+    fields = (float(kappa), float(kappa / (1.0 - s) ** s), (point(eta0), point(beta0)), interior)
     return fields, needed
 
 
@@ -591,3 +694,19 @@ def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
     assert (dec.kappa_hat, dec.d_eff, dec.minimizer, dec.interior) == want
     assert len(keys) == len(set(keys))  # one call per distinct integral
     assert set(keys) == needed
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_decoupling_zoom_points_coincide_without_integration_warnings(s):
+    # eta and beta zoom lists come from one grid, so a point reached from
+    # both minimizers is one complex number and never a pair of
+    # breakpoints 1e-15 apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        dec = estimate_decoupling(UniformLaw(-1, 1), s, n_real=7, n_imag=3, refine_rounds=3)
+    assert 0.0 < dec.kappa_hat < 1.0
+
+
+def test_decoupling_uniform_half_regression_to_1e6():
+    dec = estimate_decoupling(UniformLaw(-1, 1), 0.5)
+    assert dec.kappa_hat == pytest.approx(0.6105876, rel=1e-6)
