@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .lattice import Cube, SparseSet, cube_sites, generate_sparse_set, sparse_set_from_sites
+from .lattice import (
+    Cube, SparseSet, cap_violation, cube_sites, generate_sparse_set, sparse_set_from_sites,
+)
 from .operators import SymbolSpec, kernel_from_symbol, s_norm
 from .disorder import DisorderModel, make_law
 
@@ -497,6 +499,12 @@ def _v_sparseness(chk, raw):
                 f"must lie in the admissible window (0, {window:.6g}) "
                 f"= (0, 2*(1/3 - 1/nu)) for nu = {dim}",
             )
+        # generated sets obey the caps by construction; listed ones (explicit_list,
+        # full_cube) may not, and would fail mid-run
+        if sparse is not None and sparse.generator == "explicit_list":
+            too_dense = cap_violation(sparse)
+            if too_dense:
+                chk.fail("sparse_set", too_dense)
         phi = _validate_phi(chk, raw.get("phi"), dim)
     return {"spec": spec, "sparse": sparse, "phi": phi, "t_max": t_max, "gamma": gamma}, {}
 

@@ -2,9 +2,9 @@
 
 Sampling is counter-based: the value at a site is a pure function of
 (seed, realization index, site), so replay is exact under any iteration
-order or thread count.  Laws carry closed-form interval measures and
-inverse CDFs; the raw Cauchy is admitted only truncated so the second
-moment stays finite.
+order or thread count.  Laws carry closed-form interval measures,
+inverse CDFs and densities that take arrays; the raw Cauchy is admitted
+only truncated so the second moment stays finite.
 """
 
 from __future__ import annotations
@@ -53,8 +53,12 @@ class UniformLaw:
     def support(self) -> tuple[float, float]:
         return self.a, self.b
 
-    def pdf(self, x: float) -> float:
-        return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
+    @property
+    def mode(self) -> float:
+        return 0.5 * (self.a + self.b)  # any point is a mode; the midpoint is used
+
+    def pdf(self, x):
+        return np.where((self.a <= x) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
 
     def grid_range(self) -> tuple[float, float]:
         pad = 0.5 * (self.b - self.a)
@@ -92,9 +96,13 @@ class GaussianLaw:
     def support(self) -> tuple[float, float]:
         return self.mean - 12.0 * self.sd, self.mean + 12.0 * self.sd
 
-    def pdf(self, x: float) -> float:
-        z = (x - self.mean) / self.sd
-        return math.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+    @property
+    def mode(self) -> float:
+        return self.mean
+
+    def pdf(self, x):
+        z = (np.asarray(x) - self.mean) / self.sd
+        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def grid_range(self) -> tuple[float, float]:
         return self.mean - 5.0 * self.sd, self.mean + 5.0 * self.sd
@@ -139,11 +147,15 @@ class TruncatedCauchyLaw:
     def support(self) -> tuple[float, float]:
         return -self.cut, self.cut
 
-    def pdf(self, x: float) -> float:
-        if abs(x) > self.cut:
-            return 0.0
+    @property
+    def mode(self) -> float:
+        return 0.0
+
+    def pdf(self, x):
+        x = np.asarray(x)
         a = self._half_angle()
-        return 1.0 / (self.scale_param * (1.0 + (x / self.scale_param) ** 2) * 2.0 * a)
+        density = 1.0 / (self.scale_param * (1.0 + (x / self.scale_param) ** 2) * 2.0 * a)
+        return np.where(np.abs(x) <= self.cut, density, 0.0)
 
     def grid_range(self) -> tuple[float, float]:
         return -1.5 * self.cut, 1.5 * self.cut

@@ -14,6 +14,7 @@ form (-i)^(d/k) J_(d/k)(2 c t), kept as a cross-check path only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,10 +24,11 @@ from scipy.special import jv
 
 from .disorder import sample_potentials
 from .errors import NumericalError
-from .lattice import Cube, SparseSet, Site, centered_subcubes, max_norm, sparseness_profile
+from .lattice import SparseSet, Site, cap_violation, max_norm
 from .operators import SymbolSpec
 
 _GRID = 8192
+_CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of times
 
 
 @dataclass(frozen=True)
@@ -47,17 +49,33 @@ def _node_count(t: float, slope: float, d_max: int) -> int:
     return next_fast_len(max(256, int(2.2 * (reach + d_max + pad))))
 
 
+def _axis_tables(spec: SymbolSpec, axis: int, ts: np.ndarray, d_max: int) -> np.ndarray:
+    """Axis factors for offsets -d_max..d_max (column d + d_max), one row
+    per time of ``ts``.  Times that share a node count share one 2-D
+    ``ifft``, taken in blocks of at most ``_CHUNK_ENTRIES`` entries."""
+    slope = spec.axis_derivative_sup(axis)
+    counts = np.array([_node_count(t, slope, d_max) for t in ts], dtype=np.int64)
+    d = np.arange(-d_max, d_max + 1)
+    out = np.empty((len(ts), d.size), dtype=complex)
+    for n in np.unique(counts).tolist():
+        thetas = 2.0 * math.pi * np.arange(n) / n
+        values = spec.axis_values(axis, thetas)
+        rows = np.flatnonzero(counts == n)
+        step = max(1, _CHUNK_ENTRIES // n)
+        for block in (rows[i:i + step] for i in range(0, rows.size, step)):
+            g = np.exp(-1j * ts[block, None] * values)
+            coeffs = np.fft.ifft(g, axis=1)  # (1/N) sum g_j e^{+i d theta_j}
+            finite = np.all(np.isfinite(coeffs), axis=1)
+            if not np.all(finite):
+                t_bad = float(ts[block[np.argmin(finite)]])
+                raise NumericalError("axis quadrature produced non-finite values", t=t_bad, nodes=n)
+            out[block] = coeffs[:, np.mod(d, n)]
+    return out
+
+
 def axis_factor_table(spec: SymbolSpec, axis: int, t: float, d_max: int) -> np.ndarray:
     """Axis factors for offsets -d_max..d_max (index d + d_max)."""
-    slope = spec.axis_derivative_sup(axis)
-    n = _node_count(t, slope, d_max)
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    g = np.exp(-1j * t * spec.axis_values(axis, thetas))
-    coeffs = np.fft.ifft(g)  # (1/N) sum g_j e^{+i d theta_j}
-    if not np.all(np.isfinite(coeffs)):
-        raise NumericalError("axis quadrature produced non-finite values", t=t, nodes=n)
-    d = np.arange(-d_max, d_max + 1)
-    return coeffs[np.mod(d, n)]
+    return _axis_tables(spec, axis, np.array([t], dtype=float), d_max)[0]
 
 
 def axis_factor_bessel(k: int, c: float, t: float, d: int) -> complex:
@@ -242,15 +260,17 @@ def verify_time_decay(
 
 
 def _site_amplitudes(
-    spec: SymbolSpec, phi: dict[Site, complex], sites: np.ndarray, t: float
+    spec: SymbolSpec, phi: dict[Site, complex], sites: np.ndarray, ts: np.ndarray
 ) -> np.ndarray:
-    """psi_t(m) = sum_n phi(n) kernel(m - n) for the rows of ``sites``."""
+    """psi_t(m) = sum_n phi(n) kernel(m - n): one row per time of ``ts``,
+    one column per row of ``sites``."""
+    psi = np.zeros((len(ts), sites.shape[0]), dtype=complex)
     if sites.shape[0] == 0 or not phi:
-        return np.zeros(sites.shape[0], dtype=complex)
+        return psi
     sources = list(phi.items())
     d_maxes = []
     tables = []
-    shared = {}  # (axis series, d_max) -> table: equal axes share one FFT
+    shared = {}  # (axis series, d_max) -> tables: equal axes share one build
     for axis in range(spec.dim):
         lo = int(sites[:, axis].min()) - max(n[axis] for n, _ in sources)
         hi = int(sites[:, axis].max()) - min(n[axis] for n, _ in sources)
@@ -258,14 +278,12 @@ def _site_amplitudes(
         d_maxes.append(d_max)
         key = (spec.axes[axis], d_max)
         if key not in shared:
-            shared[key] = axis_factor_table(spec, axis, t, d_max)
+            shared[key] = _axis_tables(spec, axis, ts, d_max)
         tables.append(shared[key])
-    psi = np.zeros(sites.shape[0], dtype=complex)
     for n, amp in sources:
-        factors = np.ones(sites.shape[0], dtype=complex)
+        factors = np.ones(psi.shape, dtype=complex)
         for axis in range(spec.dim):
-            idx = sites[:, axis] - n[axis] + d_maxes[axis]
-            factors *= tables[axis][idx]
+            factors *= tables[axis][:, sites[:, axis] - n[axis] + d_maxes[axis]]
         psi += amp * factors
     return psi
 
@@ -283,14 +301,21 @@ def projected_norm(
     spec: SymbolSpec,
     sparse: SparseSet,
     phi: dict[Site, complex],
-    t: float,
+    t,
     weight_gamma: float | None = None,
-) -> float:
-    """c(t) = ( sum_{m in S} w(m)^2 |psi_t(m)|^2 )^(1/2)."""
+):
+    """c(t) = ( sum_{m in S} w(m)^2 |psi_t(m)|^2 )^(1/2): a float for a
+    scalar ``t``, an array for an array of times.  The times go in blocks
+    of at most ``_CHUNK_ENTRIES`` (time, site) amplitudes."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     sites = sparse.coords_array()
-    psi = _site_amplitudes(spec, phi, sites, t)
     w = _weights(sites, weight_gamma)
-    return float(np.sqrt(np.sum((w * np.abs(psi)) ** 2)))
+    step = max(1, _CHUNK_ENTRIES // max(1, sites.shape[0]))
+    c = np.empty(ts.size)
+    for i in range(0, ts.size, step):
+        psi = _site_amplitudes(spec, phi, sites, ts[i:i + step])
+        c[i:i + step] = np.sqrt(np.sum((w * np.abs(psi)) ** 2, axis=1))
+    return float(c[0]) if np.ndim(t) == 0 else c
 
 
 def _dyadic_windows(t_max: float) -> list[tuple[float, float]]:
@@ -303,12 +328,21 @@ def _dyadic_windows(t_max: float) -> list[tuple[float, float]]:
     return windows
 
 
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_window(f, lo: float, hi: float, tol: float = 1e-9) -> float:
+    """Gauss-Legendre levels of 48..768 nodes on [lo, hi] until two agree;
+    ``f`` takes the array of a level's nodes and returns their values."""
     prev = None
     for n in (48, 96, 192, 384, 768):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = _leggauss(n)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        val = 0.5 * (hi - lo) * float(np.dot(weights, [f(t) for t in ts]))
+        val = 0.5 * (hi - lo) * float(np.dot(weights, f(ts)))
         if prev is not None and abs(val - prev) <= max(tol, 1e-6 * abs(val)):
             return val
         prev = val
@@ -341,38 +375,25 @@ def sparseness_integral(
     """
     if t_max < 8.0:
         raise ValueError("t_max must be >= 8 to form enough dyadic windows")
-    gen_cube = sparse.cube
-    if gen_cube is None and sparse.sites:
-        radius = max(max_norm(s) for s in sparse.sites)
-        gen_cube = Cube((0,) * sparse.dim, radius)
-    if gen_cube is not None and len(sparse) > 0:
-        rows = sparseness_profile(sparse, centered_subcubes(gen_cube, dyadic_only=True))
-        bad = [r for r in rows if not r.passed]
-        if bad:
-            raise ValueError(
-                f"set too dense for alpha={sparse.alpha}: "
-                f"|S n Lambda|={bad[0].count} > cap {bad[0].cap} at volume {bad[0].volume}"
-            )
+    too_dense = cap_violation(sparse)
+    if too_dense:
+        raise ValueError(too_dense)
     phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
     norm_phi = math.sqrt(sum(abs(a) ** 2 for a in phi.values()))
     sites = sparse.coords_array()
     w = _weights(sites, weight_gamma)
     head_bound = float(np.max(w) * norm_phi) if len(sparse) else 0.0
 
-    def c_of_t(t: float) -> float:
-        return projected_norm(spec, sparse, phi, t, weight_gamma)
+    def c_of_t(ts: np.ndarray) -> np.ndarray:
+        return projected_norm(spec, sparse, phi, ts, weight_gamma)
 
     windows = []
     t_samples = []
-    c_samples = []
     for lo, hi in _dyadic_windows(t_max):
-        integral = _gauss_window(c_of_t, lo, hi)
-        windows.append((lo, hi, integral))
-        for t in np.linspace(lo, hi, 9)[:-1]:
-            t_samples.append(float(t))
-            c_samples.append(c_of_t(float(t)))
+        windows.append((lo, hi, _gauss_window(c_of_t, lo, hi)))
+        t_samples.extend(np.linspace(lo, hi, 9)[:-1].tolist())
     t_samples.append(float(t_max))
-    c_samples.append(c_of_t(float(t_max)))
+    c_samples = c_of_t(np.array(t_samples)).tolist()
     integrals = [wdw[2] for wdw in windows]
     ratios = []
     for i in range(1, len(integrals)):
@@ -431,7 +452,7 @@ def cook_integrand(
     potentials = sample_potentials(model, sparse, range(n_samples))  # reused at every t
     rows = []
     for t in sorted(t_grid):
-        psi = _site_amplitudes(spec, phi, sites, float(t))
+        psi = _site_amplitudes(spec, phi, sites, np.array([t], dtype=float))[0]
         bound = sigma * float(np.sqrt(np.sum((coupling_profile * np.abs(psi)) ** 2)))
         norms_arr = np.sqrt(np.sum((potentials * np.abs(psi)) ** 2, axis=1))
         q10, q50, q90 = (

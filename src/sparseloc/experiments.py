@@ -3,7 +3,10 @@ artifacts and a manifest, atomically.
 
 Artifacts are staged in a scratch directory and renamed into place only
 after the pipeline finishes; on failure the partial files are kept under
-``<out>/failed`` together with a manifest naming the failure site.
+``<out>/failed`` together with a manifest naming the failure site.  A
+rerun into the same directory clears what the last run left: an ok run
+removes a stale ``failed/``, a failed run removes the previous manifest
+and the files it lists.
 Floats are formatted with 17 significant digits so rerunning a config
 with the same seed reproduces byte-identical CSV bodies regardless of
 the thread count.
@@ -100,6 +103,22 @@ def _json_safe(x):
     return x
 
 
+def _remove_previous_run(out: Path) -> None:
+    """Delete the manifest of an earlier successful run in ``out`` and the
+    files it lists, so a failed rerun leaves no stale "ok" beside
+    ``failed/``.  Nothing the manifest does not name is touched."""
+    manifest = out / "manifest.json"
+    try:
+        listed = json.loads(manifest.read_text(encoding="utf-8")).get("files", [])
+    except (OSError, ValueError, AttributeError):
+        return
+    for entry in listed:
+        name = entry[0] if isinstance(entry, list) and entry else None
+        if isinstance(name, str) and Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
+    manifest.unlink()
+
+
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | None = None, threads: int | None = None
 ) -> RunManifest:
@@ -115,6 +134,7 @@ def run_experiment(
     try:
         verdicts, summary = _RUNNERS[cfg.kind](cfg, stage, threads)
     except Exception as exc:
+        _remove_previous_run(out)
         failed = out / "failed"
         failed.mkdir(parents=True, exist_ok=True)
         for item in sorted(stage.iterdir()):
@@ -129,6 +149,7 @@ def run_experiment(
     summary["verdicts"] = verdicts
     write_json(stage / "summary.json", _json_safe(summary))
     out.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(out / "failed", ignore_errors=True)  # left by an earlier failed run
     files = []
     for item in sorted(stage.iterdir()):
         target = out / item.name

@@ -350,6 +350,22 @@ def sparseness_profile(sparse: SparseSet, cubes: list[Cube]) -> list[ProfileRow]
     return rows
 
 
+def cap_violation(sparse: SparseSet) -> str | None:
+    """Why S is too dense for its alpha, or None: the first dyadic sub-cube,
+    centered like the generation cube (the origin cube reaching the
+    farthest site when there is none), whose count exceeds the cap."""
+    if not sparse.sites:
+        return None
+    cube = sparse.cube
+    if cube is None:
+        cube = Cube((0,) * sparse.dim, max(max_norm(s) for s in sparse.sites))
+    for row in sparseness_profile(sparse, centered_subcubes(cube, dyadic_only=True)):
+        if not row.passed:
+            return (f"set too dense for alpha={sparse.alpha}: "
+                    f"|S n Lambda|={row.count} > cap {row.cap} at volume {row.volume}")
+    return None
+
+
 def centered_subcubes(cube: Cube, dyadic_only: bool = False) -> list[Cube]:
     """Sub-cubes centered at cube.center, all radii or dyadic radii only."""
     if dyadic_only:

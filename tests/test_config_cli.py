@@ -5,8 +5,9 @@ import pytest
 from sparseloc import experiments
 from sparseloc.cli import main
 from sparseloc.config import validate_config
-from sparseloc.errors import ConfigError
+from sparseloc.errors import ConfigError, NumericalError
 from sparseloc.experiments import run_experiment
+from sparseloc.lattice import sparse_set_from_sites
 
 
 def _moments_raw(**overrides):
@@ -124,25 +125,92 @@ def test_rerun_is_byte_identical(tmp_path):
     assert sums1["moments.csv"] == sums2["moments.csv"]
 
 
-def test_failed_run_retains_artifacts(tmp_path):
-    # explicit set violating its own cap: sparseness refuses at run time
-    raw = {
+def _explicit_sparseness_raw(sites, alpha):
+    return {
         "kind": "sparseness",
         "symbol": {"delta": 5},
-        "sparse_set": {
-            "generator": "explicit_list",
-            "alpha": 0.01,
-            "sites": [[i, 0, 0, 0, 0] for i in range(-6, 7)],
-        },
+        "sparse_set": {"generator": "explicit_list", "alpha": alpha, "sites": sites},
         "phi": [{"site": [0] * 5, "re": 1.0}],
         "t_max": 16.0,
     }
-    bad = validate_config(raw)
+
+
+def test_failed_run_retains_artifacts(tmp_path):
+    # a set that violates its cap but got past validation (which now refuses
+    # such lists): sparseness refuses it at run time
+    bad = validate_config(_explicit_sparseness_raw([[0] * 5], 0.01))
+    dense = [(i, 0, 0, 0, 0) for i in range(-6, 7)]
+    bad.derived["objects"]["sparse"] = sparse_set_from_sites(dense, 0.01, 5)
     with pytest.raises(ValueError, match="too dense"):
         run_experiment(bad, out_dir=str(tmp_path / "bad"))
     manifest = json.loads((tmp_path / "bad" / "failed" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "too dense" in manifest["failure"]
+
+
+def _too_dense_raw():
+    # 10 sites of the 3^5 cube at alpha = 0.05: the cap there is 2
+    sites = [[a, b, c, 0, 0] for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (0, 1)][:10]
+    return _explicit_sparseness_raw(sites, 0.05)
+
+
+def test_validate_rejects_too_dense_explicit_list():
+    with pytest.raises(ConfigError) as err:
+        validate_config(_too_dense_raw())
+    assert err.value.violations == [
+        ("sparse_set", "set too dense for alpha=0.05: |S n Lambda|=10 > cap 2 at volume 243")
+    ]
+
+
+def test_cli_too_dense_explicit_list_exits_two_before_running(tmp_path, capsys):
+    path = _write_config(tmp_path, _too_dense_raw())
+    code = main(["sparseness", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sparse_set: set too dense" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _sparseness_cli_config(tmp_path):
+    return _write_config(tmp_path, {
+        "kind": "sparseness",
+        "symbol": {"delta": 5},
+        "sparse_set": {"generator": "deterministic_powers", "alpha": 0.25, "half_side": 8},
+        "phi": [{"site": [0] * 5, "re": 1.0}],
+        "t_max": 16.0,
+    })
+
+
+def _fail_mid_run(cfg, stage, threads):
+    (stage / "partial.csv").write_text("t,c_t\n")
+    raise NumericalError("window quadrature did not settle")
+
+
+def test_cli_failed_rerun_removes_the_previous_manifest_and_its_files(tmp_path, monkeypatch):
+    path, out = _sparseness_cli_config(tmp_path), tmp_path / "out"
+    assert main(["sparseness", "--config", path, "--out", str(out)]) == 0
+    listed = [name for name, _, _ in json.loads((out / "manifest.json").read_text())["files"]]
+    assert "sparseness.csv" in listed
+    (out / "notes.txt").write_text("kept\n")  # not the run's: a rerun leaves it
+    monkeypatch.setitem(experiments._RUNNERS, "sparseness", _fail_mid_run)
+    assert main(["sparseness", "--config", path, "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["failed", "notes.txt"]
+    assert sorted(p.name for p in (out / "failed").iterdir()) == ["manifest.json", "partial.csv"]
+    assert json.loads((out / "failed" / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_cli_ok_rerun_removes_a_stale_failed_dir(tmp_path, monkeypatch):
+    path, out = _sparseness_cli_config(tmp_path), tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setitem(experiments._RUNNERS, "sparseness", _fail_mid_run)
+        assert main(["sparseness", "--config", path, "--out", str(out)]) == 3
+    assert (out / "failed" / "partial.csv").exists()
+    assert main(["sparseness", "--config", path, "--out", str(out)]) == 0
+    assert not (out / "failed").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [name for name, _, _ in manifest["files"]] + ["manifest.json"])
 
 
 def test_propagator_csv_layout(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sparseloc import dynamics
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.dynamics import (
     PropagatorQuery,
+    _axis_tables,
     _site_amplitudes,
     _weights,
     axis_factor_bessel,
@@ -220,11 +223,20 @@ def test_negative_amplitude_axis_matches_bessel():
         assert table[40 + d] == pytest.approx(oracle, abs=1e-10)
 
 
-# --- one axis table per distinct (axis series, d_max) -----------------------
+# --- batched c(t) against the scalar path ------------------------------------
+
+
+def _axis_factor_table_reference(spec, axis, t, d_max):
+    """One time, one 1-D FFT: the scalar axis table."""
+    slope = spec.axis_derivative_sup(axis)
+    n = dynamics._node_count(t, slope, d_max)
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    coeffs = np.fft.ifft(np.exp(-1j * t * spec.axis_values(axis, thetas)))
+    return coeffs[np.mod(np.arange(-d_max, d_max + 1), n)]
 
 
 def _site_amplitudes_reference(spec, phi, sites, t):
-    """One axis_factor_table call per axis, shared by no other axis."""
+    """One scalar axis table per axis, shared by no other axis."""
     sources = list(phi.items())
     d_maxes = []
     tables = []
@@ -233,7 +245,7 @@ def _site_amplitudes_reference(spec, phi, sites, t):
         hi = int(sites[:, axis].max()) - min(n[axis] for n, _ in sources)
         d_max = max(abs(lo), abs(hi))
         d_maxes.append(d_max)
-        tables.append(axis_factor_table(spec, axis, t, d_max))
+        tables.append(_axis_factor_table_reference(spec, axis, t, d_max))
     psi = np.zeros(sites.shape[0], dtype=complex)
     for n, amp in sources:
         factors = np.ones(sites.shape[0], dtype=complex)
@@ -281,19 +293,68 @@ def test_shared_axis_tables_bitwise_equal_reference(monkeypatch, case, t):
     spec, sites, phi, n_tables = _SHARED_TABLE_CASES[case]
     sparse = sparse_set_from_sites(sites, 0.5, spec.dim)
     coords = sparse.coords_array()
-    want = _site_amplitudes_reference(spec, phi, coords, t)
+    ts = np.array([t, 1.5 * t, 7.0 * t])  # one batch, several node counts
+    want = np.array([_site_amplitudes_reference(spec, phi, coords, x) for x in ts])
 
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return axis_factor_table(*args)
+        return _axis_tables(*args)
 
-    monkeypatch.setattr(dynamics, "axis_factor_table", counted)
-    got = _site_amplitudes(spec, phi, coords, t)
-    assert len(calls) == n_tables
+    monkeypatch.setattr(dynamics, "_axis_tables", counted)
+    got = _site_amplitudes(spec, phi, coords, ts)
+    assert len(calls) == n_tables  # one build per distinct (series, d_max) per batch
     assert got.tobytes() == want.tobytes()
     for gamma in (None, 1.5):
-        assert projected_norm(spec, sparse, phi, t, gamma) == _projected_norm_reference(
-            spec, sparse, phi, t, gamma
-        )
+        c = projected_norm(spec, sparse, phi, ts, gamma)
+        assert c.tolist() == [_projected_norm_reference(spec, sparse, phi, x, gamma) for x in ts]
+        assert projected_norm(spec, sparse, phi, t, gamma) == c[0]
+
+
+def test_axis_factor_table_bitwise_equal_reference():
+    for t in (0.0, 0.7, 3.0, 25.0, 400.0):
+        got = axis_factor_table(DELTA1, 0, t, 30)
+        assert got.tobytes() == _axis_factor_table_reference(DELTA1, 0, t, 30).tobytes()
+
+
+def _level_case():
+    """The bench sparseness set (5D, deterministic_powers, alpha 0.25,
+    half side 30) and the 192 nodes of a Gauss level on [32, 64]."""
+    sparse = generate_sparse_set(0.25, Cube((0,) * 5, 30), "deterministic_powers", 0)
+    nodes, _ = np.polynomial.legendre.leggauss(192)
+    return delta_symbol(5), sparse, {(0,) * 5: 1.0}, 16.0 * nodes + 48.0
+
+
+@pytest.mark.parametrize("gamma", [None, 0.25])
+def test_c_of_t_level_bitwise_equal_scalar_reference(monkeypatch, gamma):
+    spec, sparse, phi, ts = _level_case()
+    d_max = 30
+    counts = {dynamics._node_count(t, spec.axis_derivative_sup(0), d_max) for t in ts}
+    assert len(counts) >= 3  # the level spans several node counts
+    want = [_projected_norm_reference(spec, sparse, phi, t, gamma) for t in ts]
+    assert projected_norm(spec, sparse, phi, ts, gamma).tolist() == want
+    # small blocks: time blocks of 17 and FFT blocks of one or two rows
+    monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 1000)
+    assert projected_norm(spec, sparse, phi, ts, gamma).tolist() == want
+
+
+def test_sparseness_integral_calls_c_of_t_once_per_level(monkeypatch):
+    calls = []
+    original = dynamics.projected_norm
+
+    def counted(spec, sparse, phi, t, gamma=None):
+        calls.append(np.size(t))
+        return original(spec, sparse, phi, t, gamma)
+
+    monkeypatch.setattr(dynamics, "projected_norm", counted)
+    spec, sparse, phi, _ = _level_case()
+    res = sparseness_integral(spec, sparse, phi, 16.0)
+    assert calls[-1] == len(res.t_grid) == 4 * 8 + 1  # the samples: one batch
+    assert set(calls[:-1]) <= {48, 96, 192, 384, 768}  # one batch per Gauss level
+
+
+def test_leggauss_levels_are_cached_read_only():
+    nodes, weights = dynamics._leggauss(96)
+    assert dynamics._leggauss(96)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable

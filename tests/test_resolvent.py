@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, quad
 
 from sparseloc import resolvent
 from sparseloc.errors import NumericalError
@@ -618,15 +618,137 @@ def test_splu_path_non_finite_solve_raises_tagged_numerical_error(monkeypatch, k
     assert math.isnan(info.value.diagnostics["residual"])
 
 
-# --- one quad per distinct decoupling integral ---------------------------------
+# --- the batched decoupling rule against quad --------------------------------
+
+
+def _quad_frac_integral(law, s, eta, beta):
+    """Reference for one decoupling integral: adaptive QUADPACK, with Re eta,
+    Re beta and the mode as breakpoints and a tolerance far below the 1e-8
+    the batched rule is held to."""
+    lo, hi = law.support()
+
+    def f(x):
+        value = abs(x - eta) ** s * float(law.pdf(x))
+        return value if beta is None else value * abs(x - beta) ** s
+
+    points = sorted({p.real for p in (eta, beta) if p is not None} | {law.mode})
+    points = [p for p in points if lo < p < hi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)  # round-off near 1e-11
+        return quad(f, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-11, limit=500)[0]
+
+
+def _quad_batch(law, s, eta, beta):
+    """``_frac_integral`` driven by the quad reference, integral by integral."""
+    betas = [None] * eta.size if beta is None else beta.tolist()
+    return np.array([_quad_frac_integral(law, s, e, b) for e, b in zip(eta.tolist(), betas)])
+
+
+_RULE_LAWS = {
+    "uniform": UniformLaw(-1.0, 1.0),
+    "gaussian": GaussianLaw(0.0, 1.0),
+    "cauchy": TruncatedCauchyLaw(1.0, 1.0),
+    "cauchy_peaked": TruncatedCauchyLaw(0.01, 1.0),  # scale / cut = 1e-2
+}
+
+
+def _rule_points(law):
+    lo, hi = law.support()
+    width, im = hi - lo, 10.0 * law.scale / 96.0  # R / 96, the finest zoom's Im step
+    return [
+        complex(lo + 0.3 * width), complex(lo + 0.71 * width),  # real inside
+        complex(lo - 0.4 * width), complex(hi + 0.2 * width),  # real outside
+        complex(lo + 0.03), complex(hi + 0.04),  # within 0.05 of an end, in and out
+        complex(lo + 0.4 * width, im), complex(hi - 0.01 * width, im),  # complex, Im = R / 96
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_LAWS))
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_frac_integral_matches_quad(name, s):
+    law = _RULE_LAWS[name]
+    points = _rule_points(law)
+    pairs = list(itertools.combinations_with_replacement(points, 2))  # coincident included
+    eta = np.array([e for e, _ in pairs])
+    beta = np.array([b for _, b in pairs])
+    numerators = resolvent._frac_integral(law, s, eta, beta)
+    denominators = resolvent._frac_integral(law, s, np.array(points), None)
+    for (e, b), got in zip(pairs, numerators):
+        assert got == pytest.approx(_quad_frac_integral(law, s, e, b), rel=1e-8, abs=0.0)
+    for e, got in zip(points, denominators):
+        assert got == pytest.approx(_quad_frac_integral(law, s, e, None), rel=1e-8, abs=0.0)
+
+
+def test_frac_integral_does_not_depend_on_batch_or_block(monkeypatch):
+    law = GaussianLaw(0.0, 1.0)
+    points = np.array(_rule_points(law))
+    eta, beta = np.repeat(points, points.size), np.tile(points, points.size)
+    whole = resolvent._frac_integral(law, 0.5, eta, beta)
+    single = [resolvent._frac_integral(law, 0.5, eta[i:i + 1], beta[i:i + 1])[0]
+              for i in range(eta.size)]
+    swapped = resolvent._frac_integral(law, 0.5, beta, eta)
+    monkeypatch.setattr(resolvent, "_CHUNK_ENTRIES", 3000)  # blocks of 2 integrals
+    blocked = resolvent._frac_integral(law, 0.5, eta, beta)
+    assert whole.tobytes() == np.array(single).tobytes() == swapped.tobytes() == blocked.tobytes()
+
+
+def test_frac_integral_non_finite_raises():
+    with pytest.raises(NumericalError, match="decoupling quadrature failed"):
+        resolvent._frac_integral(UniformLaw(-1.0, 1.0), 0.5, np.array([complex(np.nan, 0.0)]), None)
+
+
+def _mirrored(law, point):
+    """The image of a point under the reflection of the law about its mode."""
+    return complex(2.0 * law.mode - point.real, point.imag)
+
+
+# Quad-driven searches (estimate_decoupling with _frac_integral replaced by
+# _quad_batch, default grid): kappa_hat and minimizer per (law, s).  The
+# uniform s = 0.5 entry is recomputed below; the others take 2-7 s each.
+_QUAD_SEARCHES = {
+    ("uniform", 0.3): (0.7451367382936345, (0.2734375, -0.8203125)),
+    ("uniform", 0.5): (0.6105876095901545, (0.3515625, -0.78125)),
+    ("uniform", 0.7): (0.49776589509952984, (0.4296875, -0.78125)),
+    ("gaussian", 0.3): (0.8548495628305371, (-0.1953125, 1.640625)),
+    ("gaussian", 0.5): (0.7945185121153331, (-0.3125, 1.6015625)),
+    ("gaussian", 0.7): (0.7533175658667663, (0.390625, -1.640625)),
+    ("cauchy_peaked", 0.3): (0.2738805841593414, (0.0, 0.6640625)),
+    ("cauchy_peaked", 0.5): (0.12877058017575332, (0.0, 0.7421875)),
+    ("cauchy_peaked", 0.7): (0.06638276499142744, (0.0, -0.859375)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUAD_SEARCHES))
+def test_decoupling_search_matches_quad_driven_search(case):
+    """Same kappa_hat to 1e-9 and the same minimizer.  The laws are symmetric
+    about their mode, so a minimizer and its mirror image have equal ratios
+    in exact arithmetic and round-off picks one of the two: either counts."""
+    name, s = case
+    law = _RULE_LAWS[name]
+    kappa, (eta, beta) = _QUAD_SEARCHES[case]
+    dec = estimate_decoupling(law, s)
+    assert dec.kappa_hat == pytest.approx(kappa, rel=1e-9, abs=0.0)
+    want = (complex(eta), complex(beta))
+    assert dec.minimizer in (want, tuple(_mirrored(law, p) for p in want))
+
+
+def test_decoupling_quad_driven_search_reproduces_pinned_entry(monkeypatch):
+    monkeypatch.setattr(resolvent, "_frac_integral", _quad_batch)
+    dec = estimate_decoupling(_RULE_LAWS["uniform"], 0.5)
+    kappa, (eta, beta) = _QUAD_SEARCHES[("uniform", 0.5)]
+    assert dec.kappa_hat == pytest.approx(kappa, rel=1e-12, abs=0.0)
+    assert dec.minimizer == (complex(eta), complex(beta))
+
+
+# --- one integral per distinct decoupling key ----------------------------------
 
 
 def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
     """Grid + zoom search that integrates every (eta, beta) numerator and
-    every denominator afresh.  Points are (Re, Im) grid units, as in
-    estimate_decoupling.  Returns the estimate's fields and the keys of
-    every integral it needed (beta for a denominator, {eta, beta} for a
-    numerator)."""
+    every denominator afresh, one integral per call.  Points are (Re, Im)
+    grid units, as in estimate_decoupling.  Returns the estimate's fields
+    and the keys of every integral it needed (beta for a denominator,
+    {eta, beta} for a numerator)."""
     radius = 10.0 * law.scale
     step_re = 2.0 * radius / (n_real - 1)
     step_im = radius / (n_imag - 1)
@@ -635,14 +757,18 @@ def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
     def point(units):
         return complex(-radius + units[0] * step_re, units[1] * step_im)
 
+    def integral(eta, beta):
+        return resolvent._frac_integral(
+            law, s, np.array([eta]), None if beta is None else np.array([beta]))[0]
+
     def ratio(eta_units, beta_units):
         eta, beta = point(eta_units), point(beta_units)
         needed.add(beta)
-        den = resolvent._frac_integral(law, s, beta, None)
+        den = integral(beta, None)
         if den <= 0:
             return math.inf
         needed.add(frozenset((eta, beta)))
-        return resolvent._frac_integral(law, s, eta, beta) / den
+        return integral(eta, beta) / den
 
     coarse = [(float(a), float(b)) for a in range(n_real) for b in range(n_imag)]
     best = (math.inf, coarse[0], coarse[0])
@@ -684,23 +810,27 @@ def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
 
     original = resolvent._frac_integral
     keys = []
+    calls = []
 
     def spy(law_, s_, eta, beta):
-        keys.append(eta if beta is None else frozenset((eta, beta)))
+        calls.append(eta.size)
+        betas = [None] * eta.size if beta is None else beta.tolist()
+        keys.extend(e if b is None else frozenset((e, b)) for e, b in zip(eta.tolist(), betas))
         return original(law_, s_, eta, beta)
 
     monkeypatch.setattr(resolvent, "_frac_integral", spy)
     dec = estimate_decoupling(law, s, None, *grid)
     assert (dec.kappa_hat, dec.d_eff, dec.minimizer, dec.interior) == want
-    assert len(keys) == len(set(keys))  # one call per distinct integral
+    assert len(keys) == len(set(keys))  # one integral per distinct key
     assert set(keys) == needed
+    assert len(calls) <= 2 * (1 + grid[2])  # denominators, numerators: per round
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_decoupling_zoom_points_coincide_without_integration_warnings(s):
     # eta and beta zoom lists come from one grid, so a point reached from
     # both minimizers is one complex number and never a pair of
-    # breakpoints 1e-15 apart
+    # breakpoints 1e-15 apart (a zero-length piece of the graded rule)
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         dec = estimate_decoupling(UniformLaw(-1, 1), s, n_real=7, n_imag=3, refine_rounds=3)
