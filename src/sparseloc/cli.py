@@ -85,8 +85,7 @@ def _run_kind(kind: str, args) -> int:
             print(f"  {field}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     for key, value in sorted(cfg.derived.items()):
-        if key != "objects":
-            print(f"derived {key}: {value}")
+        print(f"derived {key}: {value}")
     try:
         manifest = run_experiment(cfg)
     except NumericalError as exc:

@@ -5,8 +5,8 @@ Artifacts are staged in a scratch directory and renamed into place only
 after the pipeline finishes; on failure the partial files are kept under
 ``<out>/failed`` together with a manifest naming the failure site.  A
 rerun into the same directory clears what the last run left: an ok run
-removes a stale ``failed/``, a failed run removes the previous manifest
-and the files it lists.
+removes a stale ``failed/``, a failed run replaces it and removes the
+previous manifest and the files it lists.
 Floats are formatted with 17 significant digits so rerunning a config
 with the same seed reproduces byte-identical CSV bodies regardless of
 the thread count.
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, periodized_gaussian
+from .config import ExperimentConfig
 from .dynamics import (
     PropagatorQuery,
     cook_integrand,
@@ -34,7 +34,7 @@ from .dynamics import (
     sparseness_integral,
 )
 from .lattice import centered_subcubes, max_norm, sparseness_profile, sparse_set_to_text
-from .operators import kernel_decay_check, kernel_from_symbol, s_norm
+from .operators import kernel_decay_check, kernel_from_symbol, periodized_gaussian, s_norm
 from .resolvent import (
     GreenQuery,
     am_uniform_bound,
@@ -136,7 +136,8 @@ def run_experiment(
     except Exception as exc:
         _remove_previous_run(out)
         failed = out / "failed"
-        failed.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(failed, ignore_errors=True)  # an earlier failed run's files
+        failed.mkdir(parents=True)
         for item in sorted(stage.iterdir()):
             os.replace(item, failed / item.name)
         stage.rmdir()
@@ -164,12 +165,8 @@ def run_experiment(
     return manifest
 
 
-def _obj(cfg: ExperimentConfig) -> dict:
-    return cfg.derived["objects"]
-
-
 def _run_norms(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     rows = [(s, s_norm(kernel, s)) for s in o["s_grid"]]
     write_csv(stage / "norms.csv", ["s", "norm"], rows)
@@ -177,7 +174,7 @@ def _run_norms(cfg, stage, threads):
 
 
 def _run_kernel(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     dim = kernel.dim
     header = [f"d{i+1}" for i in range(dim)] + ["amplitude"]
@@ -191,7 +188,7 @@ def _run_kernel(cfg, stage, threads):
 
 
 def _run_propagator(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     spec = o["spec"]
     header = ["t"] + [f"d{i+1}" for i in range(spec.dim)] + ["re", "im", "abs"]
     rows = []
@@ -205,7 +202,7 @@ def _run_propagator(cfg, stage, threads):
 
 
 def _run_decay_check(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     rows_out = []
     checks = []
     if o["spec"] is not None:
@@ -234,7 +231,7 @@ def _run_decay_check(cfg, stage, threads):
 
 
 def _run_sparseness(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     res = sparseness_integral(o["spec"], o["sparse"], o["phi"], o["t_max"], o["gamma"])
     write_csv(stage / "sparseness.csv", ["t", "c_t"], zip(res.t_grid, res.c_values))
     cube = o["sparse"].cube
@@ -257,7 +254,7 @@ def _run_sparseness(cfg, stage, threads):
 
 
 def _run_cook(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     rows = cook_integrand(o["spec"], o["sparse"], o["model"], o["phi"], o["t_grid"], o["n_samples"])
     write_csv(
         stage / "cook.csv",
@@ -281,7 +278,7 @@ def _moments_csv(stage, est, model, name="moments.csv"):
 
 
 def _run_moments(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     q = GreenQuery(volume=o["volume"], **o["query"])
     est = fractional_moment_estimate(q, kernel, o["sparse"], o["model"], threads=threads)
@@ -298,7 +295,7 @@ def _run_moments(cfg, stage, threads):
 
 
 def _run_decay_fit(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     q = GreenQuery(volume=o["volume"], **o["query"])
     est = fractional_moment_estimate(q, kernel, o["sparse"], o["model"], threads=threads)
@@ -325,7 +322,7 @@ def _run_decay_fit(cfg, stage, threads):
 
 
 def _run_simon_wolff(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     q = GreenQuery(volume=o["volume"], **o["query"])
     rows = simon_wolff_proxy(q, kernel, o["sparse"], o["model"], o["eps_ladder"], threads=threads)
@@ -344,7 +341,7 @@ def _run_simon_wolff(cfg, stage, threads):
 
 
 def _run_thresholds(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     model = o["model"]
     rows = []
@@ -380,7 +377,7 @@ def _run_thresholds(cfg, stage, threads):
 
 
 def _run_edge_scan(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     scan = mobility_edge_scan(
         kernel, o["sparse"], o["model"], o["volume"], o["realizations"], o["s"],
@@ -408,7 +405,7 @@ def _run_edge_scan(cfg, stage, threads):
 
 
 def _run_theorem2(cfg, stage, threads):
-    o = _obj(cfg)
+    o = cfg.objects
     kernel = kernel_from_symbol(o["spec"])
     kappa = o["kappa_hat"]
     if kappa is None:

@@ -259,6 +259,17 @@ def _estimate_c_h(h, dim: int) -> float:
     return float(np.max(np.abs(deriv.real)))
 
 
+def periodized_gaussian(width: float):
+    """Smooth periodic bump: wrapped Gaussian centered at pi."""
+    def h(theta: float) -> float:
+        total = 0.0
+        for k in range(-6, 7):
+            x = theta - math.pi + 2.0 * math.pi * k
+            total += math.exp(-0.5 * (x / width) ** 2)
+        return total
+    return h
+
+
 def kernel_decay_check(
     h, dim: int, offsets, c_h: float | None = None, tol: float = 1e-10
 ) -> DecayCheck:

@@ -87,11 +87,11 @@ def test_validate_echoes_derived_quantities():
 def test_validate_injects_top_seed_into_blocks():
     raw = _moments_raw(seed=77)
     cfg = validate_config(raw)
-    assert cfg.derived["objects"]["model"].seed == 77
+    assert cfg.objects["model"].seed == 77
     raw2 = _moments_raw(seed=77)
     raw2["disorder"]["seed"] = 5
     cfg2 = validate_config(raw2)
-    assert cfg2.derived["objects"]["model"].seed == 5
+    assert cfg2.objects["model"].seed == 5
 
 
 def test_validate_kind_mismatch():
@@ -140,7 +140,7 @@ def test_failed_run_retains_artifacts(tmp_path):
     # such lists): sparseness refuses it at run time
     bad = validate_config(_explicit_sparseness_raw([[0] * 5], 0.01))
     dense = [(i, 0, 0, 0, 0) for i in range(-6, 7)]
-    bad.derived["objects"]["sparse"] = sparse_set_from_sites(dense, 0.01, 5)
+    bad.objects["sparse"] = sparse_set_from_sites(dense, 0.01, 5)
     with pytest.raises(ValueError, match="too dense"):
         run_experiment(bad, out_dir=str(tmp_path / "bad"))
     manifest = json.loads((tmp_path / "bad" / "failed" / "manifest.json").read_text())
@@ -369,7 +369,7 @@ def test_moments_validation_echoes_threshold(tmp_path):
     cfg = validate_config(_moments_raw())
     # the Neumann-series energy threshold ||H0||_s, and no decoupling estimate
     assert cfg.derived["h0_norm_s"] == pytest.approx(4.0)
-    assert set(cfg.derived) == {"h0_norm_s", "objects"}
+    assert set(cfg.derived) == {"h0_norm_s"}
 
 
 def test_simon_wolff_verdict_recomputable_from_csv(tmp_path):
@@ -536,3 +536,71 @@ def test_cli_verify_unexpected_exception_exits_four(tmp_path, capsys, monkeypatc
     manifest = json.loads((tmp_path / "verify" / "moments_E3" / "failed" / "manifest.json")
                           .read_text())
     assert manifest["failure"].startswith("KeyError")
+
+
+@pytest.mark.parametrize("sparse_set, site", [
+    ({"generator": "full_cube", "alpha": 0.5, "half_side": 9}, "[-9]"),
+    ({"generator": "full_cube", "alpha": 0.5, "center": [100]}, "[96]"),
+    ({"generator": "deterministic_powers", "alpha": 0.5, "half_side": 50}, "[-16]"),
+    ({"generator": "bernoulli_thinned", "alpha": 0.5, "half_side": 50}, "[-50]"),
+])
+def test_cli_generated_set_outside_the_volume_exits_two(tmp_path, capsys, sparse_set, site):
+    raw = _moments_raw(volume={"center": [0], "half_side": 4}, sparse_set=sparse_set)
+    path = _write_config(tmp_path, raw)
+    code = main(["moments", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"sparse_set: site {site} lies outside the volume" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_oversized_full_cube_is_a_config_error(tmp_path, capsys):
+    # 141^3 = 2,803,221 sites: over the enumeration guard, refused before enumerating
+    raw = _moments_raw(symbol={"delta": 3}, volume={"center": [0, 0, 0], "half_side": 70})
+    raw["query"]["source"] = [0, 0, 0]
+    path = _write_config(tmp_path, raw)
+    code = main(["moments", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sparse_set: refusing to enumerate 2803221 sites" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("offsets", ["abc", True, {}])
+def test_validate_rejects_non_list_propagator_offsets(offsets):
+    raw = {"kind": "propagator", "symbol": {"delta": 1}, "times": [1.0], "offsets": offsets}
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [("offsets", "missing offsets list")]
+
+
+def _fail_with(name):
+    def runner(cfg, stage, threads):
+        (stage / name).write_text("t,c_t\n")
+        raise NumericalError("window quadrature did not settle")
+    return runner
+
+
+def test_second_failed_run_replaces_the_failed_dir(tmp_path, monkeypatch):
+    path, out = _sparseness_cli_config(tmp_path), tmp_path / "out"
+    monkeypatch.setitem(experiments._RUNNERS, "sparseness", _fail_with("first_partial.csv"))
+    assert main(["sparseness", "--config", path, "--out", str(out)]) == 3
+    monkeypatch.setitem(experiments._RUNNERS, "sparseness", _fail_with("second_partial.csv"))
+    assert main(["sparseness", "--config", path, "--out", str(out)]) == 3
+    assert sorted(p.name for p in (out / "failed").iterdir()) == [
+        "manifest.json", "second_partial.csv"]
+
+
+def test_validate_rejects_non_finite_numbers():
+    raw = _moments_raw()
+    raw["query"]["s"] = float("nan")  # used to escape validation as a ValueError
+    raw["query"]["epsilon"] = float("inf")
+    raw["disorder"]["params"] = [float("-inf"), 1.0]
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.dumps(raw))
+    assert sorted(err.value.violations) == [
+        ("disorder.params", "must be a list of two numbers"),
+        ("query.epsilon", "must be a number"),
+        ("query.s", "must be a number"),
+    ]

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloc.config import periodized_gaussian
 from sparseloc.lattice import Cube, cube_sites
 from sparseloc.operators import (
     AssembledOperator,
@@ -17,6 +16,7 @@ from sparseloc.operators import (
     kernel_decay_check,
     kernel_from_symbol,
     neumann_fractional_bound,
+    periodized_gaussian,
     s_norm,
 )
 from sparseloc.resolvent import green_row
