@@ -5,7 +5,7 @@ Modules
 -------
 lattice    cubes, site enumeration, sparse-set generation and cap checks
 operators  symbol-built hopping kernels, s-norms, finite-volume assembly
-disorder   single-site laws, regularity checks, weight sequences
+disorder   single-site laws, couplings, weight sequences, sampling
 resolvent  Green rows, fractional moments, decoupling, thresholds
 dynamics   free-evolution kernels, decay checks, sparseness integrals
 spectra    dense eigen-diagnostics, IPR, mobility-edge scans

@@ -25,25 +25,32 @@ def _fold(state: np.ndarray, word: np.ndarray) -> np.ndarray:
     return _mix64(state + _GOLDEN + word)
 
 
+def key_uniforms(seed: int, tag: int, columns) -> np.ndarray:
+    """Uniform(0,1) variates keyed on (seed, tag) and the int64 key
+    ``columns``, folded in order; the columns broadcast against each other,
+    so a row's draw depends only on its own key words."""
+    with np.errstate(over="ignore"):
+        state = _fold(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                      np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
+        for column in columns:
+            state = _fold(state, np.asarray(column, dtype=np.int64).view(np.uint64))
+        bits = _mix64(state)
+    # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
 def site_uniforms(seed: int, tag: int, realization, coords: np.ndarray) -> np.ndarray:
     """Uniform(0,1) variates, one per row of ``coords``.
 
     coords: integer array of shape (n, nu).  ``realization`` is an index,
     or a 1-D array of R indices for an (R, n) result whose row i is the
     draw of ``realization[i]`` alone.  Values depend only on the row
-    values, never on their order in the array.
+    values, never on their order in the array.  A thin wrapper: the key
+    columns are the realization, then the coordinates.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim == 1:
         coords = coords[:, None]
     real = np.asarray(realization, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        state = _fold(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
-                      np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
-        state = _fold(state, real.reshape(-1, 1).view(np.uint64))
-        for j in range(coords.shape[1]):  # broadcasts to one row per realization
-            state = _fold(state, coords[:, j].view(np.uint64))
-        bits = _mix64(state)
-    # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    u = key_uniforms(seed, tag, (real.reshape(-1, 1), *coords.T))
     return u if real.ndim else u[0]

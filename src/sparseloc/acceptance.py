@@ -350,12 +350,12 @@ def criterion_11_theorem2_cube(workdir=None, threads=1) -> CriterionResult:
         center = tuple(int(c) for c in rng.integers(-3, 4, size=nu))
         n_sites = int(rng.integers(1, 30))
         sites = {tuple(int(c) for c in rng.integers(-12, 13, size=nu)) for _ in range(n_sites)}
-        sp = sparse_set_from_sites(sorted(sites), 0.5, nu)
+        sp = sparse_set_from_sites(list(sites), 0.5, nu)
         got = theorem2_cube(center, s, gamma, kern, kappa, sp)
         threshold = s_norm(kern, s) ** s
         brute = 0
         for radius in range(0, 64):
-            outside = [m for m in sp.sites if max_norm(m, center) > radius]
+            outside = [m for m in sp.coords.tolist() if max_norm(m, center) > radius]
             if all((1.0 + max_norm(m)) ** (gamma * s) * kappa > threshold for m in outside):
                 brute = radius
                 break

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import (Cube, cap_violation, cube_sites, generate_sparse_set, max_norm,
-                      sparse_set_from_sites)
+from .lattice import Cube, cap_violation, generate_sparse_set, max_norm, sparse_set_from_sites
 from .operators import SymbolSpec, kernel_from_symbol, s_norm
 from .disorder import DisorderModel, make_law
 
@@ -43,6 +42,7 @@ class ExperimentConfig:
 
 REQUIRED = object()  # the default of a key that must be given
 _FAILED = object()  # what a field that failed leaves behind
+_ENUMERATION_GUARD = 2_000_000  # most sites a full_cube set may list
 
 
 class _Bad(Exception):
@@ -60,7 +60,7 @@ def _join(path: str, sub: str) -> str:
 def _parse(parse, value, path: str, bad: list, failed=_FAILED):
     """``parse(value)``, or record under ``path`` why not and return ``failed``:
     the one place where parser violations and builder ValueErrors (SymbolSpec,
-    make_law, DisorderModel, Cube, cube_sites, generate_sparse_set) land."""
+    make_law, DisorderModel, Cube, generate_sparse_set) land."""
     try:
         return parse(value)
     except _Bad as exc:
@@ -285,14 +285,17 @@ def _build_sparse_set(f: dict, dim: int, volume: Cube | None):
         raise _Bad(("center", "dimension mismatch"))
     cube = Cube(center, half)
     if gen == "full_cube":
-        sparse = sparse_set_from_sites(cube_sites(cube), alpha, dim, seed)
+        if cube.volume > _ENUMERATION_GUARD:
+            raise _bad(f"refusing to enumerate {cube.volume} sites "
+                       f"(guard {_ENUMERATION_GUARD}); use arithmetic indexing instead")
+        sparse = sparse_set_from_sites(cube.coords(), alpha, dim, seed)
     else:
         sparse = generate_sparse_set(alpha, cube, gen, seed)
     # S lies in its cube, so only a cube reaching out of the volume needs the sites checked
     if volume is not None and max_norm(center, volume.center) + half > volume.half_side:
-        far = np.max(np.abs(sparse.coords_array() - volume.center), axis=1) > volume.half_side
+        far = np.max(np.abs(sparse.coords - volume.center), axis=1) > volume.half_side
         if far.any():
-            raise _bad(f"site {list(sparse.sites[int(np.argmax(far))])} lies outside the volume")
+            raise _bad(f"site {sparse.coords[np.argmax(far)].tolist()} lies outside the volume")
     return sparse
 
 
@@ -469,7 +472,10 @@ def validate_config(raw, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError([("<document>", f"not valid JSON: {exc}")])
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "top level must be an object")])
-    raw = json.loads(json.dumps(raw))  # deep copy; also rejects non-JSON payloads early
+    try:
+        raw = json.loads(json.dumps(raw))  # deep copy
+    except (TypeError, ValueError) as exc:  # a value JSON cannot hold, or a cycle
+        raise ConfigError([("<document>", f"not a JSON document: {exc}")])
 
     # the top-level seed is the default for blocks that omit their own
     top_seed = raw.get("seed", 0)

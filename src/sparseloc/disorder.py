@@ -40,9 +40,6 @@ class UniformLaw:
         a, b = self.a, self.b
         return (b * b + a * b + a * a) / 3.0
 
-    def variance(self) -> float:
-        return (self.b - self.a) ** 2 / 12.0
-
     def interval_measure(self, lo: float, hi: float) -> float:
         lo, hi = max(lo, self.a), min(hi, self.b)
         return max(0.0, hi - lo) / (self.b - self.a)
@@ -60,9 +57,6 @@ class UniformLaw:
     def pdf(self, x):
         return np.where((self.a <= x) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
 
-    def grid_range(self) -> tuple[float, float]:
-        pad = 0.5 * (self.b - self.a)
-        return self.a - pad, self.b + pad
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,6 @@ class GaussianLaw:
     def second_moment(self) -> float:
         return self.sd ** 2 + self.mean ** 2
 
-    def variance(self) -> float:
-        return self.sd ** 2
-
     def interval_measure(self, lo: float, hi: float) -> float:
         z = math.sqrt(2.0) * self.sd
         return 0.5 * (math.erf((hi - self.mean) / z) - math.erf((lo - self.mean) / z))
@@ -104,8 +95,6 @@ class GaussianLaw:
         z = (np.asarray(x) - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
-    def grid_range(self) -> tuple[float, float]:
-        return self.mean - 5.0 * self.sd, self.mean + 5.0 * self.sd
 
 
 @dataclass(frozen=True)
@@ -129,9 +118,6 @@ class TruncatedCauchyLaw:
     def second_moment(self) -> float:
         s, a_prime = self.scale_param, self.cut / self.scale_param
         return s * s * (a_prime - math.atan(a_prime)) / self._half_angle()
-
-    def variance(self) -> float:
-        return self.second_moment()
 
     def interval_measure(self, lo: float, hi: float) -> float:
         lo, hi = max(lo, -self.cut), min(hi, self.cut)
@@ -157,8 +143,6 @@ class TruncatedCauchyLaw:
         density = 1.0 / (self.scale_param * (1.0 + (x / self.scale_param) ** 2) * 2.0 * a)
         return np.where(np.abs(x) <= self.cut, density, 0.0)
 
-    def grid_range(self) -> tuple[float, float]:
-        return -1.5 * self.cut, 1.5 * self.cut
 
 
 Law = UniformLaw | GaussianLaw | TruncatedCauchyLaw
@@ -206,12 +190,10 @@ class DisorderModel:
 
 def sample_potentials(model: DisorderModel, sparse: SparseSet, realizations) -> np.ndarray:
     """Potentials on S, shape (R, |S|): row i is realization
-    ``realizations[i]`` in ``sparse.sites`` order, bit for bit what
+    ``realizations[i]`` in ``sparse.coords`` row order, bit for bit what
     ``sample_potential`` gives (counter-based draws batch exactly)."""
     realizations = np.asarray(realizations, dtype=np.int64).reshape(-1)
-    if not sparse.sites:
-        return np.zeros((realizations.size, 0))
-    u = site_uniforms(model.seed, _TAG_POTENTIAL, realizations, sparse.coords_array())
+    u = site_uniforms(model.seed, _TAG_POTENTIAL, realizations, sparse.coords)
     values = np.asarray(model.law.inverse_cdf(u), dtype=float)
     return model.couplings(sparse) * values
 
@@ -222,53 +204,3 @@ def sample_potential(
     """One realization of the potential on S; zero (absent) off S."""
     row = sample_potentials(model, sparse, [realization_index])[0]
     return dict(zip(sparse.sites, row.tolist()))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    b: float
-    c_estimate: float
-    grid: str
-    passed: bool
-
-
-def check_regularity(
-    model: DisorderModel,
-    b: float = 1.0,
-    a_values=None,
-    deltas=None,
-    c_cap: float = 1e6,
-) -> RegularityReport:
-    """Estimate the constant in  mu(a-d, a+d) <= C d mu(a-b, a+b).
-
-    Both sides use the law's closed-form interval measure; the estimate
-    is the grid maximum of the ratio.  A cap on C flags laws whose
-    density degenerates (the ratio grows like 1/delta for a point mass).
-    """
-    if b < 1.0:
-        raise ValueError("b must be >= 1")
-    law = model.law
-    if a_values is None:
-        lo, hi = law.grid_range()
-        a_values = np.linspace(lo, hi, 81)
-    if deltas is None:
-        deltas = np.geomspace(1e-8, 0.99, 40)
-    worst = 0.0
-    for a in np.asarray(a_values, dtype=float):
-        for d in np.asarray(deltas, dtype=float):
-            if not (0.0 < d < 1.0):
-                raise ValueError("deltas must lie in (0, 1)")
-            num = law.interval_measure(a - d, a + d)
-            den = d * law.interval_measure(a - b, a + b)
-            if num == 0.0:
-                continue
-            if den == 0.0:
-                worst = math.inf
-                break
-            worst = max(worst, num / den)
-        if worst == math.inf:
-            break
-    grid_desc = f"a in [{a_values[0]:.4g}, {a_values[-1]:.4g}] x{len(a_values)}, " \
-                f"delta in [{deltas[0]:.4g}, {deltas[-1]:.4g}] x{len(deltas)}"
-    passed = math.isfinite(worst) and worst <= c_cap
-    return RegularityReport(b, worst, grid_desc, passed)

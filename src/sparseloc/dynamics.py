@@ -308,7 +308,7 @@ def projected_norm(
     scalar ``t``, an array for an array of times.  The times go in blocks
     of at most ``_CHUNK_ENTRIES`` (time, site) amplitudes."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    sites = sparse.coords_array()
+    sites = sparse.coords
     w = _weights(sites, weight_gamma)
     step = max(1, _CHUNK_ENTRIES // max(1, sites.shape[0]))
     c = np.empty(ts.size)
@@ -380,7 +380,7 @@ def sparseness_integral(
         raise ValueError(too_dense)
     phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
     norm_phi = math.sqrt(sum(abs(a) ** 2 for a in phi.values()))
-    sites = sparse.coords_array()
+    sites = sparse.coords
     w = _weights(sites, weight_gamma)
     head_bound = float(np.max(w) * norm_phi) if len(sparse) else 0.0
 
@@ -445,7 +445,7 @@ def cook_integrand(
     if n_samples < 30:
         raise ValueError("need at least 30 disorder samples per time")
     phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
-    sites = sparse.coords_array()
+    sites = sparse.coords
     sigma = math.sqrt(model.law.second_moment())
     gamma = model.weight_gamma
     coupling_profile = model.couplings(sparse)

@@ -33,7 +33,7 @@ from .dynamics import (
     evolution_kernel,
     sparseness_integral,
 )
-from .lattice import centered_subcubes, max_norm, sparseness_profile, sparse_set_to_text
+from .lattice import centered_subcubes, sparseness_profile, sparse_set_to_text
 from .operators import kernel_decay_check, kernel_from_symbol, periodized_gaussian, s_norm
 from .resolvent import (
     GreenQuery,
@@ -412,14 +412,11 @@ def _run_theorem2(cfg, stage, threads):
         kappa = estimate_decoupling(o["model"].law, o["s"]).kappa_hat
     result = theorem2_cube(o["center"], o["s"], o["gamma"], kernel, kappa, o["sparse"])
     threshold = s_norm(kernel, o["s"]) ** o["s"]
-    dim = o["spec"].dim
-    rows = []
-    for site in o["sparse"].sites:
-        v = (1.0 + max_norm(site)) ** (o["gamma"] * o["s"]) * kappa
-        rows.append(tuple(site) + (v, v > threshold))
+    values = (o["sparse"].weights(o["gamma"] * o["s"]) * kappa).tolist()
+    rows = [(*site, v, v > threshold) for site, v in zip(o["sparse"].coords.tolist(), values)]
     write_csv(
         stage / "theorem2_sites.csv",
-        [f"m{i+1}" for i in range(dim)] + ["weighted_value", "cleared"],
+        [f"m{i+1}" for i in range(o["spec"].dim)] + ["weighted_value", "cleared"],
         rows,
     )
     summary = {

@@ -11,13 +11,13 @@ expectation.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._rng import site_uniforms
+from ._rng import key_uniforms, site_uniforms
 
 Site = tuple[int, ...]
 
@@ -25,8 +25,6 @@ Site = tuple[int, ...]
 _TAG_SHELL_COUNT = 101
 _TAG_SHELL_PLACE = 102
 _TAG_SITE_BERNOULLI = 103
-
-_ENUMERATION_GUARD = 2_000_000
 
 
 def max_norm(site: Site, center: Site | None = None) -> int:
@@ -65,7 +63,7 @@ class Cube:
         return len(site) == self.dim and max_norm(site, self.center) <= self.half_side
 
     def coords(self) -> np.ndarray:
-        """All sites as a (volume, nu) array, in ``cube_sites`` order."""
+        """All sites as a (volume, nu) array, in lexicographic order."""
         lo = np.asarray(self.center, dtype=np.int64) - self.half_side
         grid = np.indices((self.side,) * self.dim, dtype=np.int64)
         return grid.reshape(self.dim, -1).T + lo
@@ -83,17 +81,6 @@ class Cube:
         return rel @ self.side ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
 
 
-def cube_sites(cube: Cube) -> list[Site]:
-    """All sites of the cube in lexicographic coordinate order."""
-    if cube.volume > _ENUMERATION_GUARD:
-        raise ValueError(
-            f"refusing to enumerate {cube.volume} sites "
-            f"(guard {_ENUMERATION_GUARD}); use arithmetic indexing instead"
-        )
-    ranges = [range(c - cube.half_side, c + cube.half_side + 1) for c in cube.center]
-    return list(itertools.product(*ranges))
-
-
 def cap_for(volume: int, alpha: float) -> int:
     """ceil(volume^alpha) with a snap against float misrounding."""
     v = math.pow(float(volume), alpha)
@@ -103,43 +90,84 @@ def cap_for(volume: int, alpha: float) -> int:
     return int(math.ceil(v))
 
 
-@dataclass(frozen=True)
-class SparseSet:
-    """Explicit sparse site set with its claimed cap exponent.
+def _lex_unique(coords: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, nu) int64 array in lexicographic order.
+    Rows are ordered by their linear index in the bounding box when that
+    fits in int64 (an input already in that order is returned as it is),
+    by ``np.lexsort`` otherwise."""
+    if len(coords) < 2:
+        return coords
+    lo = coords.min(axis=0)
+    spans = [hi - low + 1 for low, hi in zip(lo.tolist(), coords.max(axis=0).tolist())]
+    if math.prod(spans) < 2 ** 63:
+        key = (coords - lo) @ np.array([math.prod(spans[j + 1:]) for j in range(len(spans))])
+        if np.all(key[1:] > key[:-1]):
+            return coords
+        order = np.argsort(key)
+        key = key[order]
+        return coords[order[np.concatenate(([True], key[1:] != key[:-1]))]]
+    order = np.lexsort(coords.T[::-1])
+    ordered = coords[order]
+    return ordered[np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))]
 
-    ``alpha`` is the claimed exponent; generated sets certify the cap on
-    all centered sub-cubes by construction, explicit lists may violate
-    it (sparseness_profile reports the failures).
+
+@dataclass(frozen=True, eq=False)
+class SparseSet:
+    """Sparse site set with its claimed cap exponent.
+
+    ``coords`` is the set itself: a read-only (|S|, nu) int64 array of
+    distinct sites in lexicographic row order, built from any collection
+    of sites.  ``alpha`` is the claimed exponent; generated sets certify the
+    cap on all centered sub-cubes by construction, explicit lists may
+    violate it (sparseness_profile reports the failures).  Equality and
+    hashing follow the sites and the four labels, not the cube.
     """
 
-    sites: tuple[Site, ...]
+    coords: np.ndarray
     alpha: float
     generator: str
     seed: int
     dim: int
-    cube: Cube | None = field(default=None, compare=False)
+    cube: Cube | None = None
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(tuple(map(int, s)) for s in self.sites)))
-        object.__setattr__(self, "sites", ordered)
-        for s in ordered:
-            if len(s) != self.dim:
-                raise ValueError(f"site {s} has dimension {len(s)}, expected {self.dim}")
-        object.__setattr__(self, "_member", frozenset(ordered))
-        coords = np.array(ordered, dtype=np.int64).reshape(len(ordered), self.dim)
+        sites = self.coords
+        coords = np.array(sites if isinstance(sites, np.ndarray) else list(sites), dtype=np.int64)
+        if coords.size == 0:
+            coords = coords.reshape(0, self.dim)
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise ValueError(f"sites of shape {coords.shape}, expected (n, {self.dim})")
+        coords = _lex_unique(coords)
         coords.flags.writeable = False
-        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_weights", {})
 
+    def _key(self):
+        return self.alpha, self.generator, self.seed, self.dim, self.coords.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __len__(self) -> int:
-        return len(self.sites)
+        return len(self.coords)
 
     def __contains__(self, site) -> bool:
-        return tuple(site) in self._member
+        """Binary search on the sorted rows, one axis at a time."""
+        if len(site) != self.dim:
+            return False
+        lo, hi = 0, len(self)
+        for axis, c in enumerate(site):
+            column = self.coords[lo:hi, axis]
+            lo, hi = lo + np.searchsorted(column, c), lo + np.searchsorted(column, c, "right")
+        return bool(hi > lo)
 
-    def coords_array(self) -> np.ndarray:
-        """The sites as a read-only (|S|, nu) int64 array, built once."""
-        return self._coords
+    @cached_property
+    def sites(self) -> tuple[Site, ...]:
+        """The sites as int tuples in row order, built on first use."""
+        return tuple(map(tuple, self.coords.tolist()))
 
     def weights(self, gamma: float) -> np.ndarray:
         """(1 + |n|)^gamma for each site in order, max-norm |n|: read-only,
@@ -147,7 +175,7 @@ class SparseSet:
         entry is bitwise ``(1.0 + max_norm(site)) ** gamma``."""
         w = self._weights.get(gamma)
         if w is None:
-            radii, inverse = np.unique(np.max(np.abs(self._coords), axis=1), return_inverse=True)
+            radii, inverse = np.unique(np.max(np.abs(self.coords), axis=1), return_inverse=True)
             w = np.array([(1.0 + r) ** gamma for r in radii.tolist()])[inverse]
             w.flags.writeable = False
             w = self._weights.setdefault(gamma, w)  # atomic: racing threads share one array
@@ -157,7 +185,7 @@ class SparseSet:
 def sparse_set_from_sites(sites, alpha: float, dim: int, seed: int = 0) -> SparseSet:
     """Wrap an explicit site list; no cap is enforced here."""
     _check_alpha(alpha)
-    return SparseSet(tuple(tuple(s) for s in sites), alpha, "explicit_list", seed, dim)
+    return SparseSet(sites, alpha, "explicit_list", seed, dim)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -257,10 +285,19 @@ def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) 
     """Shell by shell from the center out: each site of a shell with at most
     1024 sites is kept with probability p; a larger shell draws its count
     from Binomial(shell size, p) and places that many sites uniformly on it.
-    Every shell is then hard-capped to the running cap."""
+    Every shell is then hard-capped to the running cap.  The small shells
+    form a ball around the center, drawn in one call with the radius as
+    each row's counter."""
     dim = cube.dim
     center = np.asarray(cube.center, dtype=np.int64)
-    large = [r for r in range(1, cube.half_side + 1) if _shell_size(r, dim) > 1024]
+    small = [r for r in range(1, cube.half_side + 1) if _shell_size(r, dim) <= 1024]
+    large = list(range(len(small) + 1, cube.half_side + 1))  # shell sizes grow with r
+    ball = Cube(cube.center, len(small)).coords()
+    radius = np.max(np.abs(ball - center), axis=1)
+    order = np.argsort(radius, kind="stable")  # each shell stays in lexicographic order
+    ball, radius = ball[order], radius[order]
+    u_site = key_uniforms(seed, _TAG_SITE_BERNOULLI, (radius, *ball.T))
+    starts = np.searchsorted(radius, np.arange(len(small) + 2)).tolist()
     if large:
         u_count = site_uniforms(seed, _TAG_SHELL_COUNT, large, [[0]])[:, 0].tolist()
         first = site_uniforms(seed, _TAG_SHELL_PLACE, large, _place_keys(0, 256, dim))
@@ -270,10 +307,9 @@ def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) 
         if allowed <= 0:
             continue
         p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
-        if _shell_size(r, dim) <= 1024:
-            coords = Cube(cube.center, r).coords()
-            shell = coords[np.max(np.abs(coords - center), axis=1) == r]
-            kept = shell[site_uniforms(seed, _TAG_SITE_BERNOULLI, r, shell) < p][:allowed]
+        if r <= len(small):
+            shell = slice(starts[r], starts[r + 1])
+            kept = ball[shell][u_site[shell] < p][:allowed]
         else:
             i = r - large[0]
             k = min(_binomial_icdf(u_count[i], _shell_size(r, dim), p), allowed)
@@ -300,28 +336,20 @@ def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> 
     def cap_at(r: int) -> int:
         return cap_for((2 * r + 1) ** dim, alpha)
 
-    sites: list[Site] = []
-    count = 0
-    if cap_at(0) >= 1:
-        sites.append(cube.center)
-        count = 1
-
+    sites, shells = [cube.center], []  # the center is always in: the cap of one site is 1
     if generator == "deterministic_powers":
         for r in _shell_radii(alpha, dim, cube.half_side):
-            budget = min(2 * dim, cap_at(r) - count)
-            if budget <= 0:
-                continue
-            new = _axis_shell_sites(cube.center, r, budget)
-            sites.extend(new)
-            count += len(new)
+            budget = min(2 * dim, cap_at(r) - len(sites))
+            if budget > 0:
+                sites.extend(_axis_shell_sites(cube.center, r, budget))
     elif generator == "bernoulli_thinned":
-        for kept in _bernoulli_thinned(cube, alpha, seed, count, cap_at):
-            sites.extend(map(tuple, kept.tolist()))
+        shells = _bernoulli_thinned(cube, alpha, seed, 1, cap_at)
     else:
         raise ValueError(
             f"unknown generator {generator!r}; expected deterministic_powers or bernoulli_thinned"
         )
-    return SparseSet(tuple(sites), alpha, generator, seed, dim, cube=cube)
+    coords = np.concatenate([np.array(sites, dtype=np.int64), *shells])
+    return SparseSet(coords, alpha, generator, seed, dim, cube=cube)
 
 
 @dataclass(frozen=True)
@@ -336,14 +364,13 @@ def sparseness_profile(sparse: SparseSet, cubes: list[Cube]) -> list[ProfileRow]
     """Cap check |S intersect Lambda| <= ceil(|Lambda|^alpha) per cube."""
     if not cubes:
         raise ValueError("cubes must be nonempty")
-    coords = sparse.coords_array()
     dist = {}  # max-norm distance of every site to each center, computed once
     rows = []
     for cube in cubes:
         count = 0  # a cube of another dimension contains no site
         if cube.dim == sparse.dim:
             if cube.center not in dist:
-                dist[cube.center] = np.max(np.abs(coords - cube.center), axis=1)
+                dist[cube.center] = np.max(np.abs(sparse.coords - cube.center), axis=1)
             count = int(np.count_nonzero(dist[cube.center] <= cube.half_side))
         cap = cap_for(cube.volume, sparse.alpha)
         rows.append(ProfileRow(cube.volume, count, cap, count <= cap))
@@ -354,11 +381,9 @@ def cap_violation(sparse: SparseSet) -> str | None:
     """Why S is too dense for its alpha, or None: the first dyadic sub-cube,
     centered like the generation cube (the origin cube reaching the
     farthest site when there is none), whose count exceeds the cap."""
-    if not sparse.sites:
+    if not len(sparse):
         return None
-    cube = sparse.cube
-    if cube is None:
-        cube = Cube((0,) * sparse.dim, max(max_norm(s) for s in sparse.sites))
+    cube = sparse.cube or Cube((0,) * sparse.dim, int(np.max(np.abs(sparse.coords))))
     for row in sparseness_profile(sparse, centered_subcubes(cube, dyadic_only=True)):
         if not row.passed:
             return (f"set too dense for alpha={sparse.alpha}: "
@@ -382,11 +407,7 @@ def centered_subcubes(cube: Cube, dyadic_only: bool = False) -> list[Cube]:
 
 
 def sparse_set_to_text(sparse: SparseSet) -> str:
-    lines = [
-        f"# alpha={sparse.alpha:.17g} generator={sparse.generator} "
-        f"seed={sparse.seed} nu={sparse.dim}"
-    ]
-    for site in sparse.sites:
-        lines.append(" ".join(str(c) for c in site))
-    return "\n".join(lines) + "\n"
+    head = (f"# alpha={sparse.alpha:.17g} generator={sparse.generator} "
+            f"seed={sparse.seed} nu={sparse.dim}")
+    return "\n".join([head] + [" ".join(map(str, site)) for site in sparse.coords.tolist()]) + "\n"
 

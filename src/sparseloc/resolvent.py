@@ -22,7 +22,7 @@ from scipy.linalg import solve_banded
 from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
-from .lattice import Cube, SparseSet, Site, max_norm
+from .lattice import Cube, SparseSet, Site
 from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
 
 _RESIDUAL_TOL = 1e-10
@@ -149,7 +149,7 @@ class RealizationEngine:
     def __init__(self, kernel: KernelOperator, volume: Cube, sparse: SparseSet,
                  model: DisorderModel, source: Site):
         self.op = assemble_finite_volume(kernel, volume)
-        self.index = volume.indices_of(sparse.coords_array())
+        self.index = volume.indices_of(sparse.coords)
         self.source = self.op.index_of(source)
         self.sparse, self.model = sparse, model
         n = self.op.size
@@ -549,13 +549,9 @@ def theorem2_cube(
         raise ValueError("gamma must be > 0")
     kappa = _kappa_of(dec)
     threshold = s_norm(kernel, s) ** s
-    radius = 0
-    values = {}
-    for site in sparse.sites:
-        v = (1.0 + max_norm(site)) ** (gamma * s) * kappa
-        values[site] = v
-        if v <= threshold:
-            radius = max(radius, max_norm(site, center))
-    outside = [v for site, v in values.items() if max_norm(site, center) > radius]
-    infimum = min((v / threshold for v in outside), default=math.inf)
-    return Theorem2Cube(radius, float(infimum), not outside)
+    values = sparse.weights(gamma * s) * kappa
+    dist = np.max(np.abs(sparse.coords - center), axis=1)
+    radius = int(np.max(dist[values <= threshold], initial=0))
+    outside = values[dist > radius]
+    infimum = float(np.min(outside / threshold, initial=math.inf))
+    return Theorem2Cube(radius, infimum, not outside.size)

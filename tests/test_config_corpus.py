@@ -54,7 +54,8 @@ BASES = [
      "center": [0], "s": 0.5, "gamma": 1.0, "kappa_hat": 1.0, "disorder": _DISORDER},
 ]
 
-MUTATIONS = [None, True, "x", [], {}, -1, 0.5, [0.5], [[]], [{}]]
+# the last three are not JSON: a library caller can still pass them
+MUTATIONS = [None, True, "x", [], {}, -1, 0.5, [0.5], [[]], [{}], {0.5}, b"x", object()]
 
 
 def _paths(value, prefix=()):

@@ -11,7 +11,6 @@ from sparseloc.disorder import (
     GaussianLaw,
     TruncatedCauchyLaw,
     UniformLaw,
-    check_regularity,
     make_law,
     sample_potential,
     sample_potentials,
@@ -111,34 +110,6 @@ def test_regularity_uniform_pointwise_arithmetic():
     den = 0.5 * law.interval_measure(-1.0, 1.0)
     assert num == pytest.approx(0.5)
     assert num / den == pytest.approx(1.0)
-
-
-def test_regularity_uniform_constant_below_two():
-    report = check_regularity(DisorderModel(UniformLaw(-1, 1)), b=1.0)
-    assert report.passed
-    assert 1.0 <= report.c_estimate <= 2.0
-
-
-def test_regularity_gaussian_finite():
-    report = check_regularity(
-        DisorderModel(GaussianLaw(0.0, 1.0)),
-        b=1.0,
-        a_values=np.linspace(-5, 5, 41),
-        deltas=np.geomspace(0.01, 0.99, 25),
-    )
-    assert report.passed
-    assert math.isfinite(report.c_estimate)
-
-
-def test_regularity_point_mass_blows_up():
-    report = check_regularity(DisorderModel(GaussianLaw(0.0, 1e-12)), b=1.0)
-    assert not report.passed
-    assert report.c_estimate > 1e6
-
-
-def test_regularity_rejects_small_b():
-    with pytest.raises(ValueError):
-        check_regularity(DisorderModel(UniformLaw(-1, 1)), b=0.5)
 
 
 def test_truncated_cauchy_measures():

@@ -256,7 +256,7 @@ def _site_amplitudes_reference(spec, phi, sites, t):
 
 
 def _projected_norm_reference(spec, sparse, phi, t, gamma):
-    sites = sparse.coords_array()
+    sites = sparse.coords
     psi = _site_amplitudes_reference(spec, phi, sites, t)
     w = _weights(sites, gamma)
     return float(np.sqrt(np.sum((w * np.abs(psi)) ** 2)))
@@ -292,7 +292,7 @@ _SHARED_TABLE_CASES = {
 def test_shared_axis_tables_bitwise_equal_reference(monkeypatch, case, t):
     spec, sites, phi, n_tables = _SHARED_TABLE_CASES[case]
     sparse = sparse_set_from_sites(sites, 0.5, spec.dim)
-    coords = sparse.coords_array()
+    coords = sparse.coords
     ts = np.array([t, 1.5 * t, 7.0 * t])  # one batch, several node counts
     want = np.array([_site_amplitudes_reference(spec, phi, coords, x) for x in ts])
 

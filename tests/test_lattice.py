@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloc._rng import site_uniforms
+from sparseloc._rng import key_uniforms, site_uniforms
+from sparseloc.config import validate_config
 from sparseloc.lattice import (
     _TAG_SHELL_COUNT,
     _TAG_SHELL_PLACE,
     _TAG_SITE_BERNOULLI,
     Cube,
+    SparseSet,
     _axis_shell_sites,
     _binomial_icdf,
     _place_on_shell,
@@ -19,7 +22,6 @@ from sparseloc.lattice import (
     _shell_size,
     cap_for,
     centered_subcubes,
-    cube_sites,
     generate_sparse_set,
     max_norm,
     sparse_set_from_sites,
@@ -28,16 +30,26 @@ from sparseloc.lattice import (
 )
 
 
+def _product_sites(cube):
+    """The cube's sites in lexicographic order, enumerated axis by axis."""
+    return list(itertools.product(*(range(c - cube.half_side, c + cube.half_side + 1)
+                                    for c in cube.center)))
+
+
+def _sites(cube):
+    return [tuple(s) for s in cube.coords().tolist()]
+
+
 def test_cube_sites_1d():
-    assert cube_sites(Cube((0,), 1)) == [(-1,), (0,), (1,)]
+    assert _sites(Cube((0,), 1)) == [(-1,), (0,), (1,)]
 
 
 def test_cube_sites_single_site():
-    assert cube_sites(Cube((0, 0), 0)) == [(0, 0)]
+    assert _sites(Cube((0, 0), 0)) == [(0, 0)]
 
 
 def test_cube_sites_lexicographic_order():
-    sites = cube_sites(Cube((1, 1), 1))
+    sites = _sites(Cube((1, 1), 1))
     assert len(sites) == 9
     assert sites[0] == (0, 0)
     assert sites[-1] == (2, 2)
@@ -55,7 +67,7 @@ def test_cube_rejects_bad_dimension():
 @settings(max_examples=30, deadline=None)
 def test_cube_sites_enumeration_is_bijective(dim, half):
     cube = Cube((0,) * dim, half)
-    sites = cube_sites(cube)
+    sites = _sites(cube)
     assert len(sites) == cube.volume
     assert len(set(sites)) == cube.volume
     assert all(cube.contains(s) for s in sites)
@@ -122,14 +134,14 @@ def test_generation_is_replay_deterministic():
 
 def test_profile_empty_set():
     sparse = sparse_set_from_sites([], 0.5, 2)
-    assert sparse.coords_array().shape == (0, 2)
+    assert sparse.coords.shape == (0, 2)
     rows = sparseness_profile(sparse, [Cube((0, 0), 3), Cube((5, 5), 1), Cube((0,), 4)])
     assert all(r.count == 0 and r.passed for r in rows)
 
 
 def test_profile_full_cube_fails_cap():
     cube = Cube((0, 0), 5)  # volume 121, cap ceil(sqrt(121)) = 11
-    sparse = sparse_set_from_sites(cube_sites(cube), 0.5, 2)
+    sparse = sparse_set_from_sites(cube.coords(), 0.5, 2)
     rows = sparseness_profile(sparse, [cube])
     assert rows[0].count == 121
     assert rows[0].cap == 11
@@ -166,7 +178,7 @@ def test_cube_coords_match_cube_sites_and_invert(center, half):
     cube = Cube(center, half)
     coords = cube.coords()
     assert coords.dtype == np.int64 and coords.shape == (cube.volume, cube.dim)
-    assert [tuple(row) for row in coords.tolist()] == cube_sites(cube)
+    assert [tuple(row) for row in coords.tolist()] == _product_sites(cube)
     assert cube.indices_of(coords).tolist() == list(range(cube.volume))
     picked = coords[::-3]
     assert cube.indices_of(picked).tolist() == list(range(cube.volume))[::-3]
@@ -211,7 +223,7 @@ def test_cap_is_at_least_one_and_monotone(volume, alpha):
 # profile row must match it exactly.
 
 def _ref_shell(center, r):
-    return [s for s in cube_sites(Cube(center, r)) if max_norm(s, center) > r - 1]
+    return [s for s in _product_sites(Cube(center, r)) if max_norm(s, center) > r - 1]
 
 
 def _ref_place(center, r, k, seed, dim):
@@ -301,7 +313,7 @@ def test_generation_and_profile_equal_scalar_reference(generator, dim, alpha, se
         Cube((0,) * (dim % 5 + 1), half + 60),  # another dimension: counts 0
     ]
     assert _rows(sparse, cubes) == _ref_profile(want, alpha, cubes)
-    assert sparse.coords_array().tolist() == [list(s) for s in want]
+    assert sparse.coords.tolist() == [list(s) for s in want]
 
 
 @pytest.mark.parametrize("dim,half,alpha", [(4, 16, 0.25), (4, 16, 0.3), (5, 30, 0.25), (5, 30, 0.3)])
@@ -371,8 +383,103 @@ def test_criterion_6_sets_are_pinned(generator, seed, digest):
 
 def test_coords_array_is_built_once_and_read_only():
     sparse = sparse_set_from_sites([(2, 1), (-1, 0)], 0.5, 2)
-    coords = sparse.coords_array()
-    assert coords is sparse.coords_array()
+    coords = sparse.coords
+    assert coords is sparse.coords
     assert coords.tolist() == [[-1, 0], [2, 1]]
     with pytest.raises(ValueError):
         coords[0, 0] = 5
+
+
+# The array constructor against the tuple constructor it replaced: a
+# sorted tuple of distinct int tuples.  Narrow coordinates make duplicates;
+# +-2^40 makes the bounding box too large for an int64 linear key in nu >= 2.
+_COORDINATE = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+
+
+@given(dim=st.integers(1, 5), gamma=st.floats(0.01, 4.0), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_set_equals_tuple_reference(dim, gamma, data):
+    site = st.tuples(*[_COORDINATE] * dim)
+    sites = data.draw(st.lists(site, max_size=30))
+    if sites:
+        sites += data.draw(st.lists(st.sampled_from(sites), max_size=10))  # duplicates
+    want = tuple(sorted(set(map(tuple, sites))))
+    sparse = sparse_set_from_sites(sites, 0.5, dim)
+    assert len(sparse) == len(want)
+    assert sparse.sites == want
+    assert sparse.coords.dtype == np.int64 and sparse.coords.shape == (len(want), dim)
+    assert sparse.coords.tolist() == [list(s) for s in want]
+    with pytest.raises(ValueError):
+        sparse.coords[..., :1] = 0
+    for probe in data.draw(st.lists(site, max_size=5)) + list(want[:3]):
+        assert (probe in sparse) == (probe in set(want))
+    assert (0,) * (dim + 1) not in sparse
+    twin = sparse_set_from_sites(np.array(sites[::-1], dtype=np.int64).reshape(-1, dim), 0.5, dim)
+    assert twin == sparse and hash(twin) == hash(sparse)
+    assert sparse_set_from_sites(sites, 0.5, dim, seed=1) != sparse
+    if want:
+        assert sparse_set_from_sites(want[1:], 0.5, dim) != sparse
+    weights = np.array([(1.0 + max_norm(s)) ** gamma for s in want], dtype=float)
+    assert sparse.weights(gamma).tobytes() == weights.tobytes()
+
+
+def test_sparse_set_rejects_sites_of_another_dimension():
+    for sites in ([(1, 2)], [(1,), (1, 2)], [[[0]]]):
+        with pytest.raises(ValueError):
+            sparse_set_from_sites(sites, 0.5, 1)
+    assert sparse_set_from_sites([], 0.5, 3).coords.shape == (0, 3)
+    assert SparseSet(set(), 0.5, "explicit_list", 0, 2) == sparse_set_from_sites((), 0.5, 2)
+
+
+@pytest.mark.parametrize("center,half", [((0, 0), 100), ((3, -7, 2), 4), ((-5,), 0)])
+def test_full_cube_set_is_the_cube_coords(center, half):
+    dim = len(center)
+    raw = {
+        "kind": "moments", "symbol": {"delta": dim},
+        "volume": {"center": list(center), "half_side": half},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
+        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 20.0},
+        "query": {"energy": 5.0, "epsilon": 1e-3, "s": 0.5, "source": list(center),
+                  "realizations": 8},
+    }
+    sparse = validate_config(raw).objects["sparse"]
+    coords = Cube(center, half).coords()
+    assert sparse.coords.shape == coords.shape
+    assert sparse.coords.tobytes() == coords.tobytes()
+    assert sparse.sites == tuple(_product_sites(Cube(center, half)))
+
+
+@pytest.mark.parametrize("center,r_max", [((0,), 200), ((3, -2), 15), ((0, 0, 0), 6),
+                                          ((1, 2, 3, 4), 2), ((0,) * 5, 1)])
+def test_one_ball_draw_equals_shell_by_shell_draws(center, r_max):
+    # the generator draws every small shell at once, the radius as each row's counter
+    ball = Cube(center, r_max).coords()
+    radius = np.max(np.abs(ball - np.asarray(center)), axis=1)
+    got = key_uniforms(11, _TAG_SITE_BERNOULLI, (radius, *ball.T))
+    for r in range(r_max + 1):
+        shell = radius == r
+        want = site_uniforms(11, _TAG_SITE_BERNOULLI, r, ball[shell])
+        assert got[shell].tobytes() == want.tobytes()
+
+
+# SHA-256 of the concatenated sparse_set_to_text of every criterion-6 set of
+# one (nu, alpha): the deterministic set, then Bernoulli seeds 0..99.
+# Recorded from the tuple-sorting constructor with one draw per shell.
+@pytest.mark.parametrize("nu,half,alpha,digest", [
+    (1, 31, 0.3, "c706ad7b50e8ecef37b3a8c1ee28836a306465a4cebfba7fb74aaa620dc031b6"),
+    (1, 31, 0.6, "743cc09c49ebbccb5f41864776a9ec864cee8e26878c66af291bf7344770027a"),
+    (2, 15, 0.3, "48a89a26aca791a6c09df34f0362dd1aa951d44c4a91ef02989d11d039615220"),
+    (2, 15, 0.6, "a20514fab8e272affe81baf0cf556a7ec554d9be32d5905f64ddd6a5c39e2477"),
+    (3, 7, 0.3, "884adda4c02c3cd83d5d1c31b1f3cd27dd2217a17dde4c2c6e2719f8121c0f0d"),
+    (3, 7, 0.6, "8c16e55a55af70f2fb834b6599f35e30271ed077547bd32b25fb277615b428e5"),
+    (4, 16, 0.25, "00ab2dd1015bc6087d78b898de0867afde585679f033304c7b88d53be113b7c0"),
+    (4, 16, 0.3, "7f7ca06be059eef67a424a9273945bd2454bda28842fd364b86abdef3d93e35b"),
+    (5, 30, 0.25, "a5d0d74321e0fc0e7e849dc4e10de7e2ec173d2afac43e23fce9cfcafe8a8402"),
+    (5, 30, 0.3, "e14ec82eb38bfe0adf13d94832e1b34f761d22fbf8be884e365528be121c6e85"),
+])
+def test_every_criterion_6_set_is_pinned(nu, half, alpha, digest):
+    cube = Cube((0,) * nu, half)
+    plan = [("deterministic_powers", 0)] + [("bernoulli_thinned", seed) for seed in range(100)]
+    text = "".join(sparse_set_to_text(generate_sparse_set(alpha, cube, generator, seed))
+                   for generator, seed in plan)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -10,7 +10,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from sparseloc import resolvent
 from sparseloc.errors import NumericalError
-from sparseloc.lattice import Cube, cube_sites, sparse_set_from_sites
+from sparseloc.lattice import Cube, sparse_set_from_sites
 from sparseloc.operators import (
     AssembledOperator,
     SymbolSpec,
@@ -216,7 +216,7 @@ def test_am_uniform_bound_values():
 def _synthetic_estimate(rate: float, volume: Cube, count=100):
     op = assemble_finite_volume(DELTA1, volume)
     query = GreenQuery(5.0, 1e-3, 0.5, (0,), volume, count)
-    dist = np.array([abs(s[0]) for s in cube_sites(volume)], dtype=float)
+    dist = np.abs(volume.coords()[:, 0]).astype(float)
     mean = 0.37 * np.exp(rate * dist)
     stderr = mean * 1e-6
     return MomentEstimate(query, mean, stderr, count, op)
@@ -233,7 +233,7 @@ def test_decay_fit_excludes_noise_dominated_bins():
     volume = Cube((0,), 40)
     op = assemble_finite_volume(DELTA1, volume)
     query = GreenQuery(5.0, 1e-3, 0.5, (0,), volume, 100)
-    dist = np.array([abs(s[0]) for s in cube_sites(volume)], dtype=float)
+    dist = np.abs(volume.coords()[:, 0]).astype(float)
     mean = np.exp(-0.8 * dist)
     stderr = np.where(dist > 10, mean, mean * 1e-3)  # far bins drown in noise
     est = MomentEstimate(query, mean, stderr, 100, op)

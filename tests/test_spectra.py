@@ -76,9 +76,7 @@ def test_eigensystem_dirichlet_spectrum():
 def test_eigensystem_trace_identity():
     rng = np.random.default_rng(3)
     cube = Cube((0,), 15)
-    from sparseloc.lattice import cube_sites
-
-    potential = {s: float(rng.normal()) for s in cube_sites(cube)}
+    potential = {tuple(s): float(rng.normal()) for s in cube.coords().tolist()}
     op = _assemble(DELTA1, potential, cube)
     report = eigensystem(op)
     assert np.sum(report.eigenvalues) == pytest.approx(
