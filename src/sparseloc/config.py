@@ -43,6 +43,7 @@ class ExperimentConfig:
 REQUIRED = object()  # the default of a key that must be given
 _FAILED = object()  # what a field that failed leaves behind
 _ENUMERATION_GUARD = 2_000_000  # most sites a full_cube set may list
+_COORD_LIMIT = 2 ** 62  # |coordinate| bound: sites and their differences fit in int64
 
 
 class _Bad(Exception):
@@ -146,6 +147,8 @@ def _int(lo: int):
 def _site(v):
     if not isinstance(v, list) or not v or not all(_is_int(c) for c in v):
         raise _bad("must be a nonempty list of integers")
+    if any(abs(c) >= _COORD_LIMIT for c in v):
+        raise _bad("coordinates must lie strictly between -2^62 and 2^62")
     return tuple(int(c) for c in v)
 
 
@@ -209,8 +212,15 @@ def _symbol(v):
     return (_DELTA if isinstance(v, dict) and "delta" in v else _AXES)(v)
 
 
+def _cube(center, half: int) -> Cube:
+    if max(map(abs, center)) + half >= _COORD_LIMIT:
+        raise _bad(f"cube {list(center)} +/- {half} reaches |coordinate| >= 2^62, "
+                   "past int64 arithmetic")
+    return Cube(center, half)
+
+
 _VOLUME = _Table({"center": (_site, REQUIRED), "half_side": (_int(0), REQUIRED)},
-                 build=lambda f: Cube(f["center"], f["half_side"]),
+                 build=lambda f: _cube(f["center"], f["half_side"]),
                  malformed="missing or malformed volume block")
 _DISORDER = _Table(
     {"law": (_check(lambda v: v in ("uniform", "gaussian", "truncated_cauchy"),
@@ -283,7 +293,7 @@ def _build_sparse_set(f: dict, dim: int, volume: Cube | None):
     center = f["center"] or (volume.center if volume is not None else (0,) * dim)
     if len(center) != dim:
         raise _Bad(("center", "dimension mismatch"))
-    cube = Cube(center, half)
+    cube = _cube(center, half)
     if gen == "full_cube":
         if cube.volume > _ENUMERATION_GUARD:
             raise _bad(f"refusing to enumerate {cube.volume} sites "

@@ -381,8 +381,23 @@ def estimate_decoupling(
         zoom *= 0.5
     d_eff = kappa / (1.0 - s) ** s
     grid = f"Re x Im grid {n_real}x{n_imag} on radius {radius:g}, {refine_rounds} zooms"
-    return DecouplingEstimate(s, float(kappa), float(d_eff), grid, (point(eta0), point(beta0)),
-                              interior)
+    return DecouplingEstimate(s, float(kappa), float(d_eff), grid,
+                              _canonical_image(law, point(eta0), point(beta0)), interior)
+
+
+def _canonical_image(law, eta: complex, beta: complex) -> tuple[complex, complex]:
+    """The one of a minimizer (eta, beta) and its mirror image that is reported.
+
+    Every law is symmetric about its mode, so reflecting both points
+    (Re x -> 2 mode - Re x) leaves the ratio unchanged, and on a symmetric
+    grid round-off alone picks the image the search ends on.  The image
+    with Re eta right of the mode, or on it with Re beta not left of it,
+    is reported.
+    """
+    mode = law.mode
+    if (eta.real, beta.real) < (mode, mode):
+        return complex(2.0 * mode - eta.real, eta.imag), complex(2.0 * mode - beta.real, beta.imag)
+    return eta, beta
 
 
 def _kappa_of(dec) -> float:

@@ -1,5 +1,6 @@
-"""Dense finite-volume eigen-diagnostics: IPR profiles, level-spacing
-ratios, and mobility-edge scans against the +/- ||H0||_1 markers.
+"""Finite-volume eigen-diagnostics: IPR profiles, level-spacing ratios,
+and mobility-edge scans against the +/- ||H0||_1 markers.  1D volumes
+are diagonalized on their band, larger dimensions as dense matrices.
 
 Classification of localized vs extended states is always by IPR
 contrast between energy bins, never by an absolute threshold:
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eig_banded
 
 from ._stats import run_indexed
 from .disorder import DisorderModel
@@ -41,20 +43,45 @@ class EigenReport:
     realization: int
 
 
+def _lower_band(matrix: sp.spmatrix) -> np.ndarray:
+    """LAPACK lower band storage of a symmetric matrix: row d holds the
+    d-th subdiagonal, for d up to the farthest stored entry."""
+    coo = matrix.tocoo()
+    k = int(np.max(np.abs(coo.row - coo.col), initial=0))
+    n = matrix.shape[0]
+    band = np.zeros((k + 1, n))
+    for d in range(k + 1):
+        band[d, :n - d] = matrix.diagonal(-d)
+    return band
+
+
 def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CAP) -> EigenReport:
-    """Full symmetric eigendecomposition with per-state IPRs."""
+    """Full symmetric eigendecomposition with per-state IPRs.
+
+    A 1D matrix is banded (bandwidth = hopping range), and LAPACK's
+    ?sbevd diagonalizes the band directly by divide and conquer.  In
+    nu >= 2 dimensions the band is side^(nu - 1) wide and the dense
+    ?syevd of ``np.linalg.eigh`` is faster.  Every decomposition must
+    have residual max_i ||A v_i - e_i v_i|| <= 1e-8, taken with the sparse
+    matrix; a solver failure or a larger residual raises NumericalError
+    tagged with its realization.
+    """
     n = op.size
     if n > cap:
         raise ValueError(
             f"volume {n} exceeds the dense-diagonalization cap {cap}; "
             "reduce the volume (Green-function tools handle large ones)"
         )
-    dense = op.matrix.toarray()
-    if np.iscomplexobj(dense):
-        dense = dense.real
-    values, vectors = np.linalg.eigh(dense)
-    residual = np.max(np.linalg.norm(dense @ vectors - vectors * values, axis=0))
-    if residual > 1e-8:
+    matrix = op.matrix.real if np.iscomplexobj(op.matrix) else op.matrix
+    try:
+        if op.cube.dim == 1:
+            values, vectors = eig_banded(_lower_band(matrix), lower=True, check_finite=False)
+        else:
+            values, vectors = np.linalg.eigh(matrix.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}", realization=realization) from exc
+    residual = np.max(np.linalg.norm(matrix @ vectors - vectors * values, axis=0))
+    if not residual <= 1e-8:  # NaN fails too
         raise NumericalError("eigendecomposition residual above 1e-8",
                              residual=float(residual), realization=realization)
     iprs = np.sum(np.abs(vectors) ** 4, axis=0)

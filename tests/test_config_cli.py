@@ -604,3 +604,39 @@ def test_validate_rejects_non_finite_numbers():
         ("query.epsilon", "must be a number"),
         ("query.s", "must be a number"),
     ]
+
+
+def _theorem2_raw(sparse_set):
+    return {"kind": "theorem2_cube", "symbol": {"delta": 1}, "sparse_set": sparse_set,
+            "center": [0], "s": 0.5, "gamma": 1.0, "kappa_hat": 0.5}
+
+
+@pytest.mark.parametrize("raw, violation", [
+    # a coordinate JSON holds and int64 does not
+    (_theorem2_raw({"generator": "explicit_list", "alpha": 0.5,
+                    "sites": [[1180591620717411303424]]}),
+     "sparse_set.sites[0]: coordinates must lie strictly between -2^62 and 2^62"),
+    (_theorem2_raw({"generator": "bernoulli_thinned", "alpha": 0.5,
+                    "center": [2 ** 63 - 2], "half_side": 3}),
+     "sparse_set.center: coordinates must lie strictly between -2^62 and 2^62"),
+    # a center in range whose cube reaches past it
+    (_theorem2_raw({"generator": "bernoulli_thinned", "alpha": 0.5,
+                    "center": [2 ** 62 - 2], "half_side": 3}),
+     "sparse_set: cube [4611686018427387902] +/- 3 reaches |coordinate| >= 2^62"),
+    (_moments_raw(volume={"center": [0], "half_side": 2 ** 62}),
+     "volume: cube [0] +/- 4611686018427387904 reaches |coordinate| >= 2^62"),
+])
+def test_cli_coordinates_past_int64_exit_two(tmp_path, capsys, raw, violation):
+    path = _write_config(tmp_path, raw)
+    code = main([raw["kind"], "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert violation in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_keeps_the_largest_cube_below_the_coordinate_limit():
+    cfg = validate_config(_theorem2_raw({"generator": "full_cube", "alpha": 0.5,
+                                         "center": [2 ** 62 - 4], "half_side": 3}))
+    assert cfg.objects["sparse"].coords.ravel().tolist() == list(range(2 ** 62 - 7, 2 ** 62))

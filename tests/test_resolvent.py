@@ -722,14 +722,27 @@ _QUAD_SEARCHES = {
 def test_decoupling_search_matches_quad_driven_search(case):
     """Same kappa_hat to 1e-9 and the same minimizer.  The laws are symmetric
     about their mode, so a minimizer and its mirror image have equal ratios
-    in exact arithmetic and round-off picks one of the two: either counts."""
+    in exact arithmetic and round-off picks one of the two: both searches
+    report the canonical image."""
     name, s = case
     law = _RULE_LAWS[name]
     kappa, (eta, beta) = _QUAD_SEARCHES[case]
     dec = estimate_decoupling(law, s)
     assert dec.kappa_hat == pytest.approx(kappa, rel=1e-9, abs=0.0)
-    want = (complex(eta), complex(beta))
-    assert dec.minimizer in (want, tuple(_mirrored(law, p) for p in want))
+    assert dec.minimizer == resolvent._canonical_image(law, complex(eta), complex(beta))
+
+
+@pytest.mark.parametrize("law", [UniformLaw(-1.0, 1.0), GaussianLaw(0.0, 1.0),
+                                 UniformLaw(0.5, 1.5), TruncatedCauchyLaw(0.01, 1.0)])
+def test_decoupling_minimizer_mirror_images_report_one_point(law):
+    m = law.mode
+    for eta, beta in [(complex(m + 0.1953125, 0.25), complex(m - 1.640625, 0.0)),
+                      (complex(m, 0.5), complex(m + 0.859375, 0.125))]:
+        mirror = (_mirrored(law, eta), _mirrored(law, beta))
+        assert resolvent._canonical_image(law, *mirror) == (eta, beta)
+        assert resolvent._canonical_image(law, eta, beta) == (eta, beta)
+    on_mode = (complex(m, 0.0), complex(m, 0.5))  # its own mirror image
+    assert resolvent._canonical_image(law, *on_mode) == on_mode
 
 
 def test_decoupling_quad_driven_search_reproduces_pinned_entry(monkeypatch):
@@ -792,7 +805,8 @@ def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
                 r = ratio(eta, beta)
                 if r < kappa:
                     kappa, eta0, beta0 = r, eta, beta
-    fields = (float(kappa), float(kappa / (1.0 - s) ** s), (point(eta0), point(beta0)), interior)
+    fields = (float(kappa), float(kappa / (1.0 - s) ** s),
+              resolvent._canonical_image(law, point(eta0), point(beta0)), interior)
     return fields, needed
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sparseloc import spectra
 from sparseloc.cli import main
 from sparseloc.disorder import DisorderModel, GaussianLaw, UniformLaw, sample_potential
 from sparseloc.errors import NumericalError
@@ -220,41 +221,107 @@ def test_edge_scan_realization_floor():
         _scan(DisorderModel(UniformLaw(-1, 1), coupling=0.0, seed=1), empty, realizations=5)
 
 
-def _perturbed_eigh(monkeypatch):
-    exact = np.linalg.eigh
+# the solver each path calls: LAPACK's banded one on 1D volumes, dense eigh above
+_SOLVERS = {1: (spectra, "eig_banded"), 2: (np.linalg, "eigh")}
 
-    def eigh(a):
-        values, vectors = exact(a)
+
+def _perturbed(exact):
+    def solve(*args, **kwargs):
+        values, vectors = exact(*args, **kwargs)
         return values, vectors + 1e-4
+    return solve
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+def _diverging(exact):
+    def solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("eig algorithm did not converge")
+    return solve
+
+
+def _patch_solver(monkeypatch, dim, fault):
+    owner, name = _SOLVERS[dim]
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
 
 
 def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
-    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(1)), Cube((0,), 5))
-    _perturbed_eigh(monkeypatch)
-    with pytest.raises(NumericalError) as err:
-        eigensystem(op, realization=7)
-    assert err.value.diagnostics["realization"] == 7
-    assert err.value.diagnostics["residual"] > 1e-8
+    for dim in (1, 2):
+        op = assemble_finite_volume(kernel_from_symbol(delta_symbol(dim)), Cube((0,) * dim, 5))
+        with monkeypatch.context() as m:
+            _patch_solver(m, dim, _perturbed)
+            with pytest.raises(NumericalError) as err:
+                eigensystem(op, realization=7)
+        assert err.value.diagnostics["realization"] == 7
+        assert err.value.diagnostics["residual"] > 1e-8
 
 
-def test_edge_scan_residual_fault_exits_three(monkeypatch, tmp_path, capsys):
+def _edge_scan_config(tmp_path, dim):
     raw = {
         "kind": "edge_scan",
         "seed": 31,
-        "symbol": {"delta": 1},
-        "volume": {"center": [0], "half_side": 10},
+        "symbol": {"delta": dim},
+        "volume": {"center": [0] * dim, "half_side": 10 if dim == 1 else 3},
         "sparse_set": {"generator": "full_cube", "alpha": 0.5},
         "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 1.0},
         "realizations": 20,
         "s": 0.5,
     }
-    path = tmp_path / "config.json"
+    path = tmp_path / f"config_{dim}d.json"
     path.write_text(json.dumps(raw))
-    _perturbed_eigh(monkeypatch)
-    code = main(["edge_scan", "--config", str(path), "--out", str(tmp_path / "out")])
+    return ["edge_scan", "--config", str(path), "--out", str(tmp_path / f"out_{dim}d")]
+
+
+def _exits_three_naming_realization_zero(argv, capsys):
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
     assert "'realization': 0" in err
     assert "Traceback" not in err
+
+
+def test_edge_scan_residual_fault_exits_three(monkeypatch, tmp_path, capsys):
+    for dim in (1, 2):
+        with monkeypatch.context() as m:
+            _patch_solver(m, dim, _perturbed)
+            _exits_three_naming_realization_zero(_edge_scan_config(tmp_path, dim), capsys)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["banded-1d", "dense-2d"])
+def test_edge_scan_eigensolver_failure_exits_three(monkeypatch, tmp_path, capsys, dim):
+    _patch_solver(monkeypatch, dim, _diverging)
+    _exits_three_naming_realization_zero(_edge_scan_config(tmp_path, dim), capsys)
+
+
+RANGE2 = kernel_from_symbol(SymbolSpec((((1, 1.0), (2, 0.35)),)))
+ZERO = kernel_from_symbol(SymbolSpec(((),)))
+
+
+@pytest.mark.parametrize(
+    "kernel,bandwidth,cube,sparse,model",
+    [
+        (ZERO, 0, Cube((0,), 8), sparse_set_from_sites([(i,) for i in range(-8, 9)], 0.5, 1),
+         DisorderModel(UniformLaw(-1, 1), coupling=2.0, seed=5)),
+        (DELTA1, 0, Cube((4,), 0), sparse_set_from_sites([(4,)], 0.5, 1),  # no neighbour in V
+         DisorderModel(UniformLaw(-1, 1), coupling=3.0, seed=2)),
+        (DELTA1, 1, Cube((3,), 30), sparse_set_from_sites([(i,) for i in range(-27, 34, 2)], 0.5, 1),
+         DisorderModel(UniformLaw(-1, 1), coupling=4.0, seed=3)),
+        (DELTA1, 1, Cube((0,), 40), sparse_set_from_sites([], 0.5, 1),
+         DisorderModel(UniformLaw(-1, 1), coupling=25.0, seed=4)),
+        (RANGE2, 2, Cube((-5,), 25), sparse_set_from_sites([(i,) for i in range(-30, 21, 3)], 0.5, 1),
+         DisorderModel(GaussianLaw(0.5, 2.0), weight_gamma=0.5, seed=9)),
+        (RANGE2, 2, Cube((0,), 100), generate_sparse_set(0.5, Cube((0,), 100), "bernoulli_thinned", 5),
+         DisorderModel(UniformLaw(-1, 1), weight_gamma=0.5, seed=31)),
+    ],
+    ids=["zero-kernel", "one-site", "uniform", "empty-set", "weighted-gaussian-range2",
+         "bernoulli-range2"],
+)
+def test_banded_path_matches_dense_eigh(kernel, bandwidth, cube, sparse, model):
+    for r in range(2):
+        op = _assemble(kernel, sample_potential(model, sparse, r), cube)
+        assert spectra._lower_band(op.matrix).shape[0] == bandwidth + 1
+        report = eigensystem(op, realization=r)
+        dense = op.matrix.toarray()
+        values, vectors = np.linalg.eigh(dense)
+        scale = max(1.0, float(np.linalg.norm(dense, 2)))
+        np.testing.assert_allclose(report.eigenvalues, values, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
+                                   rtol=1e-10, atol=0.0)
