@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -25,6 +25,8 @@ Site = tuple[int, ...]
 _TAG_SHELL_COUNT = 101
 _TAG_SHELL_PLACE = 102
 _TAG_SITE_BERNOULLI = 103
+
+_CHUNK_ENTRIES = 1 << 17  # (shell, attempt, axis) draws per placement chunk
 
 
 def max_norm(site: Site, center: Site | None = None) -> int:
@@ -81,8 +83,10 @@ class Cube:
         return rel @ self.side ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
 
 
+@cache
 def cap_for(volume: int, alpha: float) -> int:
-    """ceil(volume^alpha) with a snap against float misrounding."""
+    """ceil(volume^alpha) with a snap against float misrounding; memoized,
+    as a cap profile asks for the same few (volume, alpha) pairs again."""
     v = math.pow(float(volume), alpha)
     r = round(v)
     if abs(v - r) <= 1e-9 * max(1.0, abs(v)):
@@ -249,36 +253,48 @@ def _binomial_icdf(u: float, n: int, p: float) -> int:
     return k
 
 
-def _place_keys(start: int, stop: int, dim: int) -> np.ndarray:
-    """(attempt, axis) draw keys of attempts ``start..stop-1``, attempt-major."""
-    return np.column_stack((np.repeat(np.arange(start, stop, dtype=np.int64), dim),
-                            np.tile(np.arange(dim, dtype=np.int64), stop - start)))
-
-
-def _place_on_shell(r: int, k: int, seed: int, dim: int, u: np.ndarray) -> np.ndarray:
-    """Offsets of the first ``k`` distinct shell sites hit by uniform draws
-    from the enclosing cube, in attempt order; fewer when the 512(k+4)
-    attempts hit fewer.  ``u`` holds the draws of attempts 0..255.  Draws
-    are keyed on (attempt, axis), so the prefix can grow in any chunks
-    without changing a draw."""
-    limit = 512 * (k + 4)
-    side = 2 * r + 1
-    n = 256
-    hits = []
-    while True:
-        offs = np.floor(u.reshape(-1, dim) * side).astype(np.int64) - r
-        hits.append(offs[np.max(np.abs(offs), axis=1) == r])
-        on_shell = np.concatenate(hits)
-        if side ** dim < 2 ** 63:  # lexicographic index in the enclosing cube
-            _, first_at = np.unique((on_shell + r) @ side ** np.arange(dim - 1, -1, -1),
-                                    return_index=True)
-        else:  # that index overflows int64: compare whole rows
-            _, first_at = np.unique(on_shell, axis=0, return_index=True)
-        if len(first_at) >= k or n >= limit:
-            return on_shell[np.sort(first_at)[:k]]
-        stop = min(4 * n, limit)
-        u = site_uniforms(seed, _TAG_SHELL_PLACE, r, _place_keys(n, stop, dim))
-        n = stop
+def _place_on_shells(radii, ks, seed: int, dim: int) -> list[np.ndarray]:
+    """Per shell, the offsets of the first ``k`` distinct shell sites hit by
+    uniform draws from its enclosing cube, in attempt order; fewer when its
+    512(k+4) attempts hit fewer.  Attempts are drawn in growing chunks for
+    the shells still short, at most ``_CHUNK_ENTRIES`` draws at a time (or
+    one attempt per shell, if more).  Draws are keyed on (radius, attempt,
+    axis), so no chunking changes a draw, and one sort keyed on (shell,
+    site) finds the first hits of every shell."""
+    radii = np.asarray(radii, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    limits = 512 * (ks + 4)
+    side = 2 * int(radii.max(initial=0)) + 1
+    fits = len(radii) * side ** dim < 2 ** 63  # key: shell, then index in the largest cube
+    axes = np.arange(dim, dtype=np.int64)
+    shell = np.zeros(0, dtype=np.int64)  # the distinct hits so far, by shell, then attempt
+    offs = np.zeros((0, dim), dtype=np.int64)
+    active = np.arange(len(radii))
+    start = 0
+    while len(active):
+        stop = min(max(64, 4 * start), int(limits[active].max()),
+                   start + max(1, _CHUNK_ENTRIES // (dim * len(active))))
+        r = radii[active, None, None]
+        attempts = np.arange(start, stop, dtype=np.int64)
+        u = key_uniforms(seed, _TAG_SHELL_PLACE, (r, attempts[:, None], axes))
+        new = np.floor(u * (2 * r + 1)).astype(np.int64) - r
+        hit = (np.max(np.abs(new), axis=2) == r[:, :, 0]) & (attempts < limits[active, None])
+        shell = np.concatenate((shell, active[np.nonzero(hit)[0]]))
+        offs = np.concatenate((offs, new[hit]))
+        if fits:
+            key = shell * side ** dim + (offs + side // 2) @ side ** np.arange(dim - 1, -1, -1)
+            _, first = np.unique(key, return_index=True)
+        else:  # that key overflows int64: compare whole (shell, site) rows
+            _, first = np.unique(np.column_stack((shell, offs)), axis=0, return_index=True)
+        first = first[np.lexsort((first, shell[first]))]
+        shell, offs = shell[first], offs[first]
+        found = np.bincount(shell, minlength=len(radii))
+        active = active[(found[active] < ks[active]) & (stop < limits[active])]
+        start = stop
+    found = np.bincount(shell, minlength=len(radii))
+    offs = offs[np.arange(len(shell)) - (np.cumsum(found) - found)[shell] < ks[shell]]
+    ends = np.cumsum(np.minimum(found, ks)).tolist()
+    return [offs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) -> list[np.ndarray]:
@@ -287,7 +303,9 @@ def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) 
     from Binomial(shell size, p) and places that many sites uniformly on it.
     Every shell is then hard-capped to the running cap.  The small shells
     form a ball around the center, drawn in one call with the radius as
-    each row's counter."""
+    each row's counter.  The large shells' counts are set on the
+    assumption that each finds its sites, and all are placed in one batch;
+    from the first shell that comes up short, counts and places are redone."""
     dim = cube.dim
     center = np.asarray(cube.center, dtype=np.int64)
     small = [r for r in range(1, cube.half_side + 1) if _shell_size(r, dim) <= 1024]
@@ -298,26 +316,39 @@ def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) 
     ball, radius = ball[order], radius[order]
     u_site = key_uniforms(seed, _TAG_SITE_BERNOULLI, (radius, *ball.T))
     starts = np.searchsorted(radius, np.arange(len(small) + 2)).tolist()
-    if large:
-        u_count = site_uniforms(seed, _TAG_SHELL_COUNT, large, [[0]])[:, 0].tolist()
-        first = site_uniforms(seed, _TAG_SHELL_PLACE, large, _place_keys(0, 256, dim))
     out = []
-    for r in range(1, cube.half_side + 1):
+    for r in small:
         allowed = cap_at(r) - count
-        if allowed <= 0:
-            continue
-        p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
-        if r <= len(small):
+        if allowed > 0:
             shell = slice(starts[r], starts[r + 1])
-            kept = ball[shell][u_site[shell] < p][:allowed]
+            p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
+            out.append(ball[shell][u_site[shell] < p][:allowed])
+            count += len(out[-1])
+    u_count = site_uniforms(seed, _TAG_SHELL_COUNT, large, [[0]])[:, 0].tolist() if large else []
+    placed = {}  # (r, k) -> offsets, kept across redos
+    while large:
+        plan, planned = [], count
+        for r, u in zip(large, u_count):
+            allowed = cap_at(r) - planned
+            if allowed > 0:
+                p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
+                k = min(_binomial_icdf(u, _shell_size(r, dim), p), allowed)
+                if k > 0:
+                    plan.append((r, k))
+                    planned += k
+        todo = [rk for rk in plan if rk not in placed]
+        if todo:
+            radii, ks = zip(*todo)
+            placed.update(zip(todo, _place_on_shells(radii, ks, seed, dim)))
+        for r, k in plan:
+            out.append(center + placed[r, k])
+            count += len(out[-1])
+            if len(out[-1]) < k:  # short: recount the shells after it
+                i = r + 1 - large[0]
+                del large[:i], u_count[:i]
+                break
         else:
-            i = r - large[0]
-            k = min(_binomial_icdf(u_count[i], _shell_size(r, dim), p), allowed)
-            if k <= 0:
-                continue
-            kept = center + _place_on_shell(r, k, seed, dim, first[i])
-        out.append(kept)
-        count += len(kept)
+            break
     return out
 
 
@@ -364,14 +395,14 @@ def sparseness_profile(sparse: SparseSet, cubes: list[Cube]) -> list[ProfileRow]
     """Cap check |S intersect Lambda| <= ceil(|Lambda|^alpha) per cube."""
     if not cubes:
         raise ValueError("cubes must be nonempty")
-    dist = {}  # max-norm distance of every site to each center, computed once
+    dist = {}  # sorted max-norm distances of the sites to each center, computed once
     rows = []
     for cube in cubes:
         count = 0  # a cube of another dimension contains no site
         if cube.dim == sparse.dim:
             if cube.center not in dist:
-                dist[cube.center] = np.max(np.abs(sparse.coords - cube.center), axis=1)
-            count = int(np.count_nonzero(dist[cube.center] <= cube.half_side))
+                dist[cube.center] = np.sort(np.max(np.abs(sparse.coords - cube.center), axis=1))
+            count = int(np.searchsorted(dist[cube.center], cube.half_side, "right"))
         cap = cap_for(cube.volume, sparse.alpha)
         rows.append(ProfileRow(cube.volume, count, cap, count <= cap))
     return rows

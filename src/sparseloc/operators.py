@@ -219,6 +219,17 @@ def assemble_finite_volume(kernel: KernelOperator, cube: Cube) -> AssembledOpera
     return AssembledOperator(cube, matrix)
 
 
+def band_storage(matrix: sp.spmatrix, k: int, dtype=float) -> np.ndarray:
+    """LAPACK band storage of a matrix with k diagonals on each side of the
+    main one: row k - d holds diagonal d.  The bottom k + 1 rows are the
+    lower band storage of a symmetric matrix."""
+    n = matrix.shape[0]
+    ab = np.zeros((2 * k + 1, n), dtype=dtype)
+    for d in range(-k, k + 1):
+        ab[k - d, max(d, 0):n + min(d, 0)] = matrix.diagonal(d)
+    return ab
+
+
 @dataclass(frozen=True)
 class DecayRow:
     offset: int

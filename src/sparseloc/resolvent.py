@@ -23,7 +23,8 @@ from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
-from .operators import AssembledOperator, KernelOperator, assemble_finite_volume, s_norm
+from .operators import (AssembledOperator, KernelOperator, assemble_finite_volume,
+                        band_storage, s_norm)
 
 _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
@@ -156,10 +157,8 @@ class RealizationEngine:
         self.chunk = max(1, _CHUNK_ENTRIES // n)
         self.band = None  # half-bandwidth on the banded path
         if kernel.dim == 1:
-            k = self.band = max((abs(o[0]) for o in kernel.offsets), default=0)
-            self.ab = np.zeros((2 * k + 1, n), dtype=complex)  # LAPACK band storage
-            for d in range(-k, k + 1):
-                self.ab[k - d, max(d, 0):n + min(d, 0)] = self.op.matrix.diagonal(d)
+            self.band = max((abs(o[0]) for o in kernel.offsets), default=0)
+            self.ab = band_storage(self.op.matrix, self.band, dtype=complex)
 
     def diagonals(self, realizations) -> np.ndarray:
         """Potentials of a block of realizations on the volume diagonal."""

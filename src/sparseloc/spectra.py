@@ -20,7 +20,7 @@ from ._stats import run_indexed
 from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import AssembledOperator, KernelOperator, s_norm
+from .operators import AssembledOperator, KernelOperator, band_storage, s_norm
 from .resolvent import RealizationEngine
 
 DENSE_CAP = 4096
@@ -48,11 +48,7 @@ def _lower_band(matrix: sp.spmatrix) -> np.ndarray:
     d-th subdiagonal, for d up to the farthest stored entry."""
     coo = matrix.tocoo()
     k = int(np.max(np.abs(coo.row - coo.col), initial=0))
-    n = matrix.shape[0]
-    band = np.zeros((k + 1, n))
-    for d in range(k + 1):
-        band[d, :n - d] = matrix.diagonal(-d)
-    return band
+    return band_storage(matrix, k)[k:]
 
 
 def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CAP) -> EigenReport:
@@ -84,7 +80,7 @@ def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CA
     if not residual <= 1e-8:  # NaN fails too
         raise NumericalError("eigendecomposition residual above 1e-8",
                              residual=float(residual), realization=realization)
-    iprs = np.sum(np.abs(vectors) ** 4, axis=0)
+    iprs = np.sum(np.square(np.square(vectors)), axis=0)
     return EigenReport(values, iprs, n, realization)
 
 

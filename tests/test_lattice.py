@@ -17,7 +17,7 @@ from sparseloc.lattice import (
     SparseSet,
     _axis_shell_sites,
     _binomial_icdf,
-    _place_on_shell,
+    _place_on_shells,
     _shell_radii,
     _shell_size,
     cap_for,
@@ -336,13 +336,22 @@ def test_binomial_count_sets_equal_scalar_reference(dim, half, alpha):
         assert list(sparse.sites) == _ref_generate(alpha, cube, "bernoulli_thinned", seed)
 
 
+def _assert_placement(center, radii, ks, seed):
+    got = _place_on_shells(radii, ks, seed, len(center))
+    assert len(got) == len(radii)
+    for r, k, offs in zip(radii, ks, got):
+        want = _ref_place(center, r, k, seed, len(center))
+        assert len(offs) == len(want)
+        assert sorted(map(tuple, (offs + np.asarray(center)).tolist())) == want
+
+
 @pytest.mark.parametrize("center,r,k,seed", [
-    ((0, 0, 0), 5, 300, 4),      # more hits needed than 256 attempts can give
-    ((2, -1, 7), 5, 170, 11),    # k reached in the second chunk
+    ((0, 0, 0), 5, 300, 4),      # more hits needed than 256 attempts can give (k at 826)
+    ((2, -1, 7), 5, 170, 11),    # k reached at attempt 408
     ((0,), 3, 5, 1),             # two shell sites: k never reached, attempt limit
     ((4, 4), 1, 20, 2),          # eight shell sites, k never reached
     ((4, 4), 1, 8, 9),           # every shell site, after many duplicate draws
-    ((0,) * 5, 2, 40, 6),        # k reached in the first chunk
+    ((0,) * 5, 2, 40, 6),        # k reached at attempt 43, in the first chunk
     ((1,) * 40, 1, 5, 3),        # 3**40 sites: the cube index overflows int64
     ((0,), 3000, 2, 12),         # both shell sites, the second at attempt 2587
     ((0,), 3000, 2, 43),         # one site hit at attempt 3063, just inside the
@@ -351,11 +360,38 @@ def test_binomial_count_sets_equal_scalar_reference(dim, half, alpha):
 ], ids=["beyond-256", "second-chunk", "limit-1d", "limit-2d", "duplicates", "first-chunk",
         "dim40", "third-chunk", "limit-edge-inside", "limit-edge-past"])
 def test_shell_placement_equals_scalar_reference(center, r, k, seed):
-    dim = len(center)
-    keys = np.array([[a, j] for a in range(256) for j in range(dim)], dtype=np.int64)
-    first = site_uniforms(seed, _TAG_SHELL_PLACE, r, keys)
-    got = _place_on_shell(r, k, seed, dim, first) + np.asarray(center)
-    assert sorted(map(tuple, got.tolist())) == _ref_place(center, r, k, seed, dim)
+    # each named shell is placed in one call with two more shells of its dimension
+    _assert_placement(center, [r, r + 1, r + 2], [k, 1, k], seed)
+
+
+def test_one_placement_call_mixes_chunks_and_limits():
+    # 1D, seed 43: shell r has sites +r and -r; attempts are drawn in chunks
+    # 0-63, 64-255, 256-1023 and then up to the largest limit, 512 (k + 4)
+    shells = [
+        (2017, 1),  # +r at attempt 62: the first chunk
+        (2040, 1),  # +r at 158: the second chunk
+        (2076, 2),  # +r at 290, -r at 1023, the last attempt of the third chunk
+        (2001, 2),  # -r at 458, +r at 2483: the fourth chunk
+        (2087, 2),  # +r at 1766, -r at 3062, just inside the limit of 3072
+        (2075, 2),  # +r at 2352, -r at 3093, past the limit: one site
+        (2012, 2),  # -r first at 4183: no site at all
+        (2100, 3),  # only -r (at 50) before 3584: this limit keeps the call
+                    # drawing past the 3072 of the k = 2 shells
+    ]
+    _assert_placement((0,), *zip(*shells), 43)
+    # 3D, seed 4: the k-th distinct site at attempts 826, 489, 7 and 161
+    _assert_placement((0, 0, 0), [5, 6, 7, 9], [300, 170, 2, 40], 4)
+    # 40D: (2r + 1)**40 overflows int64, so hits are compared as whole rows
+    _assert_placement((1,) * 40, [1, 2, 3], [5, 9, 1], 3)
+
+
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 40), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_batched_placement_equals_scalar_reference(dim, seed, data):
+    radii = data.draw(st.lists(st.integers(1, {1: 3000, 2: 60, 3: 12, 4: 5}[dim]),
+                               min_size=1, max_size=6, unique=True))
+    ks = data.draw(st.lists(st.integers(1, 8), min_size=len(radii), max_size=len(radii)))
+    _assert_placement((0,) * dim, sorted(radii), ks, seed)
 
 
 # SHA-256 of the concatenated sparse_set_to_text of the criterion-6 sets
@@ -379,6 +415,16 @@ def test_criterion_6_sets_are_pinned(generator, seed, digest):
         for nu, half, alphas in _C06_PLAN for alpha in alphas
     )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_set_with_short_large_shells_is_pinned():
+    # 22 large shells find fewer sites than their count, the first at r = 1133
+    # (k = 3, 2 found); each one changes the cap left for every later shell.
+    # Recorded from the generator that placed one shell at a time.
+    sparse = generate_sparse_set(0.5, Cube((0, 0), 1500), "bernoulli_thinned", 0)
+    assert len(sparse) == 3001
+    assert hashlib.sha256(sparse_set_to_text(sparse).encode()).hexdigest() == \
+        "49342d945d6c8df6c3b48d8236508abc3a4d9c996386a4bdb5ab2bb5bccb14ce"
 
 
 def test_coords_array_is_built_once_and_read_only():

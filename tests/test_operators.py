@@ -13,6 +13,7 @@ from sparseloc.operators import (
     KernelOperator,
     SymbolSpec,
     assemble_finite_volume,
+    band_storage,
     delta_symbol,
     kernel_decay_check,
     kernel_from_symbol,
@@ -272,3 +273,19 @@ def test_axis_derivative_sup_matches_grid_formula(axes):
     assert first.derivative_sup() == max(
         _derivative_sup_reference(series) for series in first.axes
     )
+
+
+@pytest.mark.parametrize("k,n", [(0, 1), (1, 7), (3, 10), (2, 2)])
+def test_band_storage_holds_each_diagonal_in_its_row(k, n):
+    rng = np.random.default_rng(k * 10 + n)
+    dense = np.triu(np.tril(rng.standard_normal((n, n)), k), -k)
+    dense = dense + dense.T  # symmetric, k diagonals each side
+    ab = band_storage(sp.csr_matrix(dense), k, dtype=complex)
+    assert ab.shape == (2 * k + 1, n) and ab.dtype == complex
+    for i, j in itertools.product(range(n), repeat=2):  # LAPACK: ab[k + i - j, j] = A[i, j]
+        if abs(i - j) <= k:
+            assert ab[k + i - j, j] == dense[i, j]
+    lower = band_storage(sp.csr_matrix(dense), k)[k:]  # row d: the d-th subdiagonal
+    for d in range(k + 1):
+        assert lower[d, :n - d].tolist() == np.diagonal(dense, -d).tolist()
+        assert not lower[d, n - d:].any()

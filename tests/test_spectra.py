@@ -325,3 +325,16 @@ def test_banded_path_matches_dense_eigh(kernel, bandwidth, cube, sparse, model):
         np.testing.assert_allclose(report.eigenvalues, values, rtol=0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
                                    rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("kernel,half", [(DELTA1, 200), (RANGE2, 150)], ids=["nn-401", "range2-301"])
+def test_ipr_sum_equals_abs_fourth_power(kernel, half):
+    # eigensystem squares the vectors twice; the sum must match |v|**4 to 1e-14
+    cube = Cube((0,), half)
+    model = DisorderModel(UniformLaw(-1, 1), coupling=3.0, seed=8)
+    sparse = generate_sparse_set(0.5, cube, "bernoulli_thinned", 2)
+    op = _assemble(kernel, sample_potential(model, sparse, 0), cube)
+    report = eigensystem(op)
+    _, vectors = spectra.eig_banded(spectra._lower_band(op.matrix), lower=True, check_finite=False)
+    np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
+                               rtol=1e-14, atol=0.0)
