@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 from .config import validate_config
-from .disorder import UniformLaw
+from .disorder import DisorderModel, UniformLaw
+from .errors import ConfigError
 from .dynamics import (
-    PropagatorQuery,
     axis_factor_bessel,
     axis_factor_table,
-    evolution_kernel,
+    kernel_elements,
     verify_offdiagonal_decay,
     verify_time_decay,
 )
@@ -41,14 +41,8 @@ from .lattice import (
     sparse_set_from_sites,
     sparseness_profile,
 )
-from .operators import (
-    assemble_finite_volume,
-    delta_symbol,
-    kernel_from_symbol,
-    neumann_fractional_bound,
-    s_norm,
-)
-from .resolvent import estimate_decoupling, green_row, lambda_threshold, theorem2_cube
+from .operators import delta_symbol, kernel_from_symbol, neumann_fractional_bound, s_norm
+from .resolvent import RealizationEngine, estimate_decoupling, lambda_threshold, theorem2_cube
 
 PINNED_NEUMANN_E3 = 1.4537516965565431  # 3^-0.9 / (1 - 2/3^0.9): |E|^(-s) / (1 - ||H0||_s^s/|E|^s)
 
@@ -61,7 +55,7 @@ class CriterionResult:
     details: str
 
 
-def criterion_01_s_norm_exactness(workdir=None, threads=1) -> CriterionResult:
+def criterion_01_s_norm_exactness(workdir, threads=1) -> CriterionResult:
     worst = 0.0
     for nu in (1, 2, 3):
         kernel = kernel_from_symbol(delta_symbol(nu))
@@ -74,14 +68,18 @@ def criterion_01_s_norm_exactness(workdir=None, threads=1) -> CriterionResult:
     )
 
 
-def criterion_02_neumann_domination(workdir=None, threads=1) -> CriterionResult:
+def criterion_02_neumann_domination(workdir, threads=1) -> CriterionResult:
     kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, Cube((0,), 1000))
+    # lambda = 0 on an empty S: the engine's rows are rows of the free resolvent
+    engine = RealizationEngine(kernel, Cube((0,), 1000), sparse_set_from_sites([], 0.5, 1),
+                               DisorderModel(UniformLaw(-1.0, 1.0), coupling=0.0), (0,))
+    free = engine.diagonals(range(1))
     s = 0.9
     dominated = True
     details = []
     for energy in (3.0, 4.0, 6.0):
-        direct = green_row(op, complex(energy, 1e-6), (0,)).sum_abs_pow(s)
+        row = engine.green_rows(complex(energy, 1e-6), free)[0][0]
+        direct = float(np.sum(np.abs(row) ** s))
         bound = neumann_fractional_bound(kernel, energy, s)
         holds = direct <= bound
         dominated = dominated and holds
@@ -98,19 +96,19 @@ def criterion_02_neumann_domination(workdir=None, threads=1) -> CriterionResult:
     )
 
 
-def criterion_03_propagator(workdir=None, threads=1) -> CriterionResult:
+def criterion_03_propagator(workdir, threads=1) -> CriterionResult:
     worst = 0.0
     worst_unitarity = 0.0
+    times = (0.5, 1.0, 5.0, 20.0)
     for nu in (1, 2):
         spec = delta_symbol(nu)
         box = list(itertools.product(range(-30, 31), repeat=nu))
-        for t in (0.5, 1.0, 5.0, 20.0):
-            kernel = evolution_kernel(PropagatorQuery(spec, t, tuple(box)))
-            for off in box:
+        for t, kernel in zip(times, kernel_elements(spec, box, times).tolist()):
+            for off, value in zip(box, kernel):
                 oracle = 1.0 + 0.0j
                 for axis in range(nu):
                     oracle *= axis_factor_bessel(1, 1.0, t, off[axis])
-                worst = max(worst, abs(kernel[off] - oracle))
+                worst = max(worst, abs(value - oracle))
             d_max = int(2 * t + 12 * (2 * t + 1) ** (1 / 3) + 64)
             table = axis_factor_table(spec, 0, t, d_max)
             worst_unitarity = max(worst_unitarity, abs(np.sum(np.abs(table) ** 2) - 1.0))
@@ -123,7 +121,7 @@ def criterion_03_propagator(workdir=None, threads=1) -> CriterionResult:
     )
 
 
-def criterion_04_time_decay_exponents(workdir=None, threads=1) -> CriterionResult:
+def criterion_04_time_decay_exponents(workdir, threads=1) -> CriterionResult:
     t_grid = np.geomspace(50.0, 800.0, 25)
     fits = verify_time_decay(delta_symbol(1), t_grid)
     fit = fits[0]
@@ -137,7 +135,7 @@ def criterion_04_time_decay_exponents(workdir=None, threads=1) -> CriterionResul
     )
 
 
-def criterion_05_offdiagonal_regime(workdir=None, threads=1) -> CriterionResult:
+def criterion_05_offdiagonal_regime(workdir, threads=1) -> CriterionResult:
     check = verify_offdiagonal_decay(delta_symbol(1), 5.0, [(d,) for d in range(20, 61)])
     violations = [r for r in check.rows if not r.passed]
     return CriterionResult(
@@ -149,7 +147,7 @@ def criterion_05_offdiagonal_regime(workdir=None, threads=1) -> CriterionResult:
     )
 
 
-def criterion_06_sparse_caps(workdir=None, threads=1) -> CriterionResult:
+def criterion_06_sparse_caps(workdir, threads=1) -> CriterionResult:
     exhaustive = {1: 31, 2: 15, 3: 7}
     sampled = {4: 16, 5: 30}
     violations = 0
@@ -175,8 +173,6 @@ def criterion_06_sparse_caps(workdir=None, threads=1) -> CriterionResult:
 
 
 def _acceptance_dir(workdir) -> Path:
-    if workdir is None:
-        return Path(tempfile.mkdtemp(prefix="sparseloc-acceptance-"))
     path = Path(workdir)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -201,7 +197,7 @@ def sparseness_config(weight: bool, t_max: float = 64.0) -> dict:
     return cfg
 
 
-def criterion_07_sparseness_integral(workdir=None, threads=1) -> CriterionResult:
+def criterion_07_sparseness_integral(workdir, threads=1) -> CriterionResult:
     base = _acceptance_dir(workdir)
     details = []
     passed = True
@@ -235,7 +231,7 @@ def moments_config(energy: float, realizations: int = 200, check_am: bool = True
     }
 
 
-def criterion_08_am_uniform_bound(workdir=None, threads=1) -> CriterionResult:
+def criterion_08_am_uniform_bound(workdir, threads=1) -> CriterionResult:
     base = _acceptance_dir(workdir)
     details = []
     passed = True
@@ -268,11 +264,11 @@ def decay_fit_config(realizations: int = 800, half_side: int = 200) -> dict:
     }
 
 
-def criterion_09_localization_decay(workdir=None, threads=1) -> CriterionResult:
+def criterion_09_localization_decay(workdir, threads=1) -> CriterionResult:
     base = _acceptance_dir(workdir)
     kernel = kernel_from_symbol(delta_symbol(1))
     dec = estimate_decoupling(UniformLaw(-1.0, 1.0), 0.5)
-    lam_hat = lambda_threshold(kernel, 0.5, dec)
+    lam_hat = lambda_threshold(kernel, 0.5, dec.kappa_hat)
     regime_ok = 30.0 >= 2.0 * lam_hat and abs(5.0 - 1.25 * s_norm(kernel, 0.5)) < 1e-12
     cfg = validate_config(decay_fit_config())
     manifest = run_experiment(cfg, out_dir=str(base / "decay_fit"), threads=threads)
@@ -315,7 +311,7 @@ def simon_wolff_config(branch: str) -> dict:
     }
 
 
-def criterion_10_simon_wolff(workdir=None, threads=1) -> CriterionResult:
+def criterion_10_simon_wolff(workdir, threads=1) -> CriterionResult:
     base = _acceptance_dir(workdir)
     details = []
     passed = True
@@ -334,7 +330,7 @@ def criterion_10_simon_wolff(workdir=None, threads=1) -> CriterionResult:
     )
 
 
-def criterion_11_theorem2_cube(workdir=None, threads=1) -> CriterionResult:
+def criterion_11_theorem2_cube(workdir, threads=1) -> CriterionResult:
     kernel = kernel_from_symbol(delta_symbol(1))
     sparse = sparse_set_from_sites([(i,) for i in range(-10, 11)], 0.5, 1)
     result = theorem2_cube((0,), 0.5, 1.0, kernel, 1.0, sparse)
@@ -384,7 +380,7 @@ def edge_scan_config(half_side: int = 200, realizations: int = 20) -> dict:
     }
 
 
-def criterion_12_mobility_edge_contrast(workdir=None, threads=1) -> CriterionResult:
+def criterion_12_mobility_edge_contrast(workdir, threads=1) -> CriterionResult:
     base = _acceptance_dir(workdir)
     cfg = validate_config(edge_scan_config())
     manifest = run_experiment(cfg, out_dir=str(base / "edge_scan"), threads=threads)
@@ -431,7 +427,7 @@ def _thread_variant_configs() -> list[dict]:
     ]
 
 
-def criterion_13_reproducibility(workdir=None, threads=1) -> CriterionResult:
+def criterion_13_reproducibility(workdir, threads=1) -> CriterionResult:
     base = _acceptance_dir(workdir)
     mismatched = []
     for cfg_raw in _thread_variant_configs():
@@ -459,7 +455,7 @@ def criterion_13_reproducibility(workdir=None, threads=1) -> CriterionResult:
     )
 
 
-CRITERIA = (
+CRITERIA = {int(fn.__name__.split("_")[1]): fn for fn in (
     criterion_01_s_norm_exactness,
     criterion_02_neumann_domination,
     criterion_03_propagator,
@@ -473,16 +469,25 @@ CRITERIA = (
     criterion_11_theorem2_cube,
     criterion_12_mobility_edge_contrast,
     criterion_13_reproducibility,
-)
+)}
 
 
 def run_acceptance(indices=None, workdir=None, threads: int = 1, printer=print):
-    """Run the selected criteria (all by default), printing one line each."""
+    """Run the selected criteria (all by default), printing one line each.
+
+    Artifacts go under ``workdir``; without one, under a temporary
+    directory that is removed when the run ends, passed or failed.
+    """
+    unknown = sorted(set(indices or ()) - CRITERIA.keys())
+    if unknown:
+        raise ConfigError([("--criteria", f"unknown criteria {', '.join(map(str, unknown))}; "
+                                          f"the criteria are 1-{len(CRITERIA)}")])
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="sparseloc-acceptance-") as scratch:
+            return run_acceptance(indices, scratch, threads, printer)
     results = []
-    wanted = set(indices) if indices else None
-    for fn in CRITERIA:
-        idx = int(fn.__name__.split("_")[1])
-        if wanted is not None and idx not in wanted:
+    for idx, fn in CRITERIA.items():
+        if indices and idx not in indices:
             continue
         result = fn(workdir=workdir, threads=threads)
         results.append(result)

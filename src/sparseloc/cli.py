@@ -113,6 +113,10 @@ def _run_verify(args) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     try:
         results = run_acceptance(indices=indices, workdir=args.out, threads=threads)
+    except ConfigError as exc:
+        for field, reason in exc.violations:
+            print(f"verify: {field}: {reason}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -365,6 +365,20 @@ def _monte_carlo(p, bad):
     return {}
 
 
+def _decay_fit(p, bad):
+    """As the Monte-Carlo kinds, with k_s finite: C(E, ., s) is lambda^s
+    kappa_hat on the sites of S and |E|^s off them, and must be positive."""
+    derived = _monte_carlo(p, bad)
+    volume, sparse, model, query = (p.get(k) for k in ("volume", "sparse_set", "disorder", "query"))
+    if sparse is not None and len(sparse) and model is not None and model.coupling == 0:
+        bad.append(("disorder.lambda", "must be > 0 when S is nonempty: k_s divides by lambda^s"))
+    if (sparse is not None and volume is not None and len(sparse) < volume.volume
+            and query is not None and query["energy"] == 0):
+        bad.append(("query.energy", "must be nonzero when S leaves sites of the volume free: "
+                                    "k_s divides by |E|^s"))
+    return derived
+
+
 def _edge_scan(p, bad):
     _monte_carlo(p, bad)
     volume = p.get("volume")
@@ -432,7 +446,7 @@ _KINDS = {
         "check_am_bound": (_check(lambda v: isinstance(v, bool), "must be a boolean"), False),
     }, _monte_carlo),
     "decay_fit": (_MC_F | {"query": (_query(2), REQUIRED), "kappa_hat": (_POSITIVE, None)},
-                  _monte_carlo),
+                  _decay_fit),
     "simon_wolff": (_MC_F | {
         "query": (_query(1), REQUIRED),
         "eps_ladder": (_seq("must be a strictly decreasing list of positive numbers", min_len=2,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._rng import site_uniforms
-from .lattice import SparseSet, Site, max_norm
+from .lattice import SparseSet, Site
 
 _TAG_POTENTIAL = 201
 
@@ -158,13 +158,6 @@ def make_law(name: str, params) -> Law:
     raise ValueError(f"unknown law {name!r}")
 
 
-def weight_value(gamma: float, site: Site) -> float:
-    """Growing coupling (1 + |n|)^gamma, max-norm distance to the origin."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    return (1.0 + max_norm(site)) ** gamma
-
-
 @dataclass(frozen=True)
 class DisorderModel:
     """Law plus either a constant coupling or a growing weight sequence."""
@@ -181,8 +174,8 @@ class DisorderModel:
             raise ValueError("weight gamma must be > 0")
 
     def couplings(self, sparse: SparseSet) -> float | np.ndarray:
-        """The constant coupling, or ``weight_value`` of each site of S in
-        order (bitwise; built once per set and gamma)."""
+        """The constant coupling, or the growing weight (1 + |n|)^gamma of
+        each site of S in order (``SparseSet.weights``)."""
         if self.weight_gamma is None:
             return self.coupling
         return sparse.weights(self.weight_gamma)

@@ -10,6 +10,11 @@ e^{-i t h_i}, computed by a periodic trapezoid sum (spectrally accurate)
 with node count scaled to t so aliasing stays below 1e-10.  For a pure
 single-harmonic axis 2 c cos(k theta) the factor has the closed Bessel
 form (-i)^(d/k) J_(d/k)(2 c t), kept as a cross-check path only.
+
+Every matrix element, single or summed over a source phi, is one array
+product of axis tables in ``_site_amplitudes``.  The tests keep the
+element-by-element product (``evolution_kernel`` in ``tests/oracles.py``)
+as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -27,20 +32,7 @@ from .errors import NumericalError
 from .lattice import SparseSet, Site, cap_violation, max_norm
 from .operators import SymbolSpec
 
-_GRID = 8192
 _CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of times
-
-
-@dataclass(frozen=True)
-class PropagatorQuery:
-    spec: SymbolSpec
-    t: float
-    offsets: tuple[Site, ...]
-
-    def __post_init__(self):
-        for d in self.offsets:
-            if len(d) != self.spec.dim:
-                raise ValueError(f"offset {d} does not match dimension {self.spec.dim}")
 
 
 def _node_count(t: float, slope: float, d_max: int) -> int:
@@ -86,24 +78,15 @@ def axis_factor_bessel(k: int, c: float, t: float, d: int) -> complex:
     return (-1j) ** j * jv(j, 2.0 * c * t)
 
 
-def evolution_kernel(query: PropagatorQuery) -> dict[Site, complex]:
-    """Propagator matrix elements at the requested offsets."""
-    spec, t = query.spec, query.t
-    if not query.offsets:
-        return {}
-    tables = []
-    d_maxes = []
-    for axis in range(spec.dim):
-        d_max = max(abs(d[axis]) for d in query.offsets)
-        tables.append(axis_factor_table(spec, axis, t, d_max))
-        d_maxes.append(d_max)
-    out = {}
-    for d in query.offsets:
-        value = 1.0 + 0.0j
-        for axis in range(spec.dim):
-            value *= tables[axis][d[axis] + d_maxes[axis]]
-        out[d] = complex(value)
-    return out
+def kernel_elements(spec: SymbolSpec, offsets, ts) -> np.ndarray:
+    """Propagator matrix elements kernel(t, d): one row per time of ``ts``,
+    one column per offset, the amplitudes of a unit source at the origin."""
+    sites = np.asarray(offsets, dtype=np.int64)
+    if sites.size == 0:
+        sites = sites.reshape(0, spec.dim)
+    if sites.ndim != 2 or sites.shape[1] != spec.dim:
+        raise ValueError(f"offsets of shape {sites.shape} do not match dimension {spec.dim}")
+    return _site_amplitudes(spec, {(0,) * spec.dim: 1.0}, sites, np.asarray(ts, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -132,14 +115,14 @@ def verify_offdiagonal_decay(spec: SymbolSpec, t: float, offsets) -> Offdiagonal
     admissible = [d for d in offsets if max_norm(d) > 0 and nu * abs(t) * hprime / max_norm(d) <= 0.5]
     if not admissible:
         raise ValueError("no admissible offsets: need |d| >= 2 nu |t| sup|h'|")
-    kernel = evolution_kernel(PropagatorQuery(spec, t, tuple(admissible)))
+    mags = dict(zip(admissible, np.abs(kernel_elements(spec, admissible, [t])[0]).tolist()))
     d_min = min(max_norm(d) for d in admissible)
     power = 2 * nu + 1
-    calib = max(abs(kernel[d]) for d in admissible if max_norm(d) == d_min) * d_min ** power
+    calib = max(mags[d] for d in admissible if max_norm(d) == d_min) * d_min ** power
     rows = []
     for d in sorted(admissible, key=max_norm):
         dist = max_norm(d)
-        mag = abs(kernel[d])
+        mag = mags[d]
         bound = calib / dist ** power
         rows.append(OffdiagonalRow(d, dist, mag, bound, bool(mag <= bound * (1 + 1e-12))))
     return OffdiagonalCheck(tuple(rows), calib, d_min)
@@ -156,18 +139,6 @@ def _grid_zeros(values: np.ndarray) -> list[int]:
     return idx
 
 
-def _axis_profiles(spec: SymbolSpec, axis: int):
-    thetas = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-    d1 = np.zeros(_GRID)
-    d2 = np.zeros(_GRID)
-    d3 = np.zeros(_GRID)
-    for k, c in spec.axes[axis]:
-        d1 -= 2.0 * c * k * np.sin(k * thetas)
-        d2 -= 2.0 * c * k * k * np.cos(k * thetas)
-        d3 += 2.0 * c * k ** 3 * np.sin(k * thetas)
-    return d1, d2, d3
-
-
 def _axis_targets(spec: SymbolSpec, axis: int) -> tuple[float, float]:
     """(max-over-d target, fixed d=0 target) exponents for one axis.
 
@@ -175,7 +146,7 @@ def _axis_targets(spec: SymbolSpec, axis: int) -> tuple[float, float]:
     somewhere with h''' != 0 there; the d = 0 element sees only the
     stationary points of h', hence t^(-1/2) when those are nondegenerate.
     """
-    d1, d2, d3 = _axis_profiles(spec, axis)
+    d1, d2, d3 = spec.axis_derivatives(axis)
     scale = max(np.max(np.abs(d2)), 1e-30)
     max_target = -0.5
     for i in _grid_zeros(d2):
@@ -236,12 +207,7 @@ def verify_time_decay(
             table = axis_factor_table(spec, axis, t, d_max)
             max_vals.append(float(np.max(np.abs(table))))
             window = t * (1.0 + np.linspace(-0.08, 0.08, 65))
-            amps = []
-            for tw in window:
-                n = _node_count(tw, slope_sup, 0)
-                thetas = 2.0 * math.pi * np.arange(n) / n
-                amps.append(abs(np.mean(np.exp(-1j * tw * spec.axis_values(axis, thetas)))))
-            fixed_vals.append(max(amps))
+            fixed_vals.append(float(np.max(np.abs(_axis_tables(spec, axis, window, 0)))))
         max_slope = fit_loglog(t_grid, max_vals)
         fixed_slope = fit_loglog(t_grid, fixed_vals)
         max_target, fixed_target = _axis_targets(spec, axis)
@@ -288,15 +254,6 @@ def _site_amplitudes(
     return psi
 
 
-def _weights(sites: np.ndarray, gamma: float | None) -> np.ndarray:
-    if sites.shape[0] == 0:
-        return np.zeros(0)
-    radii = np.max(np.abs(sites), axis=1) if sites.shape[1] else np.zeros(len(sites))
-    if gamma is None:
-        return np.ones(sites.shape[0])
-    return (1.0 + radii) ** gamma
-
-
 def projected_norm(
     spec: SymbolSpec,
     sparse: SparseSet,
@@ -309,7 +266,7 @@ def projected_norm(
     of at most ``_CHUNK_ENTRIES`` (time, site) amplitudes."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     sites = sparse.coords
-    w = _weights(sites, weight_gamma)
+    w = 1.0 if weight_gamma is None else sparse.weights(weight_gamma)
     step = max(1, _CHUNK_ENTRIES // max(1, sites.shape[0]))
     c = np.empty(ts.size)
     for i in range(0, ts.size, step):
@@ -380,8 +337,7 @@ def sparseness_integral(
         raise ValueError(too_dense)
     phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
     norm_phi = math.sqrt(sum(abs(a) ** 2 for a in phi.values()))
-    sites = sparse.coords
-    w = _weights(sites, weight_gamma)
+    w = 1.0 if weight_gamma is None else sparse.weights(weight_gamma)
     head_bound = float(np.max(w) * norm_phi) if len(sparse) else 0.0
 
     def c_of_t(ts: np.ndarray) -> np.ndarray:

@@ -27,12 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .dynamics import (
-    PropagatorQuery,
-    cook_integrand,
-    evolution_kernel,
-    sparseness_integral,
-)
+from .dynamics import cook_integrand, kernel_elements, sparseness_integral
 from .lattice import centered_subcubes, sparseness_profile, sparse_set_to_text
 from .operators import kernel_decay_check, kernel_from_symbol, periodized_gaussian, s_norm
 from .resolvent import (
@@ -191,12 +186,9 @@ def _run_propagator(cfg, stage, threads):
     o = cfg.objects
     spec = o["spec"]
     header = ["t"] + [f"d{i+1}" for i in range(spec.dim)] + ["re", "im", "abs"]
-    rows = []
-    for t in o["times"]:
-        kernel = evolution_kernel(PropagatorQuery(spec, float(t), tuple(o["offsets"])))
-        for off in o["offsets"]:
-            v = kernel[off]
-            rows.append((float(t),) + tuple(off) + (v.real, v.imag, abs(v)))
+    kernel = kernel_elements(spec, o["offsets"], o["times"])
+    rows = [(float(t),) + tuple(off) + (v.real, v.imag, abs(v))
+            for t, row in zip(o["times"], kernel.tolist()) for off, v in zip(o["offsets"], row)]
     write_csv(stage / "propagator.csv", header, rows)
     return {}, {}
 
@@ -350,7 +342,7 @@ def _run_thresholds(cfg, stage, threads):
     for s in o["s_grid"]:
         dec = estimate_decoupling(model.law, s)
         interior_ok = interior_ok and dec.interior
-        lam_s = lambda_threshold(kernel, s, dec)
+        lam_s = lambda_threshold(kernel, s, dec.kappa_hat)
         rows.append(
             (s, s_norm(kernel, s), dec.kappa_hat, dec.d_eff, lam_s,
              am_uniform_bound(model.coupling, s) if model.coupling > 0 else math.inf)

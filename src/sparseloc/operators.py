@@ -59,22 +59,31 @@ class SymbolSpec:
             out += 2.0 * c * np.cos(k * thetas)
         return out
 
+    def axis_derivatives(self, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h', h'' and h''' of h_axis on a fine grid (2 pi / 8192 spacing)."""
+        return _series_derivatives(self.axes[axis])
+
     def axis_derivative_sup(self, axis: int) -> float:
-        """sup |h_axis'| over a fine grid (2 pi / 8192 spacing)."""
-        return _series_derivative_sup(self.axes[axis])
+        """sup |h_axis'| over the grid of ``axis_derivatives``."""
+        return float(np.max(np.abs(self.axis_derivatives(axis)[0])))
 
     def derivative_sup(self) -> float:
         return max(self.axis_derivative_sup(i) for i in range(self.dim))
 
 
 @cache
-def _series_derivative_sup(series: tuple[tuple[int, float], ...]) -> float:
-    """Grid sup of |h'| for one axis series, computed once per distinct series."""
+def _series_derivatives(series: tuple[tuple[int, float], ...]):
+    """Read-only grid profiles of h', h'' and h''' for one axis series,
+    computed once per distinct series."""
     thetas = np.linspace(0.0, 2.0 * math.pi, _DERIV_GRID, endpoint=False)
-    d = np.zeros(_DERIV_GRID)
+    d1, d2, d3 = np.zeros((3, _DERIV_GRID))
     for k, c in series:
-        d -= 2.0 * c * k * np.sin(k * thetas)
-    return float(np.max(np.abs(d)))
+        d1 -= 2.0 * c * k * np.sin(k * thetas)
+        d2 -= 2.0 * c * k * k * np.cos(k * thetas)
+        d3 += 2.0 * c * k ** 3 * np.sin(k * thetas)
+    for d in (d1, d2, d3):
+        d.flags.writeable = False
+    return d1, d2, d3
 
 
 def delta_symbol(dim: int, k: int = 1, amplitude: float = 1.0) -> SymbolSpec:
@@ -260,7 +269,7 @@ def _estimate_c_h(h, dim: int) -> float:
     estimate.
     """
     n = 4096
-    coeff = np.fft.fft([h(t) for t in 2.0 * math.pi * np.arange(n) / n]) / n
+    coeff = _fourier_coefficients(h, n)
     floor = 1e-13 * np.max(np.abs(coeff))
     coeff = np.where(np.abs(coeff) > floor, coeff, 0.0)
     freqs = np.fft.fftfreq(n, d=1.0 / n)

@@ -23,8 +23,7 @@ from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
-from .operators import (AssembledOperator, KernelOperator, assemble_finite_volume,
-                        band_storage, s_norm)
+from .operators import KernelOperator, assemble_finite_volume, band_storage, s_norm
 
 _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
@@ -55,46 +54,6 @@ class GreenQuery:
 
 
 @dataclass(frozen=True)
-class GreenRow:
-    cube: Cube
-    source: Site
-    vector: np.ndarray
-    residual: float
-
-    def at(self, op: AssembledOperator, site: Site) -> complex:
-        return complex(self.vector[op.index_of(site)])
-
-    def sum_abs_pow(self, s: float) -> float:
-        return float(np.sum(np.abs(self.vector) ** s))
-
-
-def green_row(op: AssembledOperator, z: complex, source: Site) -> GreenRow:
-    """Solve (A - z) x = delta_source; x is the Green row by symmetry.
-
-    Direct sparse factorization with SuperLU's defaults (COLAMD ordering,
-    partial pivoting) at every size.  The fill grows faster than the
-    volume: 3.6 M L+U entries for a 2D cube of 40,401 sites.  The
-    residual contract (<= 1e-10 relative to the unit right-hand side) is
-    met without refinement; this is the reference the realization
-    engine's faster path is tested against.
-    """
-    if z.imag == 0:
-        raise ValueError("Im z must be nonzero")
-    n = op.size
-    shifted = (op.matrix.astype(complex) - z * sp.identity(n, dtype=complex, format="csr")).tocsc()
-    rhs = np.zeros(n, dtype=complex)
-    rhs[op.index_of(source)] = 1.0
-    try:
-        x = spla.splu(shifted).solve(rhs)
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse solve failed: {exc}") from exc
-    residual = float(np.linalg.norm(shifted @ x - rhs))
-    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
-        raise NumericalError("solver residual above tolerance", residual=residual)
-    return GreenRow(op.cube, tuple(source), x, residual)
-
-
-@dataclass(frozen=True)
 class MomentEstimate:
     """Per-site Monte-Carlo estimate of E|G(E + i eps; n, m)|^s."""
 
@@ -102,12 +61,7 @@ class MomentEstimate:
     mean: np.ndarray
     stderr: np.ndarray
     count: int
-    _op: AssembledOperator
     set_index: np.ndarray | None = None  # matrix indices of the sites of S
-
-    def at(self, site: Site) -> tuple[float, float]:
-        i = self._op.index_of(site)
-        return float(self.mean[i]), float(self.stderr[i])
 
     def distance_profile(self, boundary_margin: int = 2):
         """Rows (distance, mean, stderr, n_sites) by max-norm distance
@@ -141,8 +95,9 @@ class RealizationEngine:
     degree ordering of A + A^T with diagonal-preferring threshold pivoting
     (0.01) roughly halves the fill of the default COLAMD ordering; one
     step of iterative refinement with the same factor restores the
-    accuracy the relaxed pivoting gives up.  ``green_row``, on default
-    ``splu``, is the reference this path is tested against.  Every
+    accuracy the relaxed pivoting gives up.  The tests hold the reference
+    both paths are checked against: ``green_row`` in ``tests/oracles.py``,
+    one default ``splu`` (COLAMD, partial pivoting) per row.  Every
     residual ||(A - z) x - delta|| must be <= 1e-10; a failed or
     inaccurate solve raises NumericalError tagged with its realization.
     """
@@ -234,7 +189,7 @@ def fractional_moment_estimate(
         return np.abs(engine.green_rows(query.z, diags, first)[0]) ** query.s
 
     acc = engine.reduce(block, query.realizations, engine.op.size, threads)
-    return MomentEstimate(query, acc.mean, acc.stderr(), acc.count, engine.op, engine.index)
+    return MomentEstimate(query, acc.mean, acc.stderr(), acc.count, engine.index)
 
 
 @dataclass(frozen=True)
@@ -399,18 +354,12 @@ def _canonical_image(law, eta: complex, beta: complex) -> tuple[complex, complex
     return eta, beta
 
 
-def _kappa_of(dec) -> float:
-    if isinstance(dec, (int, float)):
-        return float(dec)
-    return float(dec.kappa_hat)
-
-
 def coupling_constant_C(
-    energy: float, coupling: float, s: float, on_sparse_set: bool, dec
+    energy: float, coupling: float, s: float, on_sparse_set: bool, kappa_hat: float
 ) -> float:
     """|E|^s off the random set; |coupling|^s kappa_hat on it."""
     if on_sparse_set:
-        return abs(coupling) ** s * _kappa_of(dec)
+        return abs(coupling) ** s * kappa_hat
     return abs(energy) ** s
 
 
@@ -427,7 +376,7 @@ def k_s_factor(
     coupling: float,
     s: float,
     on_set_profile,
-    dec,
+    kappa_hat: float,
 ) -> KsReport:
     """k_s = ||H0||_s^s / min_site C(E, ., s); localization regime iff < 1.
 
@@ -438,7 +387,7 @@ def k_s_factor(
     profile = list(on_set_profile)
     if not profile:
         raise ValueError("on_set_profile must be nonempty")
-    c_values = [coupling_constant_C(energy, coupling, s, flag, dec) for flag in profile]
+    c_values = [coupling_constant_C(energy, coupling, s, flag, kappa_hat) for flag in profile]
     c_min = min(c_values)
     if c_min <= 0:
         raise ValueError("coupling constant C must be positive")
@@ -446,12 +395,11 @@ def k_s_factor(
     return KsReport(float(value), float(c_min), bool(value < 1.0))
 
 
-def lambda_threshold(kernel: KernelOperator, s: float, dec) -> float:
+def lambda_threshold(kernel: KernelOperator, s: float, kappa_hat: float) -> float:
     """Coupling solving |lambda|^s kappa_hat = ||H0||_s^s."""
-    kappa = _kappa_of(dec)
-    if kappa <= 0:
+    if kappa_hat <= 0:
         raise ValueError("kappa_hat must be positive")
-    return (s_norm(kernel, s) ** s / kappa) ** (1.0 / s)
+    return (s_norm(kernel, s) ** s / kappa_hat) ** (1.0 / s)
 
 
 def am_uniform_bound(coupling: float, s: float) -> float:
@@ -548,7 +496,7 @@ def theorem2_cube(
     s: float,
     gamma: float,
     kernel: KernelOperator,
-    dec,
+    kappa_hat: float,
     sparse: SparseSet,
 ) -> Theorem2Cube:
     """Smallest cube around ``center`` outside which every random site
@@ -561,9 +509,8 @@ def theorem2_cube(
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    kappa = _kappa_of(dec)
     threshold = s_norm(kernel, s) ** s
-    values = sparse.weights(gamma * s) * kappa
+    values = sparse.weights(gamma * s) * kappa_hat
     dist = np.max(np.abs(sparse.coords - center), axis=1)
     radius = int(np.max(dist[values <= threshold], initial=0))
     outside = values[dist > radius]

@@ -26,15 +26,6 @@ from .resolvent import RealizationEngine
 DENSE_CAP = 4096
 
 
-def ipr(psi: np.ndarray) -> float:
-    """Inverse participation ratio sum |psi|^4 of a normalized vector."""
-    psi = np.asarray(psi)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"vector not normalized: |psi| = {norm}")
-    return float(np.sum(np.abs(psi) ** 4))
-
-
 @dataclass(frozen=True)
 class EigenReport:
     eigenvalues: np.ndarray

@@ -1,0 +1,102 @@
+"""Reference implementations the package's single paths are tested against.
+
+Each one computes a quantity the slow, direct way that the package once
+shipped beside its fast path: a Green row by one default sparse LU per
+row, propagator elements one offset at a time, a growing weight one site
+at a time, and the IPR of one vector.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from sparseloc.dynamics import axis_factor_table
+from sparseloc.errors import NumericalError
+from sparseloc.lattice import Cube, Site, max_norm
+from sparseloc.operators import AssembledOperator, SymbolSpec
+
+_RESIDUAL_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class GreenRow:
+    cube: Cube
+    source: Site
+    vector: np.ndarray
+    residual: float
+
+    def at(self, op: AssembledOperator, site: Site) -> complex:
+        return complex(self.vector[op.index_of(site)])
+
+    def sum_abs_pow(self, s: float) -> float:
+        return float(np.sum(np.abs(self.vector) ** s))
+
+
+def green_row(op: AssembledOperator, z: complex, source: Site) -> GreenRow:
+    """Solve (A - z) x = delta_source; x is the Green row by symmetry.
+
+    Direct sparse factorization with SuperLU's defaults (COLAMD ordering,
+    partial pivoting) at every size.  The fill grows faster than the
+    volume: 3.6 M L+U entries for a 2D cube of 40,401 sites.  The
+    residual contract (<= 1e-10 relative to the unit right-hand side) is
+    met without refinement.
+    """
+    if z.imag == 0:
+        raise ValueError("Im z must be nonzero")
+    n = op.size
+    shifted = (op.matrix.astype(complex) - z * sp.identity(n, dtype=complex, format="csr")).tocsc()
+    rhs = np.zeros(n, dtype=complex)
+    rhs[op.index_of(source)] = 1.0
+    try:
+        x = spla.splu(shifted).solve(rhs)
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse solve failed: {exc}") from exc
+    residual = float(np.linalg.norm(shifted @ x - rhs))
+    if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
+        raise NumericalError("solver residual above tolerance", residual=residual)
+    return GreenRow(op.cube, tuple(source), x, residual)
+
+
+def evolution_kernel(spec: SymbolSpec, t: float, offsets) -> dict[Site, complex]:
+    """Propagator matrix elements at the requested offsets, one Python
+    product of axis factors per offset."""
+    offsets = tuple(tuple(d) for d in offsets)
+    for d in offsets:
+        if len(d) != spec.dim:
+            raise ValueError(f"offset {d} does not match dimension {spec.dim}")
+    if not offsets:
+        return {}
+    tables = []
+    d_maxes = []
+    for axis in range(spec.dim):
+        d_max = max(abs(d[axis]) for d in offsets)
+        tables.append(axis_factor_table(spec, axis, t, d_max))
+        d_maxes.append(d_max)
+    out = {}
+    for d in offsets:
+        value = 1.0 + 0.0j
+        for axis in range(spec.dim):
+            value *= tables[axis][d[axis] + d_maxes[axis]]
+        out[d] = complex(value)
+    return out
+
+
+def weight_value(gamma: float, site: Site) -> float:
+    """Growing coupling (1 + |n|)^gamma, max-norm distance to the origin."""
+    if gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    return (1.0 + max_norm(site)) ** gamma
+
+
+def ipr(psi: np.ndarray) -> float:
+    """Inverse participation ratio sum |psi|^4 of a normalized vector."""
+    psi = np.asarray(psi)
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"vector not normalized: |psi| = {norm}")
+    return float(np.sum(np.abs(psi) ** 4))

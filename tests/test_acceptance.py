@@ -8,9 +8,16 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparseloc import acceptance
+from sparseloc.disorder import DisorderModel, UniformLaw
+from sparseloc.lattice import Cube, sparse_set_from_sites
+from sparseloc.operators import assemble_finite_volume, delta_symbol, kernel_from_symbol
+from sparseloc.resolvent import RealizationEngine
+
+from oracles import green_row
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +69,25 @@ def test_criterion_02_reports_a_failed_domination(workdir, monkeypatch):
     assert details["E=4"] == "direct 0.614656 > bound 0.587336 (FAILS: not dominated)"
     assert details["E=6"].startswith("direct 0.318406 > bound 0.277197")
     assert details["E=3"] == "direct 1.188253 <= bound 1.302501"
+
+
+def test_criterion_02_engine_sums_equal_green_row_oracle(workdir):
+    """Criterion 2 reads the free resolvent off the realization engine
+    (lambda = 0 on an empty S, the banded path); its fractional sums are
+    bitwise those of one default splu per row, and its line is unchanged."""
+    kernel = kernel_from_symbol(delta_symbol(1))
+    volume = Cube((0,), 1000)
+    engine = RealizationEngine(kernel, volume, sparse_set_from_sites([], 0.5, 1),
+                               DisorderModel(UniformLaw(-1.0, 1.0), coupling=0.0), (0,))
+    op = assemble_finite_volume(kernel, volume)
+    for energy in (3.0, 4.0, 6.0):
+        z = complex(energy, 1e-6)
+        row = engine.green_rows(z, engine.diagonals(range(1)))[0][0]
+        assert float(np.sum(np.abs(row) ** 0.9)) == green_row(op, z, (0,)).sum_abs_pow(0.9)
+    result = acceptance.criterion_02_neumann_domination(workdir=workdir)
+    assert result.details.startswith(
+        "E=3: direct 1.188253 <= bound 1.453752; E=4: direct 0.614656 <= bound 0.674672; "
+        "E=6: direct 0.318406 <= bound 0.331592; ")
 
 
 def test_criterion_03_propagator(workdir):

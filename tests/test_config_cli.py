@@ -640,3 +640,55 @@ def test_validate_keeps_the_largest_cube_below_the_coordinate_limit():
     cfg = validate_config(_theorem2_raw({"generator": "full_cube", "alpha": 0.5,
                                          "center": [2 ** 62 - 4], "half_side": 3}))
     assert cfg.objects["sparse"].coords.ravel().tolist() == list(range(2 ** 62 - 7, 2 ** 62))
+
+
+@pytest.mark.parametrize("criteria, named", [("14", "14"), ("7,14,0", "0, 14")])
+def test_cli_verify_rejects_unknown_criteria(tmp_path, capsys, criteria, named):
+    code = main(["verify", "--criteria", criteria, "--out", str(tmp_path / "verify")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"unknown criteria {named}" in captured.err
+    assert captured.out == ""  # nothing ran, criterion 7 included
+    assert not (tmp_path / "verify").exists()
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["passed", "failed"])
+def test_cli_verify_without_out_leaves_no_temp_dir(tmp_path, monkeypatch, fail):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(scratch))
+    if fail:
+        monkeypatch.setitem(experiments._RUNNERS, "sparseness", _raise_key_error)
+    assert main(["verify", "--criteria", "7"]) == (4 if fail else 0)
+    assert list(scratch.iterdir()) == []
+
+
+def _decay_fit_raw(**overrides):
+    return _moments_raw(kind="decay_fit", kappa_hat=0.61, **overrides)
+
+
+@pytest.mark.parametrize("raw, field", [
+    (_decay_fit_raw(disorder={"law": "uniform", "params": [-1.0, 1.0], "lambda": 0.0},
+                    volume={"center": [0], "half_side": 20}), "disorder.lambda"),
+    (_decay_fit_raw(query={"energy": 0.0, "epsilon": 1e-3, "s": 0.5, "source": [0],
+                           "realizations": 2},
+                    sparse_set={"generator": "bernoulli_thinned", "alpha": 0.5}),
+     "query.energy"),
+], ids=["zero-lambda-on-S", "zero-energy-off-S"])
+def test_cli_decay_fit_without_finite_k_s_exits_two_before_running(tmp_path, capsys, raw, field):
+    path = _write_config(tmp_path, raw)
+    code = main(["decay_fit", "--config", path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{field}: must be" in captured.err
+    assert "derived" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_decay_fit_zero_lambda_or_energy_where_k_s_does_not_read_it_is_valid():
+    # an empty S needs no lambda; an S filling the volume needs no energy
+    empty = {"generator": "explicit_list", "alpha": 0.5, "sites": []}
+    validate_config(_decay_fit_raw(
+        sparse_set=empty, disorder={"law": "uniform", "params": [-1.0, 1.0], "lambda": 0.0}))
+    validate_config(_decay_fit_raw(
+        query={"energy": 0.0, "epsilon": 1e-3, "s": 0.5, "source": [0], "realizations": 2}))

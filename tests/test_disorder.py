@@ -14,9 +14,10 @@ from sparseloc.disorder import (
     make_law,
     sample_potential,
     sample_potentials,
-    weight_value,
 )
 from sparseloc.lattice import sparse_set_from_sites
+
+from oracles import weight_value
 
 
 def _line_set(lo, hi):
@@ -93,6 +94,9 @@ def test_weight_value_examples():
     assert weight_value(1.0, (0,)) == 1.0
     assert weight_value(2.0, (3,)) == 16.0
     assert weight_value(0.5, (99,)) == 10.0
+    sparse = sparse_set_from_sites([(0,), (3,), (-99,)], 0.5, 1)  # rows -99, 0, 3
+    assert sparse.weights(2.0).tolist() == [10000.0, 1.0, 16.0]
+    assert sparse.weights(0.5).tolist() == [10.0, 1.0, 2.0]
     with pytest.raises(ValueError):
         weight_value(0.0, (1,))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,15 +7,13 @@ import pytest
 from sparseloc import dynamics
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.dynamics import (
-    PropagatorQuery,
     _axis_tables,
     _site_amplitudes,
-    _weights,
     axis_factor_bessel,
     axis_factor_table,
     cook_integrand,
-    evolution_kernel,
     fit_loglog,
+    kernel_elements,
     projected_norm,
     sparseness_integral,
     verify_offdiagonal_decay,
@@ -23,21 +22,23 @@ from sparseloc.dynamics import (
 from sparseloc.lattice import Cube, generate_sparse_set, sparse_set_from_sites
 from sparseloc.operators import SymbolSpec, delta_symbol
 
+from oracles import evolution_kernel, weight_value
+
 DELTA1 = delta_symbol(1)
 DELTA2 = delta_symbol(2)
 
 
 def test_kernel_at_time_zero_is_identity():
-    kernel = evolution_kernel(PropagatorQuery(DELTA1, 0.0, ((0,), (1,), (-4,))))
-    assert kernel[(0,)] == pytest.approx(1.0)
-    assert abs(kernel[(1,)]) < 1e-14
-    assert abs(kernel[(-4,)]) < 1e-14
+    kernel = kernel_elements(DELTA1, [(0,), (1,), (-4,)], [0.0])[0]
+    assert kernel[0] == pytest.approx(1.0)
+    assert abs(kernel[1]) < 1e-14
+    assert abs(kernel[2]) < 1e-14
 
 
 def test_kernel_matches_bessel_value():
-    kernel = evolution_kernel(PropagatorQuery(DELTA1, 1.0, ((0,),)))
-    assert kernel[(0,)].real == pytest.approx(0.22389077914123562, abs=1e-12)
-    assert abs(kernel[(0,)].imag) < 1e-12
+    value = kernel_elements(DELTA1, [(0,)], [1.0])[0, 0]
+    assert value.real == pytest.approx(0.22389077914123562, abs=1e-12)
+    assert abs(value.imag) < 1e-12
 
 
 @pytest.mark.parametrize("t", [5.0, 37.5, 100.0])
@@ -51,18 +52,16 @@ def test_kernel_bessel_cross_check_wide_range(t):
 def test_kernel_separable_product():
     t = 2.5
     offsets = tuple((a, b) for a in range(-5, 6) for b in range(-5, 6))
-    kernel = evolution_kernel(PropagatorQuery(DELTA2, t, offsets))
-    for a, b in offsets:
+    kernel = kernel_elements(DELTA2, offsets, [t])[0]
+    for (a, b), value in zip(offsets, kernel):
         oracle = axis_factor_bessel(1, 1.0, t, a) * axis_factor_bessel(1, 1.0, t, b)
-        assert kernel[(a, b)] == pytest.approx(oracle, abs=1e-10)
+        assert value == pytest.approx(oracle, abs=1e-10)
 
 
 def test_kernel_conjugation_under_time_reversal():
     offsets = tuple((d,) for d in range(-8, 9))
-    forward = evolution_kernel(PropagatorQuery(DELTA1, 3.0, offsets))
-    backward = evolution_kernel(PropagatorQuery(DELTA1, -3.0, offsets))
-    for off in offsets:
-        assert backward[off] == pytest.approx(np.conj(forward[off]), abs=1e-12)
+    forward, backward = kernel_elements(DELTA1, offsets, [3.0, -3.0])
+    np.testing.assert_allclose(backward, np.conj(forward), rtol=0, atol=1e-12)
 
 
 def test_kernel_unitarity_and_group_law():
@@ -209,9 +208,10 @@ def test_cook_requires_enough_samples():
         cook_integrand(DELTA1, sparse, model, {(0,): 1.0}, [1.0], n_samples=10)
 
 
-def test_propagator_query_validates_offsets():
+def test_kernel_elements_validate_offsets():
     with pytest.raises(ValueError):
-        PropagatorQuery(DELTA2, 1.0, ((0,),))
+        kernel_elements(DELTA2, ((0,),), [1.0])
+    assert kernel_elements(DELTA2, [], [1.0, 2.0]).shape == (2, 0)
 
 
 def test_negative_amplitude_axis_matches_bessel():
@@ -256,9 +256,8 @@ def _site_amplitudes_reference(spec, phi, sites, t):
 
 
 def _projected_norm_reference(spec, sparse, phi, t, gamma):
-    sites = sparse.coords
-    psi = _site_amplitudes_reference(spec, phi, sites, t)
-    w = _weights(sites, gamma)
+    psi = _site_amplitudes_reference(spec, phi, sparse.coords, t)
+    w = np.array([1.0 if gamma is None else weight_value(gamma, m) for m in sparse.sites])
     return float(np.sqrt(np.sum((w * np.abs(psi)) ** 2)))
 
 
@@ -358,3 +357,79 @@ def test_leggauss_levels_are_cached_read_only():
     nodes, weights = dynamics._leggauss(96)
     assert dynamics._leggauss(96)[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+# --- the array propagator against the Bessel closed form and the dict path ---
+
+_PROPAGATOR_TIMES = [0.0, 0.5, 3.0, 11.0]
+
+
+def _box(nu, half):
+    return [tuple(d) for d in itertools.product(range(-half, half + 1), repeat=nu)]
+
+
+@pytest.mark.parametrize("nu,half", [(1, 40), (2, 12), (3, 5)])
+def test_kernel_elements_match_bessel_products(nu, half):
+    offsets = _box(nu, half)
+    kernel = kernel_elements(delta_symbol(nu), offsets, _PROPAGATOR_TIMES)
+    for t, row in zip(_PROPAGATOR_TIMES, kernel):
+        oracle = [math.prod(axis_factor_bessel(1, 1.0, t, x) for x in d) for d in offsets]
+        np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
+
+
+_MIXED = {
+    1: SymbolSpec((((1, 1.0), (2, 0.3)),)),
+    2: SymbolSpec((((1, 1.0), (2, 0.3)), ((1, 0.5),))),
+    3: delta_symbol(3),
+}
+
+
+@pytest.mark.parametrize("nu,half", [(1, 60), (2, 15), (3, 6)])
+def test_kernel_elements_match_dict_reference(nu, half):
+    """nu = 1: one factor per element, so the array product is the dict
+    path bit for bit; nu >= 2 multiplies the factors in numpy rather
+    than in Python complex arithmetic, which may move the last bit."""
+    spec, offsets = _MIXED[nu], _box(nu, half)
+    kernel = kernel_elements(spec, offsets, _PROPAGATOR_TIMES)
+    for t, row in zip(_PROPAGATOR_TIMES, kernel):
+        ref = evolution_kernel(spec, t, offsets)
+        want = np.array([ref[d] for d in offsets])
+        if nu == 1:
+            assert row.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.5])
+def test_weighted_projected_norm_matches_weight_oracle(gamma):
+    """c(t) with (1 + |n|)^gamma weights against the weights taken one
+    site at a time.  At c07's gamma = 0.25 the package weights of its 51
+    sites also equal the numpy power over the radius array bit for bit,
+    so c07's weighted c(t) did not move when c(t) took them."""
+    spec, sparse, phi, ts = _level_case()
+    psi = _site_amplitudes(spec, phi, sparse.coords, ts)
+    w = np.array([weight_value(gamma, m) for m in sparse.sites])
+    want = np.sqrt(np.sum((w * np.abs(psi)) ** 2, axis=1))
+    assert projected_norm(spec, sparse, phi, ts, gamma).tobytes() == want.tobytes()
+    if gamma == 0.25:
+        radii = np.max(np.abs(sparse.coords), axis=1)
+        assert len(sparse) == 51
+        assert sparse.weights(gamma).tobytes() == ((1.0 + radii) ** gamma).tobytes()
+
+
+def test_time_decay_fixed_probe_matches_mean_reference():
+    """The d = 0 probe reads the axis table's d = 0 column; the reference
+    takes the mean of e^{-i t h} at the same node counts.  The two sums
+    differ in order only."""
+    t_grid = np.geomspace(50.0, 800.0, 25)
+    slope = DELTA1.axis_derivative_sup(0)
+    fixed = []
+    for t in t_grid:
+        amps = []
+        for tw in t * (1.0 + np.linspace(-0.08, 0.08, 65)):
+            n = dynamics._node_count(tw, slope, 0)
+            thetas = 2.0 * math.pi * np.arange(n) / n
+            amps.append(abs(np.mean(np.exp(-1j * tw * DELTA1.axis_values(0, thetas)))))
+        fixed.append(max(amps))
+    fit = verify_time_decay(DELTA1, t_grid)[0]
+    assert fit.fixed_slope == pytest.approx(fit_loglog(t_grid, fixed), abs=1e-12)

@@ -21,7 +21,8 @@ from sparseloc.operators import (
     periodized_gaussian,
     s_norm,
 )
-from sparseloc.resolvent import green_row
+
+from oracles import green_row
 
 
 def test_kernel_from_cosine_is_nearest_neighbor():
@@ -246,24 +247,45 @@ def test_c_h_estimate_for_pure_cosine():
     assert _estimate_c_h(lambda th: 2.0 * math.cos(th), 2) == pytest.approx(2.0, rel=1e-9)
 
 
-def _derivative_sup_reference(series):
-    """The 8192-point grid formula, evaluated afresh on every call."""
+def _derivatives_reference(series):
+    """First, second and third derivatives by the 8192-point grid formula,
+    evaluated afresh on every call."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
-    d = np.zeros(8192)
+    d1, d2, d3 = np.zeros(8192), np.zeros(8192), np.zeros(8192)
     for k, c in series:
-        d -= 2.0 * c * k * np.sin(k * thetas)
-    return float(np.max(np.abs(d)))
+        d1 -= 2.0 * c * k * np.sin(k * thetas)
+        d2 -= 2.0 * c * k * k * np.cos(k * thetas)
+        d3 += 2.0 * c * k ** 3 * np.sin(k * thetas)
+    return d1, d2, d3
 
 
-@pytest.mark.parametrize(
-    "axes",
-    [
-        (((1, 1.0),),),
-        (((3, -0.7),), ((1, 1.0),)),
-        (((1, 0.25), (2, -0.5), (5, 0.125)), ((2, 1.0),), ((1, 0.25), (2, -0.5), (5, 0.125))),
-        ((),),
-    ],
-)
+def _derivative_sup_reference(series):
+    return float(np.max(np.abs(_derivatives_reference(series)[0])))
+
+
+_DERIVATIVE_AXES = [
+    (((1, 1.0),),),
+    (((3, -0.7),), ((1, 1.0),)),
+    (((1, 0.25), (2, -0.5), (5, 0.125)), ((2, 1.0),), ((1, 0.25), (2, -0.5), (5, 0.125))),
+    ((),),
+]
+
+
+@pytest.mark.parametrize("axes", _DERIVATIVE_AXES)
+def test_axis_derivatives_match_grid_formula(axes):
+    """One cached, read-only set of profiles per distinct series, bitwise
+    equal to the grid formula: the sup and the time-decay targets both
+    read it."""
+    first, second = SymbolSpec(axes), SymbolSpec(axes)
+    for axis in range(len(axes)):
+        got = first.axis_derivatives(axis)
+        assert second.axis_derivatives(axis) is got
+        for profile, want in zip(got, _derivatives_reference(first.axes[axis])):
+            assert profile.tobytes() == want.tobytes()
+            assert not profile.flags.writeable
+
+
+@pytest.mark.parametrize("axes", _DERIVATIVE_AXES)
 def test_axis_derivative_sup_matches_grid_formula(axes):
     first, second = SymbolSpec(axes), SymbolSpec(axes)  # built separately, equal series
     for axis in range(len(axes)):

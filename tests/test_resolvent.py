@@ -36,12 +36,13 @@ from sparseloc.resolvent import (
     decay_rate_fit,
     estimate_decoupling,
     fractional_moment_estimate,
-    green_row,
     k_s_factor,
     lambda_threshold,
     simon_wolff_proxy,
     theorem2_cube,
 )
+
+from oracles import green_row
 
 DELTA1 = kernel_from_symbol(delta_symbol(1))
 ZERO1 = kernel_from_symbol(SymbolSpec(((),)))
@@ -179,7 +180,7 @@ def test_coupling_constant_cases():
     assert coupling_constant_C(9.0, 30.0, 0.5, False, 1.0) == pytest.approx(3.0)
     assert coupling_constant_C(9.0, 0.0, 0.5, True, 0.7) == 0.0
     dec = DecouplingEstimate(0.5, 0.6, 0.6 / 0.5 ** 0.5, "g", (0j, 0j), True)
-    assert coupling_constant_C(9.0, 30.0, 0.5, True, dec) == pytest.approx(
+    assert coupling_constant_C(9.0, 30.0, 0.5, True, dec.kappa_hat) == pytest.approx(
         30.0 ** 0.5 * 0.6
     )
 
@@ -342,8 +343,8 @@ def test_volume_doubling_convergence():
         query = GreenQuery(5.0, 1e-3, 0.5, (0,), volume, 60)
         estimates[half] = fractional_moment_estimate(query, DELTA1, sparse, model)
     for m in range(-12, 13):
-        small, _ = estimates[50].at((m,))
-        large, _ = estimates[100].at((m,))
+        small = estimates[50].mean[m + 50]  # row of site m: m + half_side
+        large = estimates[100].mean[m + 100]
         assert abs(large - small) <= 0.01 * small
 
 

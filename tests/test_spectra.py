@@ -19,10 +19,11 @@ from sparseloc.operators import (
 )
 from sparseloc.spectra import (
     eigensystem,
-    ipr,
     mobility_edge_scan,
     spacing_ratios,
 )
+
+from oracles import ipr
 
 DELTA1 = kernel_from_symbol(delta_symbol(1))
 
