@@ -33,6 +33,7 @@ from .operators import kernel_decay_check, kernel_from_symbol, periodized_gaussi
 from .resolvent import (
     GreenQuery,
     am_uniform_bound,
+    coupling_constant_C,
     decay_rate_fit,
     estimate_decoupling,
     fractional_moment_estimate,
@@ -343,16 +344,16 @@ def _run_thresholds(cfg, stage, threads):
         dec = estimate_decoupling(model.law, s)
         interior_ok = interior_ok and dec.interior
         lam_s = lambda_threshold(kernel, s, dec.kappa_hat)
+        norm = s_norm(kernel, s)
         rows.append(
-            (s, s_norm(kernel, s), dec.kappa_hat, dec.d_eff, lam_s,
+            (s, norm, dec.kappa_hat, dec.d_eff, lam_s,
              am_uniform_bound(model.coupling, s) if model.coupling > 0 else math.inf)
         )
         for energy in o["energies"] or []:
-            c_on = model.coupling ** s * dec.kappa_hat
-            c_off = abs(energy) ** s
-            norm_pow = s_norm(kernel, s) ** s
-            ks_all = norm_pow / c_on if c_on > 0 else math.inf
-            ks_off = norm_pow / c_off if c_off > 0 else math.inf
+            c_on = coupling_constant_C(energy, model.coupling, s, True, dec.kappa_hat)
+            c_off = coupling_constant_C(energy, model.coupling, s, False, dec.kappa_hat)
+            # k_s = ||H0||_s^s / C, infinite where C vanishes (lambda = 0 or E = 0)
+            ks_all, ks_off = (norm ** s / c if c > 0 else math.inf for c in (c_on, c_off))
             ks_rows.append((s, energy, c_on, c_off, ks_all, ks_off, max(ks_all, ks_off)))
     write_csv(
         stage / "thresholds.csv",

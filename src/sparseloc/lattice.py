@@ -395,16 +395,21 @@ def sparseness_profile(sparse: SparseSet, cubes: list[Cube]) -> list[ProfileRow]
     """Cap check |S intersect Lambda| <= ceil(|Lambda|^alpha) per cube."""
     if not cubes:
         raise ValueError("cubes must be nonempty")
-    dist = {}  # sorted max-norm distances of the sites to each center, computed once
+    counts = [0] * len(cubes)  # a cube of another dimension contains no site
+    by_center: dict[Site, list[int]] = {}
+    for i, cube in enumerate(cubes):
+        by_center.setdefault(cube.center, []).append(i)
+    for center, at in by_center.items():
+        if len(center) == sparse.dim:  # one count pass per center, over all its half-sides
+            dist = np.sort(np.max(np.abs(sparse.coords - center), axis=1))
+            found = np.searchsorted(dist, [cubes[i].half_side for i in at], "right")
+            for i, count in zip(at, found.tolist()):
+                counts[i] = count
     rows = []
-    for cube in cubes:
-        count = 0  # a cube of another dimension contains no site
-        if cube.dim == sparse.dim:
-            if cube.center not in dist:
-                dist[cube.center] = np.sort(np.max(np.abs(sparse.coords - cube.center), axis=1))
-            count = int(np.searchsorted(dist[cube.center], cube.half_side, "right"))
-        cap = cap_for(cube.volume, sparse.alpha)
-        rows.append(ProfileRow(cube.volume, count, cap, count <= cap))
+    for cube, count in zip(cubes, counts):
+        volume = cube.volume
+        cap = cap_for(volume, sparse.alpha)  # memoized: one computation per volume
+        rows.append(ProfileRow(volume, count, cap, count <= cap))
     return rows
 
 

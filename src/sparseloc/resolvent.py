@@ -10,8 +10,13 @@ realization order, so any thread count reproduces the sequential bits.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
+import platform
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,61 @@ _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
 # the graded decoupling rule: geometric ratio, panels per half piece less one, nodes per panel
 _RULE_RATIO, _RULE_LEVELS, _RULE_NODES = 0.15, 8, 15
+_FTZ_DAZ = 0x8040  # MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6)
+_FENV_T = ctypes.c_ubyte * 32  # x86-64 glibc fenv_t; MXCSR at byte 28
+
+
+def _fenv_checked(result, func, args):
+    """ctypes errcheck: fegetenv and fesetenv return 0 on success."""
+    if result != 0:
+        raise OSError(f"{func.__name__} returned {result}")
+    return result
+
+
+@functools.cache
+def _fenv():
+    """glibc's (fegetenv, fesetenv) on Linux x86-64, else None."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        glibc = None
+    if sys.platform != "linux" or platform.machine() != "x86_64" or not glibc:
+        return None
+    libm = ctypes.CDLL("libm.so.6")
+    for fn in (libm.fegetenv, libm.fesetenv):
+        fn.argtypes, fn.restype = [ctypes.POINTER(_FENV_T)], ctypes.c_int
+        fn.errcheck = _fenv_checked
+    return libm.fegetenv, libm.fesetenv
+
+
+@contextlib.contextmanager
+def _flush_subnormals():
+    """Flush subnormal results and operands to zero in this thread.
+
+    Far from the source a Green row of a weakly damped chain falls below
+    the smallest normal double, and gradual underflow runs every operation
+    on such entries through a slow microcode path.  With FTZ and DAZ on,
+    those entries are exact zeros.  The mode is per thread; the bits saved
+    on entry are put back on exit, so nested use restores the outer mode.
+    A no-op off Linux x86-64 glibc.
+    """
+    fenv = _fenv()
+    if fenv is None:
+        yield
+        return
+    get, put = fenv
+    env = _FENV_T()
+    mxcsr = ctypes.c_uint32.from_buffer(env, 28)
+    get(env)
+    saved = mxcsr.value & _FTZ_DAZ
+    mxcsr.value |= _FTZ_DAZ
+    put(env)
+    try:
+        yield
+    finally:
+        get(env)
+        mxcsr.value = (mxcsr.value & ~_FTZ_DAZ) | saved
+        put(env)
 
 
 @dataclass(frozen=True)
@@ -100,6 +160,7 @@ class RealizationEngine:
     one default ``splu`` (COLAMD, partial pivoting) per row.  Every
     residual ||(A - z) x - delta|| must be <= 1e-10; a failed or
     inaccurate solve raises NumericalError tagged with its realization.
+    Solves and residuals run with subnormals flushed to zero.
     """
 
     def __init__(self, kernel: KernelOperator, volume: Cube, sparse: SparseSet,
@@ -126,25 +187,26 @@ class RealizationEngine:
         rhs = np.zeros(self.op.size, dtype=complex)
         rhs[self.source] = 1.0
         rows = np.empty(diags.shape, dtype=complex)
-        for i, diag in enumerate(diags):
-            try:
-                if self.band is not None:
-                    ab = self.ab.copy()
-                    ab[self.band] += diag - z
-                    rows[i] = solve_banded((self.band, self.band), ab, rhs,
-                                           overwrite_ab=True, check_finite=False)
-                else:
-                    shifted = (self.op.matrix + sp.diags(diag - z)).tocsc()
-                    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                                   options={"SymmetricMode": True})
-                    x = lu.solve(rhs)
-                    rows[i] = x + lu.solve(rhs - shifted @ x)  # one refinement step
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
-                raise NumericalError(f"realization {first + i}: solve failed: {exc}",
-                                     realization=first + i) from exc
-        applied = (self.op.matrix @ rows.T).T + (diags - z) * rows
-        applied[:, self.source] -= 1.0
-        residuals = np.linalg.norm(applied, axis=1)
+        with _flush_subnormals():
+            for i, diag in enumerate(diags):
+                try:
+                    if self.band is not None:
+                        ab = self.ab.copy()
+                        ab[self.band] += diag - z
+                        rows[i] = solve_banded((self.band, self.band), ab, rhs,
+                                               overwrite_ab=True, check_finite=False)
+                    else:
+                        shifted = (self.op.matrix + sp.diags(diag - z)).tocsc()
+                        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                                       options={"SymmetricMode": True})
+                        x = lu.solve(rhs)
+                        rows[i] = x + lu.solve(rhs - shifted @ x)  # one refinement step
+                except (RuntimeError, np.linalg.LinAlgError) as exc:
+                    raise NumericalError(f"realization {first + i}: solve failed: {exc}",
+                                         realization=first + i) from exc
+            applied = (self.op.matrix @ rows.T).T + (diags - z) * rows
+            applied[:, self.source] -= 1.0
+            residuals = np.linalg.norm(applied, axis=1)
         if not np.all(residuals <= _RESIDUAL_TOL):
             i = int(np.argmin(residuals <= _RESIDUAL_TOL))  # first failed, NaN included
             raise NumericalError(f"realization {first + i}: solver residual above tolerance",

@@ -355,6 +355,24 @@ def test_thresholds_pipeline(tmp_path):
     )
 
 
+def test_thresholds_zero_coupling_writes_infinite_k_s(tmp_path):
+    # C_on = 0 at lambda = 0 and C_off = 0 at E = 0: k_s is inf there, not an error
+    raw = {
+        "kind": "thresholds",
+        "symbol": {"delta": 1},
+        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 0.0},
+        "s_grid": [0.5],
+        "energies": [0.0, 4.0],
+    }
+    run_experiment(validate_config(raw), out_dir=str(tmp_path / "thr"))
+    lines = (tmp_path / "thr" / "ks.csv").read_text().splitlines()
+    assert lines == [
+        "s,E,C_on,C_off,k_s_on,k_s_off,k_s_mixed",
+        "0.5,0,0,0,inf,inf,inf",
+        "0.5,4,0,2,inf,1,inf",  # ||H0||_s^s = 2 for the 1D Laplacian at s = 1/2
+    ]
+
+
 def test_validate_is_total_on_malformed_input():
     for garbage in ("{not json", "[1,2,3]", '"just a string"'):
         with pytest.raises(ConfigError):

@@ -327,6 +327,15 @@ def test_high_dimension_sets_equal_scalar_reference(dim, half, alpha):
         assert _rows(sparse, cubes) == _ref_profile(want, alpha, cubes)
 
 
+def test_profile_rows_keep_cube_order_across_interleaved_centers():
+    # cubes are counted per center, but the rows follow the order they came in
+    cube = Cube((0, 0), 12)
+    sparse = generate_sparse_set(0.6, cube, "bernoulli_thinned", 5)
+    cubes = [Cube((0, 0), 3), Cube((2, -1), 5), Cube((0,), 2), Cube((0, 0), 1),
+             Cube((2, -1), 0), Cube((0, 0), 3), Cube((0, 0), 12), Cube((-4, 7), 2)]
+    assert _rows(sparse, cubes) == _ref_profile(list(sparse.sites), 0.6, cubes)
+
+
 @pytest.mark.parametrize("dim,half,alpha", [(3, 12, 0.1), (3, 12, 0.3), (4, 8, 0.1)])
 def test_binomial_count_sets_equal_scalar_reference(dim, half, alpha):
     # here some large shells take their Binomial count, not the remaining cap

@@ -1,5 +1,9 @@
+import contextlib
 import itertools
 import math
+import os
+import platform
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -9,6 +13,7 @@ import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
 from sparseloc import resolvent
+from sparseloc.config import validate_config
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, sparse_set_from_sites
 from sparseloc.operators import (
@@ -26,6 +31,7 @@ from sparseloc.disorder import (
     UniformLaw,
     sample_potential,
 )
+from sparseloc.experiments import run_experiment
 from sparseloc.resolvent import (
     DecouplingEstimate,
     GreenQuery,
@@ -388,6 +394,96 @@ def test_simon_wolff_free_sum_matches_analytic():
     for row in rows:
         analytic = 1.0 / (row.epsilon * math.sqrt(4.0 - energy ** 2))
         assert row.mean_sum_g2 == pytest.approx(analytic, rel=0.01)
+
+
+# ------------------------------------------------ realization engine: subnormal flush
+
+def _glibc_x86_64() -> bool:
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        glibc = None
+    return sys.platform == "linux" and platform.machine() == "x86_64" and bool(glibc)
+
+
+needs_flush = pytest.mark.skipif(not _glibc_x86_64(),
+                                 reason="FTZ/DAZ is set on Linux x86-64 glibc only")
+TINY = np.finfo(float).tiny  # the smallest normal double, 2^-1022
+
+
+def _subnormals(a: np.ndarray) -> int:
+    parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+    return int(np.count_nonzero((parts > 0) & (parts < TINY)))
+
+
+@needs_flush
+def test_flush_subnormals_is_active_and_restores_the_mode():
+    assert resolvent._fenv() is not None  # the fast path is taken here
+    half = TINY * 0.5
+    assert half != 0 and half == TINY / 2  # gradual underflow outside
+    with resolvent._flush_subnormals():
+        assert TINY * 0.5 == 0  # flush to zero
+        assert half * 1.0 == 0  # denormals are zero
+        with resolvent._flush_subnormals():
+            assert TINY * 0.5 == 0
+        assert TINY * 0.5 == 0  # the inner exit restores the outer mode
+    assert TINY * 0.5 == TINY / 2
+    with pytest.raises(KeyError):
+        with resolvent._flush_subnormals():
+            raise KeyError("inside")
+    assert TINY * 0.5 == TINY / 2
+
+
+def test_flush_subnormals_is_a_no_op_without_fenv(monkeypatch):
+    monkeypatch.setattr(resolvent, "_fenv", lambda: None)
+    with resolvent._flush_subnormals():
+        assert TINY * 0.5 == TINY / 2
+
+
+def _free_chain_rows(half_side: int = 30000, eps: float = 0.1):
+    # E = 1, eps = 0.1: |G(0, m)| falls below 2^-1022 about 12,000 sites out
+    model = DisorderModel(UniformLaw(-1, 1), coupling=0.0, seed=0)
+    empty = sparse_set_from_sites([], 0.5, 1)
+    engine = RealizationEngine(DELTA1, Cube((0,), half_side), empty, model, (0,))
+    return engine.green_rows(complex(1.0, eps), engine.diagonals(range(1)))
+
+
+@needs_flush
+def test_engine_rows_hold_no_subnormals(monkeypatch):
+    rows, residuals = _free_chain_rows()
+    assert _subnormals(rows) == 0
+    assert np.all(residuals <= 1e-10)
+    assert np.count_nonzero(rows == 0) > 0
+    monkeypatch.setattr(resolvent, "_flush_subnormals", contextlib.nullcontext)
+    slow, slow_residuals = _free_chain_rows()
+    assert _subnormals(slow) > 10000  # the chain does underflow without the flush
+    assert np.all(slow_residuals <= 1e-10)
+    changed = rows != slow
+    assert np.all(np.abs(slow[changed]) < 1e-290)  # only far-tail entries move
+    want = np.sum(np.abs(slow) ** 2)
+    assert np.sum(np.abs(rows) ** 2) == pytest.approx(want, rel=1e-15)
+
+
+def test_simon_wolff_csv_with_underflow_is_thread_count_invariant(tmp_path):
+    # a few random sites near the source, four realizations (one block each
+    # at 60,001 sites), so 4 threads solve on 4 workers, each flushing
+    raw = {
+        "kind": "simon_wolff",
+        "seed": 2,
+        "symbol": {"delta": 1},
+        "volume": {"center": [0], "half_side": 30000},
+        "sparse_set": {"generator": "explicit_list", "alpha": 0.5,
+                       "sites": [[-7], [0], [3], [50]]},
+        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 0.5},
+        "query": {"energy": 1.0, "epsilon": 0.1, "s": 0.5, "source": [0], "realizations": 4},
+        "eps_ladder": [1e-1, 1e-2],
+        "expect": "ac",
+    }
+    texts = []
+    for threads in (1, 4):
+        run_experiment(validate_config(raw), out_dir=str(tmp_path / str(threads)), threads=threads)
+        texts.append((tmp_path / str(threads) / "simon_wolff.csv").read_bytes())
+    assert texts[0] == texts[1]
 
 
 # ------------------------------------------------ realization engine: banded vs splu
