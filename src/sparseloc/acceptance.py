@@ -4,6 +4,11 @@ Thirteen named criteria, each returning a pass/fail verdict with a
 one-line numeric summary.  The CLI ``verify`` subcommand runs them and
 prints one line per criterion; the pytest suite asserts them one by one.
 
+The preset criteria (7-10, 12) are rows over ``_run_preset``, which runs
+a preset into ``workdir/<artifact directory>`` and returns its summary:
+7, 8 and 10 are tables of (label, directory, config, verdict key) rows;
+9 and 12 format numbers from the summary (9 reads kappa_hat from it).
+
 Criterion 2 checks the Neumann fractional bound twice: it must dominate
 the directly computed fractional row-sum of the free resolvent at
 E = 3, 4, 6, and its value at E = 3 must match the closed form
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import filecmp
 import itertools
+import json
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -42,7 +48,7 @@ from .lattice import (
     sparseness_profile,
 )
 from .operators import delta_symbol, kernel_from_symbol, neumann_fractional_bound, s_norm
-from .resolvent import RealizationEngine, estimate_decoupling, lambda_threshold, theorem2_cube
+from .resolvent import RealizationEngine, lambda_threshold, theorem2_cube
 
 PINNED_NEUMANN_E3 = 1.4537516965565431  # 3^-0.9 / (1 - 2/3^0.9): |E|^(-s) / (1 - ||H0||_s^s/|E|^s)
 
@@ -172,10 +178,38 @@ def criterion_06_sparse_caps(workdir, threads=1) -> CriterionResult:
     )
 
 
-def _acceptance_dir(workdir) -> Path:
-    path = Path(workdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _run_preset(workdir, name, raw, threads) -> dict:
+    """Validate and run the preset ``raw`` into ``workdir/name``; its parsed
+    ``summary.json``, verdicts included."""
+    out = Path(workdir) / name
+    run_experiment(validate_config(raw), out_dir=str(out), threads=threads)
+    return json.loads((out / "summary.json").read_text(encoding="utf-8"))
+
+
+def _verdict_criterion(index: int, name: str, rows):
+    """A criterion that runs one preset per row, (detail label, artifact
+    directory, config, verdict key), and passes when every verdict holds."""
+    def criterion(workdir, threads=1) -> CriterionResult:
+        oks = [_run_preset(workdir, directory, raw, threads)["verdicts"].get(key, False)
+               for _, directory, raw, key in rows]
+        details = "; ".join(f"{label}{ok}" for (label, *_), ok in zip(rows, oks))
+        return CriterionResult(index, name, all(oks), details)
+    return criterion
+
+
+def _lambda30(kind, energy, epsilon, realizations, half_side=200, **fields) -> dict:
+    """The 1D uniform lambda = 30 preset with S the full cube, at s = 0.5."""
+    return {
+        "kind": kind,
+        "seed": 11,
+        "symbol": {"delta": 1},
+        "volume": {"center": [0], "half_side": half_side},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
+        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 30.0},
+        "query": {"energy": energy, "epsilon": epsilon, "s": 0.5, "source": [0],
+                  "realizations": realizations},
+        **fields,
+    }
 
 
 def sparseness_config(weight: bool, t_max: float = 64.0) -> dict:
@@ -197,92 +231,39 @@ def sparseness_config(weight: bool, t_max: float = 64.0) -> dict:
     return cfg
 
 
-def criterion_07_sparseness_integral(workdir, threads=1) -> CriterionResult:
-    base = _acceptance_dir(workdir)
-    details = []
-    passed = True
-    for weight in (False, True):
-        cfg = validate_config(sparseness_config(weight))
-        manifest = run_experiment(cfg, out_dir=str(base / f"sparseness_{'w' if weight else 'u'}"))
-        ok = manifest.verdicts.get("converging", False)
-        passed = passed and ok
-        details.append(f"{'weighted' if weight else 'unweighted'}: converging={ok}")
-    return CriterionResult(
-        7, "sparseness integral dyadic-window convergence (nu=5)", passed, "; ".join(details)
-    )
+criterion_07_sparseness_integral = _verdict_criterion(
+    7, "sparseness integral dyadic-window convergence (nu=5)",
+    [(f"{label}: converging=", f"sparseness_{tag}", sparseness_config(weight), "converging")
+     for label, tag, weight in (("unweighted", "u", False), ("weighted", "w", True))],
+)
 
 
 def moments_config(energy: float, realizations: int = 200, check_am: bool = True) -> dict:
-    return {
-        "kind": "moments",
-        "seed": 11,
-        "symbol": {"delta": 1},
-        "volume": {"center": [0], "half_side": 200},
-        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
-        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 30.0},
-        "query": {
-            "energy": energy,
-            "epsilon": 1e-3,
-            "s": 0.5,
-            "source": [0],
-            "realizations": realizations,
-        },
-        "check_am_bound": check_am,
-    }
+    return _lambda30("moments", energy, 1e-3, realizations, check_am_bound=check_am)
 
 
-def criterion_08_am_uniform_bound(workdir, threads=1) -> CriterionResult:
-    base = _acceptance_dir(workdir)
-    details = []
-    passed = True
-    for energy in (3.0, 5.0):
-        cfg = validate_config(moments_config(energy))
-        manifest = run_experiment(cfg, out_dir=str(base / f"moments_E{energy:g}"), threads=threads)
-        ok = manifest.verdicts.get("am_bound", False)
-        passed = passed and ok
-        details.append(f"E={energy:g}: within bound + 2 stderr = {ok}")
-    return CriterionResult(
-        8, "uniform fractional-moment bound (lambda=30)", passed, "; ".join(details)
-    )
+criterion_08_am_uniform_bound = _verdict_criterion(
+    8, "uniform fractional-moment bound (lambda=30)",
+    [(f"E={energy:g}: within bound + 2 stderr = ", f"moments_E{energy:g}",
+      moments_config(energy), "am_bound") for energy in (3.0, 5.0)],
+)
 
 
 def decay_fit_config(realizations: int = 800, half_side: int = 200) -> dict:
-    return {
-        "kind": "decay_fit",
-        "seed": 11,
-        "symbol": {"delta": 1},
-        "volume": {"center": [0], "half_side": half_side},
-        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
-        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 30.0},
-        "query": {
-            "energy": 5.0,
-            "epsilon": 1e-3,
-            "s": 0.5,
-            "source": [0],
-            "realizations": realizations,
-        },
-    }
+    return _lambda30("decay_fit", 5.0, 1e-3, realizations, half_side)
 
 
 def criterion_09_localization_decay(workdir, threads=1) -> CriterionResult:
-    base = _acceptance_dir(workdir)
+    summary = _run_preset(workdir, "decay_fit", decay_fit_config(), threads)
     kernel = kernel_from_symbol(delta_symbol(1))
-    dec = estimate_decoupling(UniformLaw(-1.0, 1.0), 0.5)
-    lam_hat = lambda_threshold(kernel, 0.5, dec.kappa_hat)
+    lam_hat = lambda_threshold(kernel, 0.5, summary["kappa_hat"])
     regime_ok = 30.0 >= 2.0 * lam_hat and abs(5.0 - 1.25 * s_norm(kernel, 0.5)) < 1e-12
-    cfg = validate_config(decay_fit_config())
-    manifest = run_experiment(cfg, out_dir=str(base / "decay_fit"), threads=threads)
-    fit_ok = manifest.verdicts.get("decay_rate", False)
-    import json
-
-    summary = json.loads((base / "decay_fit" / "summary.json").read_text())
-    return CriterionResult(
-        9,
-        "geometric decay of fractional moments",
-        regime_ok and fit_ok,
-        f"lambda=30 >= 2 lambda_s = {2 * lam_hat:.2f}; fitted rate {summary['rate']:.3f} "
-        f"<= log k_s + 0.05 = {summary['log_k_s'] + 0.05:.3f}: {fit_ok}",
-    )
+    fit_ok = summary["verdicts"].get("decay_rate", False)
+    passed = regime_ok and fit_ok
+    details = (f"lambda=30 >= 2 lambda_s = {2 * lam_hat:.2f}; "
+               f"fitted rate {summary['rate']:.3f} <= log k_s + 0.05 = "
+               f"{summary['log_k_s'] + 0.05:.3f}: {fit_ok}")
+    return CriterionResult(9, "geometric decay of fractional moments", passed, details)
 
 
 def simon_wolff_config(branch: str) -> dict:
@@ -298,36 +279,15 @@ def simon_wolff_config(branch: str) -> dict:
             "eps_ladder": [1e-1, 1e-2, 1e-3, 1e-4],
             "expect": "ac",
         }
-    return {
-        "kind": "simon_wolff",
-        "seed": 11,
-        "symbol": {"delta": 1},
-        "volume": {"center": [0], "half_side": 200},
-        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
-        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 30.0},
-        "query": {"energy": 5.0, "epsilon": 0.1, "s": 0.5, "source": [0], "realizations": 100},
-        "eps_ladder": [1e-1, 1e-2, 1e-3, 1e-4],
-        "expect": "pp",
-    }
+    return _lambda30("simon_wolff", 5.0, 0.1, 100,
+                     eps_ladder=[1e-1, 1e-2, 1e-3, 1e-4], expect="pp")
 
 
-def criterion_10_simon_wolff(workdir, threads=1) -> CriterionResult:
-    base = _acceptance_dir(workdir)
-    details = []
-    passed = True
-    for branch in ("ac", "pp"):
-        cfg = validate_config(simon_wolff_config(branch))
-        manifest = run_experiment(cfg, out_dir=str(base / f"sw_{branch}"), threads=threads)
-        key = "ac_trend" if branch == "ac" else "pp_trend"
-        ok = manifest.verdicts.get(key, False)
-        passed = passed and ok
-        details.append(f"{branch}: {ok}")
-    return CriterionResult(
-        10,
-        "Simon-Wolff trend contrast (free a.c. vs localized)",
-        passed,
-        "; ".join(details),
-    )
+criterion_10_simon_wolff = _verdict_criterion(
+    10, "Simon-Wolff trend contrast (free a.c. vs localized)",
+    [(f"{branch}: ", f"sw_{branch}", simon_wolff_config(branch), f"{branch}_trend")
+     for branch in ("ac", "pp")],
+)
 
 
 def criterion_11_theorem2_cube(workdir, threads=1) -> CriterionResult:
@@ -381,28 +341,15 @@ def edge_scan_config(half_side: int = 200, realizations: int = 20) -> dict:
 
 
 def criterion_12_mobility_edge_contrast(workdir, threads=1) -> CriterionResult:
-    base = _acceptance_dir(workdir)
-    cfg = validate_config(edge_scan_config())
-    manifest = run_experiment(cfg, out_dir=str(base / "edge_scan"), threads=threads)
-    import json
-
-    summary = json.loads((base / "edge_scan" / "summary.json").read_text())
-    ok = manifest.verdicts.get("ipr_contrast", False)
-    return CriterionResult(
-        12,
-        "mobility-edge IPR contrast (weighted sparse model)",
-        ok,
-        f"outer median {summary.get('outer_median', float('nan')):.4f} vs center "
-        f"{summary.get('center_median', float('nan')):.5f}: contrast "
-        f"{summary.get('contrast', float('nan')):.1f}x >= 10x: {ok}",
-    )
+    summary = _run_preset(workdir, "edge_scan", edge_scan_config(), threads)
+    ok = summary["verdicts"].get("ipr_contrast", False)
+    details = (f"outer median {summary.get('outer_median', float('nan')):.4f} vs center "
+               f"{summary.get('center_median', float('nan')):.5f}: contrast "
+               f"{summary.get('contrast', float('nan')):.1f}x >= 10x: {ok}")
+    return CriterionResult(12, "mobility-edge IPR contrast (weighted sparse model)", ok, details)
 
 
 def _thread_variant_configs() -> list[dict]:
-    sw = simon_wolff_config("pp")
-    sw["volume"]["half_side"] = 50
-    sw["query"]["realizations"] = 30
-    sw["eps_ladder"] = [1e-1, 1e-2, 1e-3]
     theorem2 = {
         "kind": "theorem2_cube",
         "seed": 0,
@@ -421,28 +368,26 @@ def _thread_variant_configs() -> list[dict]:
         sparseness_config(False, t_max=16.0),
         moments_config(5.0, realizations=60, check_am=False),
         decay_fit_config(realizations=400, half_side=50) | {"kappa_hat": 0.61},
-        sw,
+        _lambda30("simon_wolff", 5.0, 0.1, 30, half_side=50,
+                  eps_ladder=[1e-1, 1e-2, 1e-3], expect="pp"),
         theorem2,
         edge_scan_config(half_side=50, realizations=20),
     ]
 
 
 def criterion_13_reproducibility(workdir, threads=1) -> CriterionResult:
-    base = _acceptance_dir(workdir)
+    base = Path(workdir)
     mismatched = []
     for cfg_raw in _thread_variant_configs():
         kind = cfg_raw["kind"]
         dirs = []
         for n_threads in (1, 4, 8):
-            cfg = validate_config(dict(cfg_raw))
             out = base / f"repro_{kind}_t{n_threads}"
             if out.exists():
                 shutil.rmtree(out)
-            run_experiment(cfg, out_dir=str(out), threads=n_threads)
+            run_experiment(validate_config(cfg_raw), out_dir=str(out), threads=n_threads)
             dirs.append(out)
-        names = sorted(
-            p.name for p in dirs[0].iterdir() if p.name != "manifest.json"
-        )
+        names = sorted(p.name for p in dirs[0].iterdir() if p.name != "manifest.json")
         for other in dirs[1:]:
             match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names, shallow=False)
             if mismatch or errors:
@@ -455,21 +400,21 @@ def criterion_13_reproducibility(workdir, threads=1) -> CriterionResult:
     )
 
 
-CRITERIA = {int(fn.__name__.split("_")[1]): fn for fn in (
-    criterion_01_s_norm_exactness,
-    criterion_02_neumann_domination,
-    criterion_03_propagator,
-    criterion_04_time_decay_exponents,
-    criterion_05_offdiagonal_regime,
-    criterion_06_sparse_caps,
-    criterion_07_sparseness_integral,
-    criterion_08_am_uniform_bound,
-    criterion_09_localization_decay,
-    criterion_10_simon_wolff,
-    criterion_11_theorem2_cube,
-    criterion_12_mobility_edge_contrast,
-    criterion_13_reproducibility,
-)}
+CRITERIA = {
+    1: criterion_01_s_norm_exactness,
+    2: criterion_02_neumann_domination,
+    3: criterion_03_propagator,
+    4: criterion_04_time_decay_exponents,
+    5: criterion_05_offdiagonal_regime,
+    6: criterion_06_sparse_caps,
+    7: criterion_07_sparseness_integral,
+    8: criterion_08_am_uniform_bound,
+    9: criterion_09_localization_decay,
+    10: criterion_10_simon_wolff,
+    11: criterion_11_theorem2_cube,
+    12: criterion_12_mobility_edge_contrast,
+    13: criterion_13_reproducibility,
+}
 
 
 def run_acceptance(indices=None, workdir=None, threads: int = 1, printer=print):
@@ -482,6 +427,8 @@ def run_acceptance(indices=None, workdir=None, threads: int = 1, printer=print):
     if unknown:
         raise ConfigError([("--criteria", f"unknown criteria {', '.join(map(str, unknown))}; "
                                           f"the criteria are 1-{len(CRITERIA)}")])
+    if threads < 1:
+        raise ConfigError([("--threads", f"must be >= 1, got {threads}")])
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="sparseloc-acceptance-") as scratch:
             return run_acceptance(indices, scratch, threads, printer)

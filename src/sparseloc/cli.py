@@ -28,10 +28,16 @@ _THREADS_ENV = "SPARSELOC_THREADS"
 
 
 def _default_threads() -> int:
+    """``$SPARSELOC_THREADS``, or 1 when unset; anything but an integer >= 1
+    is a config error."""
+    text = os.environ.get(_THREADS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(_THREADS_ENV, "1")))
+        threads = int(text)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError([(_THREADS_ENV, f"must be an integer >= 1, got {text!r}")])
+    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,10 +80,10 @@ def _run_kind(kind: str, args) -> int:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out"] = args.out
-    raw["threads"] = args.threads if args.threads is not None else raw.get(
-        "threads", _default_threads()
-    )
     try:
+        raw["threads"] = args.threads if args.threads is not None else raw.get(
+            "threads", _default_threads()
+        )
         cfg = validate_config(raw, kind)
     except ConfigError as exc:
         print("config rejected:", file=sys.stderr)
@@ -110,8 +116,8 @@ def _run_verify(args) -> int:
         except ValueError:
             print("verify: --criteria must be comma-separated integers", file=sys.stderr)
             return EXIT_CONFIG
-    threads = args.threads if args.threads is not None else _default_threads()
     try:
+        threads = args.threads if args.threads is not None else _default_threads()
         results = run_acceptance(indices=indices, workdir=args.out, threads=threads)
     except ConfigError as exc:
         for field, reason in exc.violations:

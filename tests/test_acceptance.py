@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseloc import acceptance
+from sparseloc import acceptance, experiments
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.lattice import Cube, sparse_set_from_sites
 from sparseloc.operators import assemble_finite_volume, delta_symbol, kernel_from_symbol
@@ -32,6 +32,11 @@ def _run(fn, workdir):
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} criterion {result.index:2d}: {result.name} -- {result.details}")
     return result
+
+
+def _written(directory):
+    """The artifact directories a criterion left under its own workdir."""
+    return sorted(p.name for p in directory.iterdir())
 
 
 def test_criterion_01_s_norm_exactness(workdir):
@@ -107,19 +112,45 @@ def test_criterion_06_sparse_caps(workdir):
 
 
 def test_criterion_07_sparseness_integral(workdir):
-    assert _run(acceptance.criterion_07_sparseness_integral, workdir).passed
+    result = _run(acceptance.criterion_07_sparseness_integral, workdir / "c07")
+    assert result.passed
+    assert result.details == "unweighted: converging=True; weighted: converging=True"
+    assert _written(workdir / "c07") == ["sparseness_u", "sparseness_w"]
 
 
 def test_criterion_08_am_uniform_bound(workdir):
-    assert _run(acceptance.criterion_08_am_uniform_bound, workdir).passed
+    result = _run(acceptance.criterion_08_am_uniform_bound, workdir / "c08")
+    assert result.passed
+    assert result.details == ("E=3: within bound + 2 stderr = True; "
+                              "E=5: within bound + 2 stderr = True")
+    assert _written(workdir / "c08") == ["moments_E3", "moments_E5"]
 
 
-def test_criterion_09_localization_decay(workdir):
-    assert _run(acceptance.criterion_09_localization_decay, workdir).passed
+def test_criterion_09_localization_decay(workdir, monkeypatch):
+    """Criterion 9 reads lambda_s off the kappa_hat of its own decay_fit
+    run: one decoupling estimate per run, not a second one of its own."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    estimate = experiments.estimate_decoupling
+    monkeypatch.setattr(experiments, "estimate_decoupling", spy)
+    monkeypatch.setattr(acceptance, "estimate_decoupling", spy, raising=False)
+    result = _run(acceptance.criterion_09_localization_decay, workdir / "c09")
+    assert result.passed
+    assert result.details == ("lambda=30 >= 2 lambda_s = 21.46; "
+                              "fitted rate -1.070 <= log k_s + 0.05 = -0.464: True")
+    assert _written(workdir / "c09") == ["decay_fit"]
+    assert len(calls) == 1
 
 
 def test_criterion_10_simon_wolff(workdir):
-    assert _run(acceptance.criterion_10_simon_wolff, workdir).passed
+    result = _run(acceptance.criterion_10_simon_wolff, workdir / "c10")
+    assert result.passed
+    assert result.details == "ac: True; pp: True"
+    assert _written(workdir / "c10") == ["sw_ac", "sw_pp"]
 
 
 def test_criterion_11_theorem2_cube(workdir):
@@ -127,8 +158,15 @@ def test_criterion_11_theorem2_cube(workdir):
 
 
 def test_criterion_12_mobility_edge_contrast(workdir):
-    assert _run(acceptance.criterion_12_mobility_edge_contrast, workdir).passed
+    result = _run(acceptance.criterion_12_mobility_edge_contrast, workdir / "c12")
+    assert result.passed
+    assert result.details == ("outer median 0.8978 vs center 0.02145: "
+                              "contrast 41.9x >= 10x: True")
+    assert _written(workdir / "c12") == ["edge_scan"]
 
 
 def test_criterion_13_reproducibility(workdir):
-    assert _run(acceptance.criterion_13_reproducibility, workdir).passed
+    assert _run(acceptance.criterion_13_reproducibility, workdir / "c13").passed
+    kinds = ("decay_fit", "edge_scan", "moments", "simon_wolff", "sparseness", "theorem2_cube")
+    assert _written(workdir / "c13") == [f"repro_{kind}_t{n}" for kind in kinds
+                                         for n in (1, 4, 8)]

@@ -670,6 +670,40 @@ def test_cli_verify_rejects_unknown_criteria(tmp_path, capsys, criteria, named):
     assert not (tmp_path / "verify").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_verify_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
+    code = main(["verify", "--criteria", "7", "--threads", threads,
+                 "--out", str(tmp_path / "verify")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"verify: --threads: must be >= 1, got {threads}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "verify").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_verify_rejects_a_bad_threads_environment(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SPARSELOC_THREADS", value)
+    code = main(["verify", "--criteria", "7", "--out", str(tmp_path / "verify")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"verify: SPARSELOC_THREADS: must be an integer >= 1, got '{value}'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "verify").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_kind_rejects_a_bad_threads_environment(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SPARSELOC_THREADS", value)
+    path = _write_config(tmp_path, {"kind": "norms", "symbol": {"delta": 1}, "s_grid": [0.5]})
+    code = main(["norms", "--config", path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"SPARSELOC_THREADS: must be an integer >= 1, got '{value}'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fail", [False, True], ids=["passed", "failed"])
 def test_cli_verify_without_out_leaves_no_temp_dir(tmp_path, monkeypatch, fail):
     scratch = tmp_path / "tmp"
