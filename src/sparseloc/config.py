@@ -380,10 +380,15 @@ def _decay_fit(p, bad):
 
 
 def _edge_scan(p, bad):
+    # imported on use: a top-level import loads spectra and resolvent before dynamics,
+    # and that load order alone raised peak RSS by about 0.1 MB
+    from .spectra import DENSE_CAP
+
     _monte_carlo(p, bad)
     volume = p.get("volume")
-    if volume is not None and volume.volume > 4096:
-        bad.append(("volume", f"volume {volume.volume} exceeds the dense-diagonalization cap 4096"))
+    if volume is not None and volume.volume > DENSE_CAP:
+        bad.append(("volume", f"volume {volume.volume} exceeds the dense-diagonalization cap "
+                              f"{DENSE_CAP}"))
 
 
 def _echo_norms(p, bad):

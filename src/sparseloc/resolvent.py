@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
@@ -149,15 +149,19 @@ class RealizationEngine:
 
     The free matrix and the S -> matrix index vector are built once, and
     each block of realizations is drawn in one batched call.  1D volumes
-    are banded (bandwidth = hopping range) and go to LAPACK through
-    ``solve_banded``, ?gtsv for nearest neighbours.  Other dimensions use
+    are banded (bandwidth = hopping range), and a block of realizations is
+    one block-diagonal banded system: one ?gtsv call for nearest
+    neighbours, one ?gbsv call for wider bands.  The corners of the band
+    storage are zeros, so no elimination step couples two realizations
+    and each row has the bits of its own solve.  Other dimensions use
     SuperLU in symmetric mode: A - z is complex symmetric, so a minimum
     degree ordering of A + A^T with diagonal-preferring threshold pivoting
     (0.01) roughly halves the fill of the default COLAMD ordering; one
     step of iterative refinement with the same factor restores the
     accuracy the relaxed pivoting gives up.  The tests hold the reference
     both paths are checked against: ``green_row`` in ``tests/oracles.py``,
-    one default ``splu`` (COLAMD, partial pivoting) per row.  Every
+    one default ``splu`` (COLAMD, partial pivoting) per row, and
+    ``banded_green_rows``, one ``solve_banded`` per row.  Every
     residual ||(A - z) x - delta|| must be <= 1e-10; a failed or
     inaccurate solve raises NumericalError tagged with its realization.
     Solves and residuals run with subnormals flushed to zero.
@@ -175,6 +179,8 @@ class RealizationEngine:
         if kernel.dim == 1:
             self.band = max((abs(o[0]) for o in kernel.offsets), default=0)
             self.ab = band_storage(self.op.matrix, self.band, dtype=complex)
+            self.banded_solve, = get_lapack_funcs(("gtsv" if self.band == 1 else "gbsv",),
+                                                  (self.ab,))
 
     def diagonals(self, realizations) -> np.ndarray:
         """Potentials of a block of realizations on the volume diagonal."""
@@ -184,26 +190,11 @@ class RealizationEngine:
 
     def green_rows(self, z: complex, diags: np.ndarray, first: int = 0):
         """(Green rows, residuals) for realizations first, first + 1, ..."""
-        rhs = np.zeros(self.op.size, dtype=complex)
-        rhs[self.source] = 1.0
-        rows = np.empty(diags.shape, dtype=complex)
         with _flush_subnormals():
-            for i, diag in enumerate(diags):
-                try:
-                    if self.band is not None:
-                        ab = self.ab.copy()
-                        ab[self.band] += diag - z
-                        rows[i] = solve_banded((self.band, self.band), ab, rhs,
-                                               overwrite_ab=True, check_finite=False)
-                    else:
-                        shifted = (self.op.matrix + sp.diags(diag - z)).tocsc()
-                        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                                       options={"SymmetricMode": True})
-                        x = lu.solve(rhs)
-                        rows[i] = x + lu.solve(rhs - shifted @ x)  # one refinement step
-                except (RuntimeError, np.linalg.LinAlgError) as exc:
-                    raise NumericalError(f"realization {first + i}: solve failed: {exc}",
-                                         realization=first + i) from exc
+            if self.band is not None:
+                rows = self._banded_rows(z, diags, first)
+            else:
+                rows = self._splu_rows(z, diags, first)
             applied = (self.op.matrix @ rows.T).T + (diags - z) * rows
             applied[:, self.source] -= 1.0
             residuals = np.linalg.norm(applied, axis=1)
@@ -212,6 +203,43 @@ class RealizationEngine:
             raise NumericalError(f"realization {first + i}: solver residual above tolerance",
                                  realization=first + i, residual=float(residuals[i]))
         return rows, residuals
+
+    def _banded_rows(self, z: complex, diags: np.ndarray, first: int) -> np.ndarray:
+        """One LAPACK call on the block-diagonal band of a block of realizations."""
+        count, n = diags.shape
+        k = self.band
+        ab = np.tile(self.ab, count)
+        ab[k] += (diags - z).ravel()
+        rhs = np.zeros(count * n, dtype=complex)
+        rhs[self.source::n] = 1.0
+        if n == 1:  # solve_banded divides for one site; so do these rows, to keep its bits
+            return (rhs / ab[k]).reshape(count, n)
+        if k == 1:
+            *_, x, info = self.banded_solve(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+        else:  # ?gbsv wants k more rows above the band for the fill of pivoting
+            padded = np.zeros((3 * k + 1, ab.shape[1]), dtype=complex)
+            padded[k:] = ab
+            *_, x, info = self.banded_solve(k, k, padded, rhs, overwrite_ab=1, overwrite_b=1)
+        if info > 0:  # an exactly zero pivot in row info (1-based)
+            r = first + (info - 1) // n
+            raise NumericalError(f"realization {r}: solve failed: singular matrix", realization=r)
+        return x.reshape(count, n)
+
+    def _splu_rows(self, z: complex, diags: np.ndarray, first: int) -> np.ndarray:
+        rhs = np.zeros(self.op.size, dtype=complex)
+        rhs[self.source] = 1.0
+        rows = np.empty(diags.shape, dtype=complex)
+        for i, diag in enumerate(diags):
+            try:
+                shifted = (self.op.matrix + sp.diags(diag - z)).tocsc()
+                lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                               options={"SymmetricMode": True})
+                x = lu.solve(rhs)
+                rows[i] = x + lu.solve(rhs - shifted @ x)  # one refinement step
+            except RuntimeError as exc:
+                raise NumericalError(f"realization {first + i}: solve failed: {exc}",
+                                     realization=first + i) from exc
+        return rows
 
     def reduce(self, fn, count: int, size: int, threads: int = 1) -> RunningMoments:
         """Running moments of the rows fn(first, diagonals) returns for

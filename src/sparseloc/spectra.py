@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eig_banded
+from scipy.linalg.lapack import dstevd
 
 from ._stats import run_indexed
 from .disorder import DisorderModel
@@ -45,8 +46,11 @@ def _lower_band(matrix: sp.spmatrix) -> np.ndarray:
 def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CAP) -> EigenReport:
     """Full symmetric eigendecomposition with per-state IPRs.
 
-    A 1D matrix is banded (bandwidth = hopping range), and LAPACK's
-    ?sbevd diagonalizes the band directly by divide and conquer.  In
+    A 1D matrix is banded (bandwidth = hopping range), and LAPACK
+    diagonalizes the band directly by divide and conquer: ?stevd for
+    bandwidth <= 1, ?sbevd for wider bands.  On a tridiagonal band ?sbevd
+    runs the same ?stedc and then multiplies by an identity Q, so ?stevd
+    gives its eigenvalues bit for bit without that product.  In
     nu >= 2 dimensions the band is side^(nu - 1) wide and the dense
     ?syevd of ``np.linalg.eigh`` is faster.  Every decomposition must
     have residual max_i ||A v_i - e_i v_i|| <= 1e-8, taken with the sparse
@@ -62,7 +66,14 @@ def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CA
     matrix = op.matrix.real if np.iscomplexobj(op.matrix) else op.matrix
     try:
         if op.cube.dim == 1:
-            values, vectors = eig_banded(_lower_band(matrix), lower=True, check_finite=False)
+            band = _lower_band(matrix)
+            if band.shape[0] <= 2:  # ?stevd wants max(n - 1, 1) off-diagonal entries
+                off = band[1, :-1] if band.shape[0] == 2 else np.zeros(max(n - 1, 1))
+                values, vectors, info = dstevd(band[0], off, compute_v=1)
+                if info:
+                    raise np.linalg.LinAlgError(f"?stevd returned info {info}")
+            else:
+                values, vectors = eig_banded(band, lower=True, check_finite=False)
         else:
             values, vectors = np.linalg.eigh(matrix.toarray())
     except np.linalg.LinAlgError as exc:

@@ -2,8 +2,9 @@
 
 Each one computes a quantity the slow, direct way that the package once
 shipped beside its fast path: a Green row by one default sparse LU per
-row, propagator elements one offset at a time, a growing weight one site
-at a time, and the IPR of one vector.
+row, the 1D Green rows of a block of realizations by one banded solve per
+realization, propagator elements one offset at a time, a growing weight
+one site at a time, and the IPR of one vector.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from sparseloc.dynamics import axis_factor_table
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, Site, max_norm
-from sparseloc.operators import AssembledOperator, SymbolSpec
+from sparseloc.operators import AssembledOperator, SymbolSpec, band_storage
 
 _RESIDUAL_TOL = 1e-10
 
@@ -60,6 +62,22 @@ def green_row(op: AssembledOperator, z: complex, source: Site) -> GreenRow:
     if not math.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise NumericalError("solver residual above tolerance", residual=residual)
     return GreenRow(op.cube, tuple(source), x, residual)
+
+
+def banded_green_rows(op: AssembledOperator, band: int, z: complex, diags: np.ndarray,
+                      source: Site) -> np.ndarray:
+    """Green rows of op + diag(d) - z for each row d of ``diags``: one
+    ``solve_banded`` call (?gtsv for band 1, ?gbsv otherwise, a division
+    for one site) per realization on a copy of the free band."""
+    free = band_storage(op.matrix, band, dtype=complex)
+    rhs = np.zeros(op.size, dtype=complex)
+    rhs[op.index_of(source)] = 1.0
+    rows = np.empty(diags.shape, dtype=complex)
+    for i, diag in enumerate(diags):
+        ab = free.copy()
+        ab[band] += diag - z
+        rows[i] = solve_banded((band, band), ab, rhs, overwrite_ab=True, check_finite=False)
+    return rows
 
 
 def evolution_kernel(spec: SymbolSpec, t: float, offsets) -> dict[Site, complex]:

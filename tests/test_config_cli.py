@@ -45,6 +45,24 @@ def test_validate_rejects_low_dimension_sparseness():
     assert any("2*(1/3 - 1/nu)" in reason for _, reason in err.value.violations)
 
 
+def test_validate_rejects_edge_scan_volume_above_the_dense_cap():
+    raw = {
+        "kind": "edge_scan",
+        "symbol": {"delta": 1},
+        "volume": {"center": [0], "half_side": 2048},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
+        "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 1.0},
+        "realizations": 20,
+        "s": 0.5,
+    }
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert ("volume", "volume 4097 exceeds the dense-diagonalization cap 4096") in \
+        err.value.violations
+    raw["volume"]["half_side"] = 2047  # 4095 sites: under the cap
+    validate_config(raw)
+
+
 def test_validate_rejects_alpha_outside_window():
     raw = {
         "kind": "sparseness",

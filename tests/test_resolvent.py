@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import get_lapack_funcs
 
 from sparseloc import resolvent
 from sparseloc.config import validate_config
 from sparseloc.errors import NumericalError
-from sparseloc.lattice import Cube, sparse_set_from_sites
+from sparseloc.lattice import Cube, generate_sparse_set, sparse_set_from_sites
 from sparseloc.operators import (
     AssembledOperator,
     SymbolSpec,
@@ -48,7 +49,7 @@ from sparseloc.resolvent import (
     theorem2_cube,
 )
 
-from oracles import green_row
+from oracles import banded_green_rows, green_row
 
 DELTA1 = kernel_from_symbol(delta_symbol(1))
 ZERO1 = kernel_from_symbol(SymbolSpec(((),)))
@@ -525,6 +526,38 @@ def test_banded_rows_match_splu_reference(kernel, energy, eps, coupling):
     _assert_close(np.sum(np.abs(rows) ** 2, axis=1), np.sum(np.abs(ref_rows) ** 2, axis=1))
 
 
+@pytest.mark.parametrize("kernel,band,half", [
+    (ZERO1, 0, 12), (DELTA1, 1, 40), (DELTA1_RANGE2, 2, 40),
+    (ZERO1, 0, 0), (DELTA1, 1, 0), (DELTA1_RANGE2, 2, 0),
+], ids=["band0", "band1", "band2", "one-site-band0", "one-site-band1", "one-site-band2"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_stacked_banded_rows_match_solve_banded_reference(monkeypatch, kernel, band, half,
+                                                          threads):
+    # blocks of 3 realizations: 7 realizations are blocks 0-2, 3-5 and 6 (one site x one
+    # realization in the one-site cases)
+    monkeypatch.setattr(resolvent, "_CHUNK_ENTRIES", 3 * (2 * half + 1))
+    volume = Cube((3,), half)
+    sparse = generate_sparse_set(0.5, volume, "bernoulli_thinned", 2) if half else \
+        sparse_set_from_sites([(3,)], 0.5, 1)
+    model = DisorderModel(UniformLaw(-1, 1), coupling=4.0, seed=6)
+    source = (3 + half // 2,)
+    engine = RealizationEngine(kernel, volume, sparse, model, source)
+    assert engine.band == band and engine.chunk == 3
+    for z in (complex(0.4, 1e-3), complex(2.9, 1e-2), complex(6.0, 1e-4)):
+        blocks = {}
+
+        def block(first, diags):
+            blocks[first] = (diags, engine.green_rows(z, diags, first)[0])
+            return np.zeros((len(diags), 1))
+
+        engine.reduce(block, 7, 1, threads)
+        assert sorted(blocks) == [0, 3, 6]
+        for first, (diags, rows) in blocks.items():
+            with resolvent._flush_subnormals():
+                want = banded_green_rows(engine.op, band, z, diags, source)
+            assert rows.tobytes() == want.tobytes(), (z, first)
+
+
 @pytest.mark.parametrize("energy,eps", [(5.0, 1e-3), (0.5, 1e-4), (2.5, 1e-2)])
 @pytest.mark.parametrize("coupling,step", [(30.0, 1), (2.0, 3), (0.0, 1), (9.0, 200)],
                          ids=["full", "sparse", "zero-coupling", "empty-set"])
@@ -661,8 +694,32 @@ def _raise(exc):
     return fault
 
 
-def _nan_result(fn, *args, **kwargs):
-    return np.full_like(fn(*args, **kwargs), np.nan)
+def _banded_fault(realization, sites, fault, calls=(0,)):
+    """A ``get_lapack_funcs`` whose banded solver applies ``fault`` to the
+    output of the listed calls (0-based) for block realization
+    ``realization`` of a ``sites``-site volume."""
+    counter = itertools.count()
+
+    def fetch(names, arrays):
+        routine, = get_lapack_funcs(names, arrays)
+
+        def solve(*args, **kwargs):
+            out = routine(*args, **kwargs)
+            return fault(out, realization, sites) if next(counter) in calls else out
+
+        return (solve,)
+
+    return fetch
+
+
+def _zero_pivot(out, realization, sites):
+    """LAPACK's report of an exactly zero pivot in the realization's last row."""
+    return (*out[:-1], (realization + 1) * sites)
+
+
+def _nan_rows(out, realization, sites):
+    out[-2][realization * sites:(realization + 1) * sites] = np.nan
+    return out
 
 
 def _run_kind(kind, kernel, volume, source):
@@ -676,14 +733,34 @@ def _run_kind(kind, kernel, volume, source):
 
 
 @pytest.mark.parametrize("kind", ["moments", "simon_wolff"])
-@pytest.mark.parametrize("fault", [
-    _raise(np.linalg.LinAlgError("singular matrix")), _nan_result,
-], ids=["lapack-singular", "non-finite"])
+@pytest.mark.parametrize("fault", [_zero_pivot, _nan_rows], ids=["lapack-singular", "non-finite"])
 def test_banded_path_faults_raise_tagged_numerical_error(monkeypatch, kind, fault):
-    monkeypatch.setattr(resolvent, "solve_banded", _fail_on_call(resolvent.solve_banded, 2, fault))
+    # the 4 realizations of 21 sites are one block and one ?gtsv call
+    monkeypatch.setattr(resolvent, "get_lapack_funcs", _banded_fault(2, 21, fault))
     with pytest.raises(NumericalError, match="realization 2") as info:
         _run_kind(kind, DELTA1, Cube((0,), 10), (0,))
     assert info.value.diagnostics["realization"] == 2
+
+
+def test_banded_zero_pivot_in_second_block_names_its_realization(monkeypatch):
+    monkeypatch.setattr(resolvent, "_CHUNK_ENTRIES", 2 * 21)  # blocks of 2 realizations
+    monkeypatch.setattr(resolvent, "get_lapack_funcs", _banded_fault(1, 21, _zero_pivot, (1,)))
+    with pytest.raises(NumericalError, match="realization 3: solve failed") as info:
+        _run_kind("moments", DELTA1, Cube((0,), 10), (0,))
+    assert info.value.diagnostics["realization"] == 3
+
+
+@pytest.mark.parametrize("kernel,diag", [
+    (DELTA1, [2.0, 1.0, 2.0]),  # ?gtsv: the last pivot of the elimination is exactly 0
+    (ZERO1, [0.5, 0.0, -1.0]),  # ?gbsv on the diagonal band: the middle pivot is 0
+], ids=["gtsv", "gbsv"])
+def test_banded_singular_realization_is_named(kernel, diag):
+    engine = RealizationEngine(kernel, Cube((0,), 1), sparse_set_from_sites([], 0.5, 1),
+                               DisorderModel(UniformLaw(-1, 1), seed=1), (0,))
+    diags = np.array([[0.25, 0.5, 0.75], diag, [0.5, 0.25, 0.5]])
+    with pytest.raises(NumericalError, match="realization 8: solve failed") as info:
+        engine.green_rows(0j, diags, first=7)
+    assert info.value.diagnostics["realization"] == 8
 
 
 @pytest.mark.parametrize("kind", ["moments", "simon_wolff"])

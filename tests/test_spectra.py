@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eig_banded
 
 from sparseloc import spectra
 from sparseloc.cli import main
@@ -222,19 +223,23 @@ def test_edge_scan_realization_floor():
         _scan(DisorderModel(UniformLaw(-1, 1), coupling=0.0, seed=1), empty, realizations=5)
 
 
-# the solver each path calls: LAPACK's banded one on 1D volumes, dense eigh above
-_SOLVERS = {1: (spectra, "eig_banded"), 2: (np.linalg, "eigh")}
+# the solver each path calls: LAPACK's ?stevd on nearest-neighbour 1D volumes, dense eigh above
+_SOLVERS = {1: (spectra, "dstevd"), 2: (np.linalg, "eigh")}
 
 
 def _perturbed(exact):
     def solve(*args, **kwargs):
-        values, vectors = exact(*args, **kwargs)
-        return values, vectors + 1e-4
+        values, vectors, *info = exact(*args, **kwargs)
+        return (values, vectors + 1e-4, *info)
     return solve
 
 
 def _diverging(exact):
+    """?stevd reports a failed divide and conquer through info > 0; eigh raises."""
     def solve(*args, **kwargs):
+        if exact is spectra.dstevd:
+            values, vectors, _ = exact(*args, **kwargs)
+            return values, vectors, 1
         raise np.linalg.LinAlgError("eig algorithm did not converge")
     return solve
 
@@ -315,10 +320,19 @@ ZERO = kernel_from_symbol(SymbolSpec(((),)))
     ids=["zero-kernel", "one-site", "uniform", "empty-set", "weighted-gaussian-range2",
          "bernoulli-range2"],
 )
-def test_banded_path_matches_dense_eigh(kernel, bandwidth, cube, sparse, model):
+def test_banded_path_matches_dense_eigh(monkeypatch, kernel, bandwidth, cube, sparse, model):
+    stevd = []  # what each ?stevd call returned
+    exact = spectra.dstevd
+
+    def spy(*args, **kwargs):
+        stevd.append(exact(*args, **kwargs))
+        return stevd[-1]
+
+    monkeypatch.setattr(spectra, "dstevd", spy)
     for r in range(2):
         op = _assemble(kernel, sample_potential(model, sparse, r), cube)
-        assert spectra._lower_band(op.matrix).shape[0] == bandwidth + 1
+        band = spectra._lower_band(op.matrix)
+        assert band.shape[0] == bandwidth + 1
         report = eigensystem(op, realization=r)
         dense = op.matrix.toarray()
         values, vectors = np.linalg.eigh(dense)
@@ -326,16 +340,30 @@ def test_banded_path_matches_dense_eigh(kernel, bandwidth, cube, sparse, model):
         np.testing.assert_allclose(report.eigenvalues, values, rtol=0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
                                    rtol=1e-10, atol=0.0)
+        # bandwidth <= 1 goes to ?stevd, which must give ?sbevd's eigenpairs bit for bit
+        sb_values, sb_vectors = eig_banded(band, lower=True, check_finite=False)
+        assert report.eigenvalues.tobytes() == sb_values.tobytes()
+        assert report.iprs.tobytes() == np.sum(np.square(np.square(sb_vectors)), axis=0).tobytes()
+        if bandwidth <= 1:
+            _, st_vectors, info = stevd.pop()
+            assert info == 0
+            # ?sbevd multiplies by an identity Q, which turns a -0.0 into +0.0
+            assert (st_vectors + 0.0).tobytes() == sb_vectors.tobytes()
+    assert not stevd  # called only where the band is tridiagonal
 
 
-@pytest.mark.parametrize("kernel,half", [(DELTA1, 200), (RANGE2, 150)], ids=["nn-401", "range2-301"])
+@pytest.mark.parametrize("kernel,half", [(DELTA1, 200), (RANGE2, 150), (ZERO, 150), (DELTA1, 0)],
+                         ids=["nn-401", "range2-301", "zero-kernel-301", "one-site"])
 def test_ipr_sum_equals_abs_fourth_power(kernel, half):
-    # eigensystem squares the vectors twice; the sum must match |v|**4 to 1e-14
+    # eigensystem squares the vectors twice; the sum must match |v|**4 to 1e-14, and
+    # ?sbevd's vectors (eig_banded) give it bit for bit on every band width
     cube = Cube((0,), half)
     model = DisorderModel(UniformLaw(-1, 1), coupling=3.0, seed=8)
-    sparse = generate_sparse_set(0.5, cube, "bernoulli_thinned", 2)
+    sparse = generate_sparse_set(0.5, cube, "bernoulli_thinned", 2) if half else \
+        sparse_set_from_sites([(0,)], 0.5, 1)
     op = _assemble(kernel, sample_potential(model, sparse, 0), cube)
     report = eigensystem(op)
-    _, vectors = spectra.eig_banded(spectra._lower_band(op.matrix), lower=True, check_finite=False)
+    _, vectors = eig_banded(spectra._lower_band(op.matrix), lower=True, check_finite=False)
     np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
                                rtol=1e-14, atol=0.0)
+    assert report.iprs.tobytes() == np.sum(np.square(np.square(vectors)), axis=0).tobytes()
