@@ -4,7 +4,7 @@ with sparsely supported random potentials.
 Modules
 -------
 lattice    cubes, site enumeration, sparse-set generation and cap checks
-operators  symbol-built hopping kernels, s-norms, finite-volume assembly
+operators  H0 as its symbol and hopping list, s-norms, finite-volume assembly
 disorder   single-site laws, couplings, weight sequences, sampling
 resolvent  Green rows, fractional moments, decoupling, thresholds
 dynamics   free-evolution kernels, decay checks, sparseness integrals

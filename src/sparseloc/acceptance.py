@@ -47,7 +47,7 @@ from .lattice import (
     sparse_set_from_sites,
     sparseness_profile,
 )
-from .operators import delta_symbol, kernel_from_symbol, neumann_fractional_bound, s_norm
+from .operators import delta_symbol, neumann_fractional_bound, s_norm
 from .resolvent import RealizationEngine, lambda_threshold, theorem2_cube
 
 PINNED_NEUMANN_E3 = 1.4537516965565431  # 3^-0.9 / (1 - 2/3^0.9): |E|^(-s) / (1 - ||H0||_s^s/|E|^s)
@@ -64,10 +64,9 @@ class CriterionResult:
 def criterion_01_s_norm_exactness(workdir, threads=1) -> CriterionResult:
     worst = 0.0
     for nu in (1, 2, 3):
-        kernel = kernel_from_symbol(delta_symbol(nu))
         for s in (0.3, 0.5, 0.9):
             exact = (2.0 * nu) ** (1.0 / s)
-            rel = abs(s_norm(kernel, s) - exact) / exact
+            rel = abs(s_norm(delta_symbol(nu), s) - exact) / exact
             worst = max(worst, rel)
     return CriterionResult(
         1, "s-norm exactness (2 nu)^(1/s)", worst < 1e-12, f"worst rel err {worst:.2e}"
@@ -75,9 +74,9 @@ def criterion_01_s_norm_exactness(workdir, threads=1) -> CriterionResult:
 
 
 def criterion_02_neumann_domination(workdir, threads=1) -> CriterionResult:
-    kernel = kernel_from_symbol(delta_symbol(1))
+    delta = delta_symbol(1)
     # lambda = 0 on an empty S: the engine's rows are rows of the free resolvent
-    engine = RealizationEngine(kernel, Cube((0,), 1000), sparse_set_from_sites([], 0.5, 1),
+    engine = RealizationEngine(delta, Cube((0,), 1000), sparse_set_from_sites([], 0.5, 1),
                                DisorderModel(UniformLaw(-1.0, 1.0), coupling=0.0), (0,))
     free = engine.diagonals(range(1))
     s = 0.9
@@ -86,12 +85,12 @@ def criterion_02_neumann_domination(workdir, threads=1) -> CriterionResult:
     for energy in (3.0, 4.0, 6.0):
         row = engine.green_rows(complex(energy, 1e-6), free)[0][0]
         direct = float(np.sum(np.abs(row) ** s))
-        bound = neumann_fractional_bound(kernel, energy, s)
+        bound = neumann_fractional_bound(delta, energy, s)
         holds = direct <= bound
         dominated = dominated and holds
         details.append(f"E={energy:g}: direct {direct:.6f} {'<=' if holds else '>'} bound "
                        f"{bound:.6f}{'' if holds else ' (FAILS: not dominated)'}")
-    pinned = neumann_fractional_bound(kernel, 3.0, s)
+    pinned = neumann_fractional_bound(delta, 3.0, s)
     value_clause = abs(pinned - PINNED_NEUMANN_E3) < 1e-6
     details.append(
         f"pinned-value clause: bound(3)={pinned:.7f} vs pinned {PINNED_NEUMANN_E3:.7f} "
@@ -255,9 +254,9 @@ def decay_fit_config(realizations: int = 800, half_side: int = 200) -> dict:
 
 def criterion_09_localization_decay(workdir, threads=1) -> CriterionResult:
     summary = _run_preset(workdir, "decay_fit", decay_fit_config(), threads)
-    kernel = kernel_from_symbol(delta_symbol(1))
-    lam_hat = lambda_threshold(kernel, 0.5, summary["kappa_hat"])
-    regime_ok = 30.0 >= 2.0 * lam_hat and abs(5.0 - 1.25 * s_norm(kernel, 0.5)) < 1e-12
+    delta = delta_symbol(1)
+    lam_hat = lambda_threshold(delta, 0.5, summary["kappa_hat"])
+    regime_ok = 30.0 >= 2.0 * lam_hat and abs(5.0 - 1.25 * s_norm(delta, 0.5)) < 1e-12
     fit_ok = summary["verdicts"].get("decay_rate", False)
     passed = regime_ok and fit_ok
     details = (f"lambda=30 >= 2 lambda_s = {2 * lam_hat:.2f}; "
@@ -291,15 +290,14 @@ criterion_10_simon_wolff = _verdict_criterion(
 
 
 def criterion_11_theorem2_cube(workdir, threads=1) -> CriterionResult:
-    kernel = kernel_from_symbol(delta_symbol(1))
     sparse = sparse_set_from_sites([(i,) for i in range(-10, 11)], 0.5, 1)
-    result = theorem2_cube((0,), 0.5, 1.0, kernel, 1.0, sparse)
+    result = theorem2_cube((0,), 0.5, 1.0, delta_symbol(1), 1.0, sparse)
     algebraic_ok = result.radius == 3
     rng = np.random.Generator(np.random.Philox(20240808))
     mismatches = 0
     for _ in range(50):
         nu = int(rng.integers(1, 3))
-        kern = kernel_from_symbol(delta_symbol(nu))
+        delta = delta_symbol(nu)
         gamma = float(rng.uniform(0.3, 2.0))
         s = float(rng.uniform(0.3, 0.9))
         kappa = float(rng.uniform(0.5, 1.5))
@@ -307,8 +305,8 @@ def criterion_11_theorem2_cube(workdir, threads=1) -> CriterionResult:
         n_sites = int(rng.integers(1, 30))
         sites = {tuple(int(c) for c in rng.integers(-12, 13, size=nu)) for _ in range(n_sites)}
         sp = sparse_set_from_sites(list(sites), 0.5, nu)
-        got = theorem2_cube(center, s, gamma, kern, kappa, sp)
-        threshold = s_norm(kern, s) ** s
+        got = theorem2_cube(center, s, gamma, delta, kappa, sp)
+        threshold = s_norm(delta, s) ** s
         brute = 0
         for radius in range(0, 64):
             outside = [m for m in sp.coords.tolist() if max_norm(m, center) > radius]

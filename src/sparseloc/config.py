@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import Cube, cap_violation, generate_sparse_set, max_norm, sparse_set_from_sites
-from .operators import SymbolSpec, kernel_from_symbol, s_norm
+from .operators import SymbolSpec, delta_symbol, s_norm
 from .disorder import DisorderModel, make_law
 
 
@@ -199,7 +199,7 @@ _UNIT = _num(0.0, 1.0, lo_open=True, hi_open=True)
 _POSITIVE = _num(0.0, lo_open=True)
 
 _DELTA = _Table({"delta": (_int(1), REQUIRED)},
-                build=lambda f: SymbolSpec(tuple(((1, 1.0),) for _ in range(f["delta"]))),
+                build=lambda f: delta_symbol(f["delta"]),
                 malformed="missing or malformed symbol block")
 _TERM = _Table({"k": (_int(1), REQUIRED), "c": (_num(), REQUIRED)}, lambda f: (f["k"], f["c"]))
 _AXES = _Table({"axes": (_list_of(_list_of(_TERM, "must be a list of {k, c} terms"),
@@ -361,7 +361,7 @@ def _monte_carlo(p, bad):
     if query is not None and not volume.contains(query["source"]):
         bad.append(("query.source", "must lie inside the volume"))
     elif query is not None and dim is not None:
-        return {"h0_norm_s": s_norm(kernel_from_symbol(p["symbol"]), query["s"])}
+        return {"h0_norm_s": s_norm(p["symbol"], query["s"])}
     return {}
 
 
@@ -395,8 +395,7 @@ def _echo_norms(p, bad):
     spec, grid = p.get("symbol"), p.get("s_grid")
     if spec is None or not grid:
         return {}
-    kernel = kernel_from_symbol(spec)
-    return {"h0_norms": {f"{s:g}": s_norm(kernel, s) for s in grid}}
+    return {"h0_norms": {f"{s:g}": s_norm(spec, s) for s in grid}}
 
 
 def _propagator(p, bad):

@@ -29,7 +29,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .dynamics import cook_integrand, kernel_elements, sparseness_integral
 from .lattice import centered_subcubes, sparseness_profile, sparse_set_to_text
-from .operators import kernel_decay_check, kernel_from_symbol, periodized_gaussian, s_norm
+from .operators import kernel_decay_check, periodized_gaussian, s_norm
 from .resolvent import (
     GreenQuery,
     am_uniform_bound,
@@ -163,24 +163,19 @@ def run_experiment(
 
 def _run_norms(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
-    rows = [(s, s_norm(kernel, s)) for s in o["s_grid"]]
+    rows = [(s, s_norm(o["spec"], s)) for s in o["s_grid"]]
     write_csv(stage / "norms.csv", ["s", "norm"], rows)
     return {}, {"dim": o["spec"].dim}
 
 
 def _run_kernel(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
-    dim = kernel.dim
-    header = [f"d{i+1}" for i in range(dim)] + ["amplitude"]
-    rows = [tuple(off) + (amp,) for off, amp in kernel.hopping]
-    write_csv(stage / "kernel.csv", header, rows)
+    spec = o["spec"]
+    header = [f"d{i+1}" for i in range(spec.dim)] + ["amplitude"]
+    write_csv(stage / "kernel.csv", header, [off + (amp,) for off, amp in spec.hopping])
     if o.get("s_grid"):
-        write_csv(
-            stage / "norms.csv", ["s", "norm"], [(s, s_norm(kernel, s)) for s in o["s_grid"]]
-        )
-    return {}, {"offsets": len(kernel.hopping)}
+        write_csv(stage / "norms.csv", ["s", "norm"], [(s, s_norm(spec, s)) for s in o["s_grid"]])
+    return {}, {"offsets": len(spec.hopping)}
 
 
 def _run_propagator(cfg, stage, threads):
@@ -272,9 +267,8 @@ def _moments_csv(stage, est, model, name="moments.csv"):
 
 def _run_moments(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
     q = GreenQuery(volume=o["volume"], **o["query"])
-    est = fractional_moment_estimate(q, kernel, o["sparse"], o["model"], threads=threads)
+    est = fractional_moment_estimate(q, o["spec"], o["sparse"], o["model"], threads=threads)
     _moments_csv(stage, est, o["model"])
     verdicts = {}
     summary = {"h0_norm_s": cfg.derived.get("h0_norm_s")}
@@ -289,9 +283,8 @@ def _run_moments(cfg, stage, threads):
 
 def _run_decay_fit(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
     q = GreenQuery(volume=o["volume"], **o["query"])
-    est = fractional_moment_estimate(q, kernel, o["sparse"], o["model"], threads=threads)
+    est = fractional_moment_estimate(q, o["spec"], o["sparse"], o["model"], threads=threads)
     _moments_csv(stage, est, o["model"])
     kappa = o["kappa_hat"]
     if kappa is None:
@@ -299,7 +292,7 @@ def _run_decay_fit(cfg, stage, threads):
     has_on = len(o["sparse"]) > 0
     has_off = o["volume"].volume > len(o["sparse"])
     profile = ([True] if has_on else []) + ([False] if has_off else [])
-    ks = k_s_factor(kernel, q.energy, o["model"].coupling, q.s, profile, kappa)
+    ks = k_s_factor(o["spec"], q.energy, o["model"].coupling, q.s, profile, kappa)
     fit = decay_rate_fit(est, ks.value)
     summary = {
         "rate": fit.rate,
@@ -316,9 +309,8 @@ def _run_decay_fit(cfg, stage, threads):
 
 def _run_simon_wolff(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
     q = GreenQuery(volume=o["volume"], **o["query"])
-    rows = simon_wolff_proxy(q, kernel, o["sparse"], o["model"], o["eps_ladder"], threads=threads)
+    rows = simon_wolff_proxy(q, o["spec"], o["sparse"], o["model"], o["eps_ladder"], threads=threads)
     write_csv(
         stage / "simon_wolff.csv",
         ["E", "epsilon", "mean_sum_G2", "stderr", "trend_ratio"],
@@ -335,7 +327,6 @@ def _run_simon_wolff(cfg, stage, threads):
 
 def _run_thresholds(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
     model = o["model"]
     rows = []
     ks_rows = []
@@ -343,8 +334,8 @@ def _run_thresholds(cfg, stage, threads):
     for s in o["s_grid"]:
         dec = estimate_decoupling(model.law, s)
         interior_ok = interior_ok and dec.interior
-        lam_s = lambda_threshold(kernel, s, dec.kappa_hat)
-        norm = s_norm(kernel, s)
+        lam_s = lambda_threshold(o["spec"], s, dec.kappa_hat)
+        norm = s_norm(o["spec"], s)
         rows.append(
             (s, norm, dec.kappa_hat, dec.d_eff, lam_s,
              am_uniform_bound(model.coupling, s) if model.coupling > 0 else math.inf)
@@ -371,9 +362,8 @@ def _run_thresholds(cfg, stage, threads):
 
 def _run_edge_scan(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
     scan = mobility_edge_scan(
-        kernel, o["sparse"], o["model"], o["volume"], o["realizations"], o["s"],
+        o["spec"], o["sparse"], o["model"], o["volume"], o["realizations"], o["s"],
         bin_width=o["bin_width"], threads=threads,
     )
     write_csv(
@@ -399,12 +389,11 @@ def _run_edge_scan(cfg, stage, threads):
 
 def _run_theorem2(cfg, stage, threads):
     o = cfg.objects
-    kernel = kernel_from_symbol(o["spec"])
     kappa = o["kappa_hat"]
     if kappa is None:
         kappa = estimate_decoupling(o["model"].law, o["s"]).kappa_hat
-    result = theorem2_cube(o["center"], o["s"], o["gamma"], kernel, kappa, o["sparse"])
-    threshold = s_norm(kernel, o["s"]) ** o["s"]
+    result = theorem2_cube(o["center"], o["s"], o["gamma"], o["spec"], kappa, o["sparse"])
+    threshold = s_norm(o["spec"], o["s"]) ** o["s"]
     values = (o["sparse"].weights(o["gamma"] * o["s"]) * kappa).tolist()
     rows = [(*site, v, v > threshold) for site, v in zip(o["sparse"].coords.tolist(), values)]
     write_csv(

@@ -158,16 +158,6 @@ class SparseSet:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __contains__(self, site) -> bool:
-        """Binary search on the sorted rows, one axis at a time."""
-        if len(site) != self.dim:
-            return False
-        lo, hi = 0, len(self)
-        for axis, c in enumerate(site):
-            column = self.coords[lo:hi, axis]
-            lo, hi = lo + np.searchsorted(column, c), lo + np.searchsorted(column, c, "right")
-        return bool(hi > lo)
-
     @cached_property
     def sites(self) -> tuple[Site, ...]:
         """The sites as int tuples in row order, built on first use."""

@@ -1,10 +1,10 @@
 """Translation-invariant free operators, s-norms, finite-volume assembly.
 
-The free part is a convolution kernel c(d) on Z^nu built from a
-separable trigonometric symbol h(theta) = sum_i h_i(theta_i), each axis
-a finite cosine series h_i(theta) = sum_k 2 c_k cos(k theta).  Such
-kernels are exact (no quadrature) and have finite hopping range, so the
-column quasi-norm
+The free part H0 is one object, its separable trigonometric symbol
+h(theta) = sum_i h_i(theta_i), each axis a finite cosine series
+h_i(theta) = sum_k 2 c_k cos(k theta).  Its convolution kernel puts c_k
+at the offsets +/- k e_i (``SymbolSpec.hopping``); it is exact (no
+quadrature) and of finite range, so the column quasi-norm
 
     ||H||_s = (sum_d |c(d)|^s)^(1/s)
 
@@ -14,7 +14,7 @@ is a plain finite sum.  Finite-volume matrices use Dirichlet truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -28,7 +28,11 @@ _DERIV_GRID = 8192
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Separable symbol; one cosine series {k: c_k} per axis."""
+    """Separable symbol; one cosine series {k: c_k} per axis.
+
+    ``hopping`` is its kernel: (offset, c_k) at +/- k e_i for every
+    nonzero c_k, sorted by offset.  s-norms are cached per instance.
+    """
 
     axes: tuple[tuple[tuple[int, float], ...], ...]
 
@@ -46,7 +50,13 @@ class SymbolSpec:
                     raise ValueError(f"duplicate harmonic {k} in axis series")
                 seen[k] = float(c)
             norm.append(tuple(sorted(seen.items())))
+        dim = len(norm)
+        hopping = [(tuple(sign * k if j == i else 0 for j in range(dim)), c)
+                   for i, series in enumerate(norm) for k, c in series if c != 0.0
+                   for sign in (1, -1)]
         object.__setattr__(self, "axes", tuple(norm))
+        object.__setattr__(self, "hopping", tuple(sorted(hopping)))
+        object.__setattr__(self, "_s_norms", {})
 
     @property
     def dim(self) -> int:
@@ -91,73 +101,23 @@ def delta_symbol(dim: int, k: int = 1, amplitude: float = 1.0) -> SymbolSpec:
     return SymbolSpec(tuple(((k, amplitude),) for _ in range(dim)))
 
 
-@dataclass(frozen=True)
-class KernelOperator:
-    """Hopping kernel c(d) with cached s-norms.
-
-    c(d) = c(-d) and the support is finite, so every s in (0, 1] gives a
-    finite norm; s0 metadata records the claimed summability threshold
-    (0 for finite support).
-    """
-
-    dim: int
-    hopping: tuple[tuple[Site, float], ...]
-    s0: float = 0.0
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        norm = {}
-        for offset, amp in self.hopping:
-            offset = tuple(int(x) for x in offset)
-            if len(offset) != self.dim:
-                raise ValueError(f"offset {offset} has wrong dimension")
-            if amp != 0.0:
-                norm[offset] = norm.get(offset, 0.0) + float(amp)
-        for offset, amp in norm.items():
-            neg = tuple(-x for x in offset)
-            if not math.isclose(norm.get(neg, 0.0), amp, rel_tol=0, abs_tol=1e-15):
-                raise ValueError(f"kernel not symmetric at offset {offset}")
-        object.__setattr__(
-            self, "hopping", tuple(sorted((o, a) for o, a in norm.items() if a != 0.0))
-        )
-
-    @property
-    def offsets(self) -> list[Site]:
-        return [o for o, _ in self.hopping]
-
-
-def kernel_from_symbol(spec: SymbolSpec) -> KernelOperator:
-    """Kernel of the symbol: amplitude c_k at offsets +/- k e_i per axis."""
-    hopping = []
-    for i in range(spec.dim):
-        for k, c in spec.axes[i]:
-            if c == 0.0:
-                continue
-            plus = tuple(k if j == i else 0 for j in range(spec.dim))
-            minus = tuple(-x for x in plus)
-            hopping.append((plus, c))
-            hopping.append((minus, c))
-    return KernelOperator(spec.dim, tuple(hopping))
-
-
-def s_norm(kernel: KernelOperator, s: float) -> float:
-    """(sum_d |c(d)|^s)^(1/s); exact for translation-invariant kernels."""
+def s_norm(spec: SymbolSpec, s: float) -> float:
+    """(sum_d |c(d)|^s)^(1/s) over the symbol's kernel; exact."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    cached = kernel._cache.get(s)
+    cached = spec._s_norms.get(s)
     if cached is not None:
         return cached
     total = 0.0
-    for _, amp in kernel.hopping:
+    for _, amp in spec.hopping:
         total += abs(amp) ** s
     if not math.isfinite(total):
         raise NumericalError("s-norm sum diverged", partial_sum=total, s=s)
     value = total ** (1.0 / s) if total > 0.0 else 0.0
-    kernel._cache[s] = value
-    return value
+    return spec._s_norms.setdefault(s, value)  # atomic: racing threads agree
 
 
-def neumann_fractional_bound(kernel: KernelOperator, energy: float, s: float) -> float:
+def neumann_fractional_bound(spec: SymbolSpec, energy: float, s: float) -> float:
     """Geometric-series tail bound on sum_m |(H0 - z)^-1(n, m)|^s, Re z = E.
 
     Expanding the resolvent in powers of H0/z and using
@@ -170,7 +130,7 @@ def neumann_fractional_bound(kernel: KernelOperator, energy: float, s: float) ->
     of the 1/z in front of the series (a 1/|E| prefactor would fail to
     dominate the diagonal term alone once |E| > 1).
     """
-    norm = s_norm(kernel, s)
+    norm = s_norm(spec, s)
     if abs(energy) <= norm:
         raise ValueError(
             f"|E|={abs(energy)} must exceed the s-norm {norm} for the series to converge"
@@ -198,21 +158,21 @@ class AssembledOperator:
         return int(self.cube.indices_of([site])[0])
 
 
-def assemble_finite_volume(kernel: KernelOperator, cube: Cube) -> AssembledOperator:
+def assemble_finite_volume(spec: SymbolSpec, cube: Cube) -> AssembledOperator:
     """(A u)(n) = sum_d c(d) u(n + d) [n + d in cube], the free part only.
 
     Lexicographic indices are affine in the site, so every pair (n, n + d)
     inside the cube sits one fixed index shift apart.
     """
-    if cube.dim != kernel.dim:
-        raise ValueError("kernel and cube dimensions differ")
+    if cube.dim != spec.dim:
+        raise ValueError("symbol and cube dimensions differ")
     n = cube.volume
     if n > 4_000_000:
         raise ValueError(f"volume {n} too large to assemble")
     coords = cube.coords()
     lo, hi = coords[0], coords[-1]
     rows, cols, vals = [], [], []
-    for offset, amp in kernel.hopping:
+    for offset, amp in spec.hopping:
         target = coords + np.asarray(offset, dtype=np.int64)
         src = np.nonzero(np.all((target >= lo) & (target <= hi), axis=1))[0]
         if src.size:

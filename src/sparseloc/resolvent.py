@@ -28,7 +28,7 @@ from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
-from .operators import KernelOperator, assemble_finite_volume, band_storage, s_norm
+from .operators import SymbolSpec, assemble_finite_volume, band_storage, s_norm
 
 _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
@@ -167,17 +167,17 @@ class RealizationEngine:
     Solves and residuals run with subnormals flushed to zero.
     """
 
-    def __init__(self, kernel: KernelOperator, volume: Cube, sparse: SparseSet,
+    def __init__(self, spec: SymbolSpec, volume: Cube, sparse: SparseSet,
                  model: DisorderModel, source: Site):
-        self.op = assemble_finite_volume(kernel, volume)
+        self.op = assemble_finite_volume(spec, volume)
         self.index = volume.indices_of(sparse.coords)
         self.source = self.op.index_of(source)
         self.sparse, self.model = sparse, model
         n = self.op.size
         self.chunk = max(1, _CHUNK_ENTRIES // n)
         self.band = None  # half-bandwidth on the banded path
-        if kernel.dim == 1:
-            self.band = max((abs(o[0]) for o in kernel.offsets), default=0)
+        if spec.dim == 1:
+            self.band = max((abs(o[0]) for o, _ in spec.hopping), default=0)
             self.ab = band_storage(self.op.matrix, self.band, dtype=complex)
             self.banded_solve, = get_lapack_funcs(("gtsv" if self.band == 1 else "gbsv",),
                                                   (self.ab,))
@@ -261,7 +261,7 @@ class RealizationEngine:
 
 def fractional_moment_estimate(
     query: GreenQuery,
-    kernel: KernelOperator,
+    spec: SymbolSpec,
     sparse: SparseSet,
     model: DisorderModel,
     threads: int = 1,
@@ -273,7 +273,7 @@ def fractional_moment_estimate(
     """
     if query.realizations < 2:
         raise ValueError("need at least 2 realizations")
-    engine = RealizationEngine(kernel, query.volume, sparse, model, query.source)
+    engine = RealizationEngine(spec, query.volume, sparse, model, query.source)
 
     def block(first: int, diags: np.ndarray) -> np.ndarray:
         return np.abs(engine.green_rows(query.z, diags, first)[0]) ** query.s
@@ -461,7 +461,7 @@ class KsReport:
 
 
 def k_s_factor(
-    kernel: KernelOperator,
+    spec: SymbolSpec,
     energy: float,
     coupling: float,
     s: float,
@@ -481,15 +481,15 @@ def k_s_factor(
     c_min = min(c_values)
     if c_min <= 0:
         raise ValueError("coupling constant C must be positive")
-    value = s_norm(kernel, s) ** s / c_min
+    value = s_norm(spec, s) ** s / c_min
     return KsReport(float(value), float(c_min), bool(value < 1.0))
 
 
-def lambda_threshold(kernel: KernelOperator, s: float, kappa_hat: float) -> float:
+def lambda_threshold(spec: SymbolSpec, s: float, kappa_hat: float) -> float:
     """Coupling solving |lambda|^s kappa_hat = ||H0||_s^s."""
     if kappa_hat <= 0:
         raise ValueError("kappa_hat must be positive")
-    return (s_norm(kernel, s) ** s / kappa_hat) ** (1.0 / s)
+    return (s_norm(spec, s) ** s / kappa_hat) ** (1.0 / s)
 
 
 def am_uniform_bound(coupling: float, s: float) -> float:
@@ -540,7 +540,7 @@ class SimonWolffRow:
 
 def simon_wolff_proxy(
     query: GreenQuery,
-    kernel: KernelOperator,
+    spec: SymbolSpec,
     sparse: SparseSet,
     model: DisorderModel,
     eps_ladder,
@@ -555,7 +555,9 @@ def simon_wolff_proxy(
     ladder = [float(e) for e in eps_ladder]
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("eps_ladder must be strictly decreasing")
-    engine = RealizationEngine(kernel, query.volume, sparse, model, query.source)
+    if query.realizations < 1:
+        raise ValueError("need at least 1 realization")
+    engine = RealizationEngine(spec, query.volume, sparse, model, query.source)
 
     def block(first: int, diags: np.ndarray) -> np.ndarray:
         sums = []  # one draw per realization, reused on every rung
@@ -564,7 +566,7 @@ def simon_wolff_proxy(
             sums.append(np.sum(np.abs(rows) ** 2, axis=1))
         return np.stack(sums, axis=1)
 
-    acc = engine.reduce(block, max(1, query.realizations), len(ladder), threads)
+    acc = engine.reduce(block, query.realizations, len(ladder), threads)
     rows: list[SimonWolffRow] = []
     prev_mean = None
     for eps, mean, err in zip(ladder, acc.mean.tolist(), acc.stderr().tolist()):
@@ -585,7 +587,7 @@ def theorem2_cube(
     center: Site,
     s: float,
     gamma: float,
-    kernel: KernelOperator,
+    spec: SymbolSpec,
     kappa_hat: float,
     sparse: SparseSet,
 ) -> Theorem2Cube:
@@ -599,7 +601,7 @@ def theorem2_cube(
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    threshold = s_norm(kernel, s) ** s
+    threshold = s_norm(spec, s) ** s
     values = sparse.weights(gamma * s) * kappa_hat
     dist = np.max(np.abs(sparse.coords - center), axis=1)
     radius = int(np.max(dist[values <= threshold], initial=0))

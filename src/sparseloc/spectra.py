@@ -21,7 +21,7 @@ from ._stats import run_indexed
 from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import AssembledOperator, KernelOperator, band_storage, s_norm
+from .operators import AssembledOperator, SymbolSpec, band_storage, s_norm
 from .resolvent import RealizationEngine
 
 DENSE_CAP = 4096
@@ -136,7 +136,7 @@ class EdgeScan:
 
 
 def mobility_edge_scan(
-    kernel: KernelOperator,
+    spec: SymbolSpec,
     sparse: SparseSet,
     model: DisorderModel,
     volume: Cube,
@@ -149,14 +149,14 @@ def mobility_edge_scan(
 
     Per bin: state count, median IPR, and the mean consecutive-spacing
     ratio.  Marker energies ||H0||_1 and ||H0||_s are computed from the
-    kernel, never configured.  Empty bins are reported with NaN
+    symbol, never configured.  Empty bins are reported with NaN
     statistics rather than dropped.
     """
     if realizations < 20:
         raise ValueError("need at least 20 realizations")
 
     # the free matrix is assembled once; no Green row is solved, so the source is unused
-    engine = RealizationEngine(kernel, volume, sparse, model, volume.center)
+    engine = RealizationEngine(spec, volume, sparse, model, volume.center)
     diags = engine.diagonals(range(realizations))
 
     def one(r: int) -> EigenReport:
@@ -193,10 +193,4 @@ def mobility_edge_scan(
     total = sum(b.count for b in bins)
     if total != energies.size:
         raise RuntimeError(f"bin counts {total} != pooled states {energies.size}")
-    return EdgeScan(
-        tuple(bins),
-        s_norm(kernel, 1.0),
-        s_norm(kernel, s),
-        s,
-        realizations,
-    )
+    return EdgeScan(tuple(bins), s_norm(spec, 1.0), s_norm(spec, s), s, realizations)

@@ -1,8 +1,9 @@
 """Reference implementations the package's single paths are tested against.
 
 Each one computes a quantity the slow, direct way that the package once
-shipped beside its fast path: a Green row by one default sparse LU per
-row, the 1D Green rows of a block of realizations by one banded solve per
+shipped beside its fast path: the hopping list of a symbol as a separate
+kernel object built it, a Green row by one default sparse LU per row, the
+1D Green rows of a block of realizations by one banded solve per
 realization, propagator elements one offset at a time, a growing weight
 one site at a time, and the IPR of one vector.
 """
@@ -23,6 +24,24 @@ from sparseloc.lattice import Cube, Site, max_norm
 from sparseloc.operators import AssembledOperator, SymbolSpec, band_storage
 
 _RESIDUAL_TOL = 1e-10
+
+
+def kernel_from_symbol(spec: SymbolSpec) -> tuple[tuple[Site, float], ...]:
+    """Hopping list of the symbol: c_k at +/- k e_i per axis, merged by
+    offset, checked symmetric, zero amplitudes dropped, sorted."""
+    merged: dict[Site, float] = {}
+    for i in range(spec.dim):
+        for k, c in spec.axes[i]:
+            if c == 0.0:
+                continue
+            plus = tuple(k if j == i else 0 for j in range(spec.dim))
+            for offset in (plus, tuple(-x for x in plus)):
+                merged[offset] = merged.get(offset, 0.0) + float(c)
+    for offset, amp in merged.items():
+        neg = tuple(-x for x in offset)
+        if not math.isclose(merged.get(neg, 0.0), amp, rel_tol=0, abs_tol=1e-15):
+            raise ValueError(f"kernel not symmetric at offset {offset}")
+    return tuple(sorted((o, a) for o, a in merged.items() if a != 0.0))
 
 
 @dataclass(frozen=True)

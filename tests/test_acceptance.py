@@ -14,7 +14,7 @@ import pytest
 from sparseloc import acceptance, experiments
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.lattice import Cube, sparse_set_from_sites
-from sparseloc.operators import assemble_finite_volume, delta_symbol, kernel_from_symbol
+from sparseloc.operators import assemble_finite_volume, delta_symbol
 from sparseloc.resolvent import RealizationEngine
 
 from oracles import green_row
@@ -80,7 +80,7 @@ def test_criterion_02_engine_sums_equal_green_row_oracle(workdir):
     """Criterion 2 reads the free resolvent off the realization engine
     (lambda = 0 on an empty S, the banded path); its fractional sums are
     bitwise those of one default splu per row, and its line is unchanged."""
-    kernel = kernel_from_symbol(delta_symbol(1))
+    kernel = delta_symbol(1)
     volume = Cube((0,), 1000)
     engine = RealizationEngine(kernel, volume, sparse_set_from_sites([], 0.5, 1),
                                DisorderModel(UniformLaw(-1.0, 1.0), coupling=0.0), (0,))

@@ -444,6 +444,18 @@ def test_kernel_pipeline_exports_hoppings(tmp_path):
     assert entries == {-2: 0.5, -1: 1.0, 1: 1.0, 2: 0.5}
     norm_line = (tmp_path / "k" / "norms.csv").read_text().strip().splitlines()[1]
     assert float(norm_line.split(",")[1]) == pytest.approx((2 + 2 * 0.5 ** 0.5) ** 2)
+    # 2D, harmonics out of order and a zero coefficient (no hopping): the
+    # rows are the symbol's hopping, sorted by offset
+    cfg = validate_config(
+        {"kind": "kernel", "s_grid": [0.5, 1.0],
+         "symbol": {"axes": [[{"k": 2, "c": -0.25}, {"k": 1, "c": 1.0}, {"k": 3, "c": 0.0}],
+                             [{"k": 1, "c": 0.5}]]}}
+    )
+    run_experiment(cfg, out_dir=str(tmp_path / "k2"))
+    assert (tmp_path / "k2" / "kernel.csv").read_bytes() == (
+        b"d1,d2,amplitude\n-2,0,-0.25\n-1,0,1\n0,-1,0.5\n0,1,0.5\n1,0,1\n2,0,-0.25\n"
+    )
+    assert (tmp_path / "k2" / "norms.csv").read_bytes() == b"s,norm\n0.5,19.485281374238568\n1,3.5\n"
 
 
 def test_decay_check_pipeline_cosine_and_sampled(tmp_path):

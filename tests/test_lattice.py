@@ -199,8 +199,6 @@ def test_cube_indices_of_rejects_outside_sites_and_wrong_shapes():
 def test_sites_are_sorted_and_deduplicated():
     sparse = sparse_set_from_sites([(3,), (1,), (3,), (-2,)], 0.5, 1)
     assert sparse.sites == ((-2,), (1,), (3,))
-    assert (3,) in sparse
-    assert (0,) not in sparse
 
 
 def test_max_norm():
@@ -466,9 +464,6 @@ def test_sparse_set_equals_tuple_reference(dim, gamma, data):
     assert sparse.coords.tolist() == [list(s) for s in want]
     with pytest.raises(ValueError):
         sparse.coords[..., :1] = 0
-    for probe in data.draw(st.lists(site, max_size=5)) + list(want[:3]):
-        assert (probe in sparse) == (probe in set(want))
-    assert (0,) * (dim + 1) not in sparse
     twin = sparse_set_from_sites(np.array(sites[::-1], dtype=np.int64).reshape(-1, dim), 0.5, dim)
     assert twin == sparse and hash(twin) == hash(sparse)
     assert sparse_set_from_sites(sites, 0.5, dim, seed=1) != sparse

@@ -10,39 +10,33 @@ from hypothesis import strategies as st
 from sparseloc.lattice import Cube
 from sparseloc.operators import (
     AssembledOperator,
-    KernelOperator,
     SymbolSpec,
     assemble_finite_volume,
     band_storage,
     delta_symbol,
     kernel_decay_check,
-    kernel_from_symbol,
     neumann_fractional_bound,
     periodized_gaussian,
     s_norm,
 )
 
-from oracles import green_row
+from oracles import green_row, kernel_from_symbol
 
 
 def test_kernel_from_cosine_is_nearest_neighbor():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    assert dict(kernel.hopping) == {(1,): 1.0, (-1,): 1.0}
+    assert dict(delta_symbol(1).hopping) == {(1,): 1.0, (-1,): 1.0}
 
 
 def test_kernel_from_third_harmonic_two_dims():
-    spec = delta_symbol(2, k=3)
-    kernel = kernel_from_symbol(spec)
-    assert dict(kernel.hopping) == {
+    assert dict(delta_symbol(2, k=3).hopping) == {
         (3, 0): 1.0, (-3, 0): 1.0, (0, 3): 1.0, (0, -3): 1.0,
     }
 
 
 def test_zero_symbol_gives_zero_kernel():
     spec = SymbolSpec(((),))
-    kernel = kernel_from_symbol(spec)
-    assert kernel.hopping == ()
-    assert s_norm(kernel, 0.5) == 0.0
+    assert spec.hopping == ()
+    assert s_norm(spec, 0.5) == 0.0
 
 
 def test_empty_symbol_rejected():
@@ -57,60 +51,80 @@ def test_symbol_rejects_bad_harmonics():
         SymbolSpec((((1, 1.0), (1, 2.0)),))
 
 
-def test_kernel_requires_symmetry():
-    with pytest.raises(ValueError):
-        KernelOperator(1, (((1,), 1.0),))
+# Axis series with distinct harmonics 1..4; c = 0 terms and several
+# harmonics per axis are both drawn often.
+_SERIES = st.lists(
+    st.tuples(st.integers(1, 4), st.one_of(st.just(0.0), st.floats(-3.0, 3.0))),
+    max_size=4, unique_by=lambda term: term[0],
+)
+
+
+@given(st.lists(_SERIES, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_symbol_hopping_equals_kernel_reference(axes):
+    spec = SymbolSpec(tuple(map(tuple, axes)))
+    want = kernel_from_symbol(spec)
+    assert spec.hopping == want
+    hopping = dict(spec.hopping)
+    assert all(amp != 0.0 for amp in hopping.values())
+    assert all(hopping[tuple(-x for x in offset)] == amp for offset, amp in hopping.items())
+    assert all(len(offset) == spec.dim for offset in hopping)
+    assert len(hopping) == 2 * sum(c != 0.0 for series in spec.axes for _, c in series)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.9, 1.0])
 def test_s_norm_matches_closed_form(nu, s):
-    kernel = kernel_from_symbol(delta_symbol(nu))
-    assert s_norm(kernel, s) == pytest.approx((2 * nu) ** (1 / s), rel=1e-14)
+    spec = delta_symbol(nu)
+    assert s_norm(spec, s) == pytest.approx((2 * nu) ** (1 / s), rel=1e-14)
 
 
 def test_s_norm_mixed_kernel():
-    # hoppings 1 at +-1 and 0.5 at +-2: (2 + 2*0.5^0.5)^2
-    kernel = KernelOperator(1, (((1,), 1.0), ((-1,), 1.0), ((2,), 0.5), ((-2,), 0.5)))
+    # range 2, hoppings 1 at +-1 and 0.5 at +-2: (2 + 2*0.5^0.5)^2
+    range2 = SymbolSpec((((1, 1.0), (2, 0.5)),))
     expected = (2.0 + 2.0 * 0.5 ** 0.5) ** 2
     assert expected == pytest.approx(11.65685424949238, rel=1e-12)
-    assert s_norm(kernel, 0.5) == pytest.approx(expected, rel=1e-14)
+    assert s_norm(range2, 0.5) == pytest.approx(expected, rel=1e-14)
+    # range 3 in 2D, hoppings 0.7 at +-e1 and -0.2 at +-3 e2: (2 0.7^0.5 + 2 0.2^0.5)^2
+    range3 = SymbolSpec((((1, 0.7),), ((3, -0.2),)))
+    expected = (2.0 * 0.7 ** 0.5 + 2.0 * 0.2 ** 0.5) ** 2
+    assert s_norm(range3, 0.5) == pytest.approx(expected, rel=1e-14)
+    assert s_norm(range3, 1.0) == pytest.approx(1.8, rel=1e-14)
 
 
 def test_s_norm_rejects_bad_s():
-    kernel = kernel_from_symbol(delta_symbol(1))
+    spec = delta_symbol(1)
     for s in (0.0, -0.5, 1.0001):
         with pytest.raises(ValueError):
-            s_norm(kernel, s)
+            s_norm(spec, s)
 
 
-@given(st.floats(0.1, 0.95), st.floats(0.1, 0.95))
+@given(st.floats(0.1, 0.95), st.floats(0.1, 0.95),
+       st.sampled_from([((1, 1.0), (2, 0.35)), ((1, 0.7), (3, 0.2))]))
 @settings(max_examples=50, deadline=None)
-def test_s_norm_monotone_nonincreasing(s1, s2):
-    kernel = KernelOperator(
-        1, (((1,), 0.7), ((-1,), 0.7), ((3,), 0.2), ((-3,), 0.2))
-    )
+def test_s_norm_monotone_nonincreasing(s1, s2, series):
+    spec = SymbolSpec((series,))  # range 2 or range 3
     lo, hi = min(s1, s2), max(s1, s2)
-    assert s_norm(kernel, lo) >= s_norm(kernel, hi) - 1e-12
+    assert s_norm(spec, lo) >= s_norm(spec, hi) - 1e-12
 
 
 def test_neumann_bound_value_and_limits():
-    kernel = kernel_from_symbol(delta_symbol(1))
+    spec = delta_symbol(1)
     # |E|^(-s) / (1 - 2/|E|^s) at E=3, s=0.9
-    assert neumann_fractional_bound(kernel, 3.0, 0.9) == pytest.approx(
+    assert neumann_fractional_bound(spec, 3.0, 0.9) == pytest.approx(
         1.4537516965565431, rel=1e-12
     )
-    assert neumann_fractional_bound(kernel, 1e9, 0.9) < 1e-8
+    assert neumann_fractional_bound(spec, 1e9, 0.9) < 1e-8
     with pytest.raises(ValueError):
-        neumann_fractional_bound(kernel, s_norm(kernel, 0.9), 0.9)
+        neumann_fractional_bound(spec, s_norm(spec, 0.9), 0.9)
 
 
 @pytest.mark.parametrize("energy", [3.0, 4.0, 6.0])
 def test_neumann_bound_dominates_direct_sum(energy):
-    kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, Cube((0,), 200))
+    spec = delta_symbol(1)
+    op = assemble_finite_volume(spec, Cube((0,), 200))
     direct = green_row(op, complex(energy, 1e-6), (0,)).sum_abs_pow(0.9)
-    assert direct <= neumann_fractional_bound(kernel, energy, 0.9)
+    assert direct <= neumann_fractional_bound(spec, energy, 0.9)
 
 
 def _with_potential(op, potential):
@@ -122,39 +136,39 @@ def _with_potential(op, potential):
 
 
 def test_assemble_tridiagonal():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    op = assemble_finite_volume(kernel, Cube((0,), 1))
+    spec = delta_symbol(1)
+    op = assemble_finite_volume(spec, Cube((0,), 1))
     np.testing.assert_array_equal(
         op.matrix.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     )
 
 
 def test_assemble_with_potential():
-    kernel = kernel_from_symbol(delta_symbol(1))
-    op = _with_potential(assemble_finite_volume(kernel, Cube((0,), 1)), {(0,): 5.0})
+    spec = delta_symbol(1)
+    op = _with_potential(assemble_finite_volume(spec, Cube((0,), 1)), {(0,): 5.0})
     np.testing.assert_array_equal(
         op.matrix.toarray(), [[0, 1, 0], [1, 5, 1], [0, 1, 0]]
     )
 
 
 def test_assemble_zero_everything():
-    kernel = kernel_from_symbol(SymbolSpec(((),)))
-    op = assemble_finite_volume(kernel, Cube((0,), 2))
+    spec = SymbolSpec(((),))
+    op = assemble_finite_volume(spec, Cube((0,), 2))
     assert op.matrix.nnz == 0
 
 
 def test_assembly_is_symmetric():
-    kernel = kernel_from_symbol(delta_symbol(2, k=2))
+    spec = delta_symbol(2, k=2)
     rng = np.random.default_rng(0)
     cube = Cube((0, 0), 3)
     potential = {tuple(s): float(rng.normal()) for s in cube.coords().tolist()}
-    op = _with_potential(assemble_finite_volume(kernel, cube), potential)
+    op = _with_potential(assemble_finite_volume(spec, cube), potential)
     diff = (op.matrix - op.matrix.T).toarray()
     assert np.max(np.abs(diff)) == 0.0
 
 
 def test_index_site_round_trip():
-    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(2)), Cube((1, -2), 2))
+    op = assemble_finite_volume(delta_symbol(2), Cube((1, -2), 2))
     coords = op.cube.coords()
     lexicographic = itertools.product(range(-1, 4), range(-4, 1))
     for i, site in enumerate(lexicographic):
@@ -163,7 +177,7 @@ def test_index_site_round_trip():
 
 
 def test_indices_of_vectorizes_index_of_and_rejects_outside_sites():
-    op = assemble_finite_volume(kernel_from_symbol(delta_symbol(2)), Cube((1, -2), 2))
+    op = assemble_finite_volume(delta_symbol(2), Cube((1, -2), 2))
     sites = [tuple(s) for s in op.cube.coords().tolist()[::-3]]
     assert op.cube.indices_of(np.array(sites)).tolist() == [op.index_of(s) for s in sites]
     for bad in ((4, 0), (1, -2, 0), (1,)):
@@ -171,7 +185,7 @@ def test_indices_of_vectorizes_index_of_and_rejects_outside_sites():
             op.index_of(bad)
 
 
-def _coo_assembly_reference(kernel, cube):
+def _coo_assembly_reference(hopping, cube):
     """The free matrix as the COO assembly with an explicit stride map built it."""
     side, dim, n = cube.side, cube.dim, cube.volume
     lo = np.array([c - cube.half_side for c in cube.center], dtype=np.int64)
@@ -179,7 +193,7 @@ def _coo_assembly_reference(kernel, cube):
     axes = [range(c - cube.half_side, c + cube.half_side + 1) for c in cube.center]
     coords = np.array(list(itertools.product(*axes)), dtype=np.int64).reshape(n, dim)
     rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for offset, amp in kernel.hopping:
+    for offset, amp in hopping:
         rel = coords + np.asarray(offset, dtype=np.int64) - lo
         valid = np.all((rel >= 0) & (rel < side), axis=1)
         rows.append(np.nonzero(valid)[0])
@@ -202,7 +216,7 @@ def _coo_assembly_reference(kernel, cube):
     ids=["1d", "1d-range3-exceeds-side", "2d-k2", "2d-anisotropic-small", "empty-kernel"],
 )
 def test_free_assembly_equals_coo_reference(spec, cube):
-    op = assemble_finite_volume(kernel_from_symbol(spec), cube)
+    op = assemble_finite_volume(spec, cube)
     ref = _coo_assembly_reference(kernel_from_symbol(spec), cube)
     assert op.matrix.shape == ref.shape and op.matrix.dtype == ref.dtype
     assert (op.matrix != ref).nnz == 0

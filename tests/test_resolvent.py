@@ -22,7 +22,6 @@ from sparseloc.operators import (
     SymbolSpec,
     assemble_finite_volume,
     delta_symbol,
-    kernel_from_symbol,
     s_norm,
 )
 from sparseloc.disorder import (
@@ -51,8 +50,8 @@ from sparseloc.resolvent import (
 
 from oracles import banded_green_rows, green_row
 
-DELTA1 = kernel_from_symbol(delta_symbol(1))
-ZERO1 = kernel_from_symbol(SymbolSpec(((),)))
+DELTA1 = delta_symbol(1)
+ZERO1 = SymbolSpec(((),))
 
 
 def _assemble(kernel, potential, cube):
@@ -296,6 +295,14 @@ def test_simon_wolff_requires_decreasing_ladder():
         )
 
 
+@pytest.mark.parametrize("realizations", [0, -1])
+def test_simon_wolff_requires_one_realization(realizations):
+    query = GreenQuery(1.0, 1.0, 0.5, (0,), Cube((0,), 5), realizations)
+    with pytest.raises(ValueError, match="at least 1 realization"):
+        simon_wolff_proxy(query, DELTA1, sparse_set_from_sites([], 0.5, 1),
+                          DisorderModel(UniformLaw(-1, 1)), [0.1, 0.01])
+
+
 def test_theorem2_cube_algebraic_radius():
     sparse = sparse_set_from_sites([(i,) for i in range(-10, 11)], 0.5, 1)
     result = theorem2_cube((0,), 0.5, 1.0, DELTA1, 1.0, sparse)
@@ -314,14 +321,14 @@ def test_theorem2_cube_large_gamma_shrinks():
 
 def test_theorem2_cube_covering_flag():
     sparse = sparse_set_from_sites([(0, 0), (1, 1)], 0.5, 2)
-    kernel = kernel_from_symbol(delta_symbol(2))
+    kernel = delta_symbol(2)
     result = theorem2_cube((0, 0), 0.5, 0.3, kernel, 0.01, sparse)
     assert result.covers_all_sites
     assert math.isinf(result.infimum)
 
 
 def test_theorem2_cube_brute_force_instance():
-    kernel = kernel_from_symbol(delta_symbol(2))
+    kernel = delta_symbol(2)
     sites = [(-3, 2), (0, 0), (4, -1), (7, 7), (-6, -6)]
     sparse = sparse_set_from_sites(sites, 0.5, 2)
     s, gamma, kappa, center = 0.6, 0.8, 0.9, (1, -1)
@@ -489,7 +496,7 @@ def test_simon_wolff_csv_with_underflow_is_thread_count_invariant(tmp_path):
 
 # ------------------------------------------------ realization engine: banded vs splu
 
-DELTA1_RANGE2 = kernel_from_symbol(SymbolSpec((((1, 1.0), (2, 0.35)),)))
+DELTA1_RANGE2 = SymbolSpec((((1, 1.0), (2, 0.35)),))
 
 
 def _assert_close(got, want):
@@ -599,7 +606,7 @@ _HALF_SIDE = {2: 6, 3: 3, 5: 1}
 
 
 def _range2_kernel(nu):
-    return kernel_from_symbol(SymbolSpec(tuple(((1, 1.0), (2, 0.35)) for _ in range(nu))))
+    return SymbolSpec(tuple(((1, 1.0), (2, 0.35)) for _ in range(nu)))
 
 
 def _check_engine_against_splu(kernel, half, sets, law, model_kw, energy, eps,
@@ -632,7 +639,7 @@ def _check_engine_against_splu(kernel, half, sets, law, model_kw, energy, eps,
                                       ("outside", 1e-2), ("outside", 1e-4)])
 def test_symmetric_mode_rows_match_splu_reference(nu, law, model, band, eps):
     energy = 0.5 if band == "inside" else 2.0 * nu + 1.0  # free band [-2 nu, 2 nu]
-    _check_engine_against_splu(kernel_from_symbol(delta_symbol(nu)), _HALF_SIDE[nu],
+    _check_engine_against_splu(delta_symbol(nu), _HALF_SIDE[nu],
                                "checkerboard", _LAWS[law], _MODELS[model], energy, eps)
 
 
@@ -640,7 +647,7 @@ def test_symmetric_mode_rows_match_splu_reference(nu, law, model, band, eps):
 @pytest.mark.parametrize("sets", ["full", "empty"])
 @pytest.mark.parametrize("energy", [0.5, 11.0])
 def test_symmetric_mode_full_and_empty_sets_match_splu_reference(nu, sets, energy):
-    _check_engine_against_splu(kernel_from_symbol(delta_symbol(nu)), _HALF_SIDE[nu], sets,
+    _check_engine_against_splu(delta_symbol(nu), _HALF_SIDE[nu], sets,
                                UniformLaw(-1, 1), {"coupling": 30.0}, energy, 1e-4)
 
 
@@ -653,7 +660,7 @@ def test_symmetric_mode_range2_rows_match_splu_reference(nu, model, energy, eps)
 
 
 def test_symmetric_mode_5d_interior_matches_splu_reference():
-    _check_engine_against_splu(kernel_from_symbol(delta_symbol(5)), 2, "full",
+    _check_engine_against_splu(delta_symbol(5), 2, "full",
                                UniformLaw(-1, 1), {"coupling": 30.0}, 5.0, 1e-3, range(2))
 
 
@@ -768,7 +775,7 @@ def test_splu_path_faults_raise_tagged_numerical_error(monkeypatch, kind):
     splu = _fail_on_call(resolvent.spla.splu, 2, _raise(RuntimeError("Factor is exactly singular")))
     monkeypatch.setattr(resolvent, "spla", SimpleNamespace(splu=splu))
     with pytest.raises(NumericalError, match="realization 2") as info:
-        _run_kind(kind, kernel_from_symbol(delta_symbol(2)), Cube((0, 0), 3), (0, 0))
+        _run_kind(kind, delta_symbol(2), Cube((0, 0), 3), (0, 0))
     assert info.value.diagnostics["realization"] == 2
 
 
@@ -787,7 +794,7 @@ def test_splu_path_non_finite_solve_raises_tagged_numerical_error(monkeypatch, k
     splu = _fail_on_call(resolvent.spla.splu, 2, lambda fn, *a, **k: _NanSolve(fn(*a, **k)))
     monkeypatch.setattr(resolvent, "spla", SimpleNamespace(splu=splu))
     with pytest.raises(NumericalError, match="realization 2: solver residual") as info:
-        _run_kind(kind, kernel_from_symbol(delta_symbol(2)), Cube((0, 0), 3), (0, 0))
+        _run_kind(kind, delta_symbol(2), Cube((0, 0), 3), (0, 0))
     assert info.value.diagnostics["realization"] == 2
     assert math.isnan(info.value.diagnostics["residual"])
 

@@ -16,7 +16,6 @@ from sparseloc.operators import (
     SymbolSpec,
     assemble_finite_volume,
     delta_symbol,
-    kernel_from_symbol,
 )
 from sparseloc.spectra import (
     eigensystem,
@@ -26,7 +25,7 @@ from sparseloc.spectra import (
 
 from oracles import ipr
 
-DELTA1 = kernel_from_symbol(delta_symbol(1))
+DELTA1 = delta_symbol(1)
 
 
 def _assemble(kernel, potential, cube):
@@ -59,7 +58,7 @@ def test_ipr_requires_normalization():
 
 
 def test_eigensystem_zero_operator():
-    zero = kernel_from_symbol(SymbolSpec(((),)))
+    zero = SymbolSpec(((),))
     op = assemble_finite_volume(zero, Cube((0,), 4))
     report = eigensystem(op)
     assert np.max(np.abs(report.eigenvalues)) == 0.0
@@ -197,10 +196,10 @@ def _edge_bins_reference(kernel, sparse, model, volume, realizations, bin_width)
     [
         (DELTA1, Cube((3,), 30), sparse_set_from_sites([(i,) for i in range(-27, 34, 2)], 0.5, 1),
          DisorderModel(UniformLaw(-1, 1), coupling=4.0, seed=3), 1),
-        (kernel_from_symbol(SymbolSpec((((1, 1.0), (2, 0.35)),))), Cube((-5,), 25),
+        (SymbolSpec((((1, 1.0), (2, 0.35)),)), Cube((-5,), 25),
          sparse_set_from_sites([(i,) for i in range(-30, 21, 3)], 0.5, 1),
          DisorderModel(GaussianLaw(0.5, 2.0), weight_gamma=0.5, seed=9), 3),
-        (kernel_from_symbol(delta_symbol(2)), Cube((1, -1), 5),
+        (delta_symbol(2), Cube((1, -1), 5),
          generate_sparse_set(0.5, Cube((1, -1), 5), "bernoulli_thinned", 7),
          DisorderModel(UniformLaw(-1, 1), weight_gamma=0.5, seed=31), 1),
         (DELTA1, Cube((0,), 30), sparse_set_from_sites([], 0.5, 1),
@@ -251,7 +250,7 @@ def _patch_solver(monkeypatch, dim, fault):
 
 def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
     for dim in (1, 2):
-        op = assemble_finite_volume(kernel_from_symbol(delta_symbol(dim)), Cube((0,) * dim, 5))
+        op = assemble_finite_volume(delta_symbol(dim), Cube((0,) * dim, 5))
         with monkeypatch.context() as m:
             _patch_solver(m, dim, _perturbed)
             with pytest.raises(NumericalError) as err:
@@ -297,8 +296,8 @@ def test_edge_scan_eigensolver_failure_exits_three(monkeypatch, tmp_path, capsys
     _exits_three_naming_realization_zero(_edge_scan_config(tmp_path, dim), capsys)
 
 
-RANGE2 = kernel_from_symbol(SymbolSpec((((1, 1.0), (2, 0.35)),)))
-ZERO = kernel_from_symbol(SymbolSpec(((),)))
+RANGE2 = SymbolSpec((((1, 1.0), (2, 0.35)),))
+ZERO = SymbolSpec(((),))
 
 
 @pytest.mark.parametrize(
