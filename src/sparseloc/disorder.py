@@ -2,9 +2,9 @@
 
 Sampling is counter-based: the value at a site is a pure function of
 (seed, realization index, site), so replay is exact under any iteration
-order or thread count.  Laws carry closed-form interval measures,
-inverse CDFs and densities that take arrays; the raw Cauchy is admitted
-only truncated so the second moment stays finite.
+order or thread count.  Laws carry closed-form inverse CDFs and
+densities that take arrays; the raw Cauchy is admitted only truncated so
+the second moment stays finite.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class UniformLaw:
         a, b = self.a, self.b
         return (b * b + a * b + a * a) / 3.0
 
-    def interval_measure(self, lo: float, hi: float) -> float:
-        lo, hi = max(lo, self.a), min(hi, self.b)
-        return max(0.0, hi - lo) / (self.b - self.a)
-
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         return self.a + (self.b - self.a) * np.asarray(u)
 
@@ -76,10 +72,6 @@ class GaussianLaw:
 
     def second_moment(self) -> float:
         return self.sd ** 2 + self.mean ** 2
-
-    def interval_measure(self, lo: float, hi: float) -> float:
-        z = math.sqrt(2.0) * self.sd
-        return 0.5 * (math.erf((hi - self.mean) / z) - math.erf((lo - self.mean) / z))
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         return self.mean + self.sd * ndtri(np.asarray(u))
@@ -118,13 +110,6 @@ class TruncatedCauchyLaw:
     def second_moment(self) -> float:
         s, a_prime = self.scale_param, self.cut / self.scale_param
         return s * s * (a_prime - math.atan(a_prime)) / self._half_angle()
-
-    def interval_measure(self, lo: float, hi: float) -> float:
-        lo, hi = max(lo, -self.cut), min(hi, self.cut)
-        if hi <= lo:
-            return 0.0
-        a = self._half_angle()
-        return (math.atan(hi / self.scale_param) - math.atan(lo / self.scale_param)) / (2.0 * a)
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         a = self._half_angle()

@@ -182,10 +182,9 @@ class AxisDecayFit:
     fixed_pass: bool
 
 
-def verify_time_decay(
-    spec: SymbolSpec, t_grid, tolerance: float = 0.05
-) -> list[AxisDecayFit]:
-    """Fit the large-t exponents of each axis factor.
+def verify_time_decay(spec: SymbolSpec, t_grid) -> list[AxisDecayFit]:
+    """Fit the large-t exponents of each axis factor; a fit passes within
+    0.05 of its target.
 
     Two probes per axis: the maximum over offsets (caustic-dominated),
     and the fixed d = 0 element where the oscillation is stripped by a
@@ -216,10 +215,10 @@ def verify_time_decay(
                 axis,
                 max_slope,
                 max_target,
-                bool(abs(max_slope - max_target) <= tolerance),
+                bool(abs(max_slope - max_target) <= 0.05),
                 fixed_slope,
                 fixed_target,
-                bool(abs(fixed_slope - fixed_target) <= tolerance),
+                bool(abs(fixed_slope - fixed_target) <= 0.05),
             )
         )
     return out
@@ -292,15 +291,16 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gauss_window(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Gauss-Legendre levels of 48..768 nodes on [lo, hi] until two agree;
-    ``f`` takes the array of a level's nodes and returns their values."""
+def _gauss_window(f, lo: float, hi: float) -> float:
+    """Gauss-Legendre levels of 48..768 nodes on [lo, hi] until two agree
+    to 1e-9, or to 1e-6 relative; ``f`` takes the array of a level's nodes
+    and returns their values."""
     prev = None
     for n in (48, 96, 192, 384, 768):
         nodes, weights = _leggauss(n)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         val = 0.5 * (hi - lo) * float(np.dot(weights, f(ts)))
-        if prev is not None and abs(val - prev) <= max(tol, 1e-6 * abs(val)):
+        if prev is not None and abs(val - prev) <= max(1e-9, 1e-6 * abs(val)):
             return val
         prev = val
     raise NumericalError("window quadrature did not settle", last_two=(prev, val))

@@ -253,13 +253,13 @@ def _run_cook(cfg, stage, threads):
     return {"median_below_bound": ok}, {}
 
 
-def _moments_csv(stage, est, model, name="moments.csv"):
+def _moments_csv(stage, est, model):
     q = est.query
     rows = []
     for d, mean, err, _ in est.distance_profile():
         rows.append((q.energy, q.epsilon, q.s, model.coupling, d, mean, err, est.count))
     write_csv(
-        stage / name,
+        stage / "moments.csv",
         ["E", "epsilon", "s", "lambda", "distance", "mean_absG_s", "stderr", "n_samples"],
         rows,
     )
@@ -393,9 +393,8 @@ def _run_theorem2(cfg, stage, threads):
     if kappa is None:
         kappa = estimate_decoupling(o["model"].law, o["s"]).kappa_hat
     result = theorem2_cube(o["center"], o["s"], o["gamma"], o["spec"], kappa, o["sparse"])
-    threshold = s_norm(o["spec"], o["s"]) ** o["s"]
-    values = (o["sparse"].weights(o["gamma"] * o["s"]) * kappa).tolist()
-    rows = [(*site, v, v > threshold) for site, v in zip(o["sparse"].coords.tolist(), values)]
+    rows = [(*site, v, v > result.threshold)
+            for site, v in zip(o["sparse"].coords.tolist(), result.values.tolist())]
     write_csv(
         stage / "theorem2_sites.csv",
         [f"m{i+1}" for i in range(o["spec"].dim)] + ["weighted_value", "cleared"],
@@ -406,7 +405,7 @@ def _run_theorem2(cfg, stage, threads):
         "infimum": result.infimum,
         "covers_all_sites": result.covers_all_sites,
         "kappa_hat": kappa,
-        "threshold": threshold,
+        "threshold": result.threshold,
     }
     return {"cube_found": True}, summary
 

@@ -188,14 +188,20 @@ def assemble_finite_volume(spec: SymbolSpec, cube: Cube) -> AssembledOperator:
     return AssembledOperator(cube, matrix)
 
 
-def band_storage(matrix: sp.spmatrix, k: int, dtype=float) -> np.ndarray:
-    """LAPACK band storage of a matrix with k diagonals on each side of the
-    main one: row k - d holds diagonal d.  The bottom k + 1 rows are the
-    lower band storage of a symmetric matrix."""
+def is_tridiagonal(matrix: sp.spmatrix) -> bool:
+    """True when every stored entry has |row - col| <= 1."""
+    coo = matrix.tocoo()
+    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
+
+
+def band_storage(matrix: sp.spmatrix, dtype=float) -> np.ndarray:
+    """LAPACK band storage of the three central diagonals: row 1 - d holds
+    diagonal d, so rows 1 and 2 are the lower band storage of a symmetric
+    tridiagonal matrix."""
     n = matrix.shape[0]
-    ab = np.zeros((2 * k + 1, n), dtype=dtype)
-    for d in range(-k, k + 1):
-        ab[k - d, max(d, 0):n + min(d, 0)] = matrix.diagonal(d)
+    ab = np.zeros((3, n), dtype=dtype)
+    for d in (-1, 0, 1):
+        ab[1 - d, max(d, 0):n + min(d, 0)] = matrix.diagonal(d)
     return ab
 
 
@@ -250,15 +256,13 @@ def periodized_gaussian(width: float):
     return h
 
 
-def kernel_decay_check(
-    h, dim: int, offsets, c_h: float | None = None, tol: float = 1e-10
-) -> DecayCheck:
+def kernel_decay_check(h, dim: int, offsets, c_h: float | None = None) -> DecayCheck:
     """Fourier coefficients of a smooth periodic axis symbol vs the
     integration-by-parts envelope C_h nu^(2nu+1) / |d|^(2nu+1).
 
     h is a callable on [0, 2 pi); coefficients come from periodic
     trapezoid sums at doubling node counts until two levels agree to
-    ``tol``.
+    1e-10.
     """
     offsets = sorted({int(d) for d in offsets})
     max_d = max((abs(d) for d in offsets), default=1)
@@ -271,7 +275,7 @@ def kernel_decay_check(
         idx_cur = np.array([d % cur.shape[0] for d in offsets])
         achieved = float(np.max(np.abs(prev[idx_prev] - cur[idx_cur]))) if offsets else 0.0
         prev, n = cur, 2 * n
-        if achieved <= tol:
+        if achieved <= 1e-10:
             break
     else:
         raise NumericalError("quadrature did not converge", achieved_tol=achieved)

@@ -28,7 +28,7 @@ from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
-from .operators import SymbolSpec, assemble_finite_volume, band_storage, s_norm
+from .operators import SymbolSpec, assemble_finite_volume, band_storage, is_tridiagonal, s_norm
 
 _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
@@ -123,15 +123,15 @@ class MomentEstimate:
     count: int
     set_index: np.ndarray | None = None  # matrix indices of the sites of S
 
-    def distance_profile(self, boundary_margin: int = 2):
+    def distance_profile(self):
         """Rows (distance, mean, stderr, n_sites) by max-norm distance
-        from the source, excluding sites within ``boundary_margin`` hops
-        of the volume boundary."""
+        from the source, excluding sites within 2 hops of the volume
+        boundary."""
         volume = self.query.volume
         coords = volume.coords()
         dist = np.max(np.abs(coords - np.asarray(self.query.source)), axis=1)
         depth = volume.half_side - np.max(np.abs(coords - volume.center), axis=1)
-        interior = depth >= boundary_margin  # depth: hops to the nearest face
+        interior = depth >= 2  # depth: hops to the nearest face
         rows = []
         for d in range(0, int(dist[interior].max()) + 1 if interior.any() else 0):
             mask = interior & (dist == d)
@@ -148,22 +148,22 @@ class RealizationEngine:
     """Green rows of A_omega - z over disorder realizations on one volume.
 
     The free matrix and the S -> matrix index vector are built once, and
-    each block of realizations is drawn in one batched call.  1D volumes
-    are banded (bandwidth = hopping range), and a block of realizations is
-    one block-diagonal banded system: one ?gtsv call for nearest
-    neighbours, one ?gbsv call for wider bands.  The corners of the band
-    storage are zeros, so no elimination step couples two realizations
-    and each row has the bits of its own solve.  Other dimensions use
-    SuperLU in symmetric mode: A - z is complex symmetric, so a minimum
-    degree ordering of A + A^T with diagonal-preferring threshold pivoting
-    (0.01) roughly halves the fill of the default COLAMD ordering; one
-    step of iterative refinement with the same factor restores the
-    accuracy the relaxed pivoting gives up.  The tests hold the reference
-    both paths are checked against: ``green_row`` in ``tests/oracles.py``,
-    one default ``splu`` (COLAMD, partial pivoting) per row, and
-    ``banded_green_rows``, one ``solve_banded`` per row.  Every
-    residual ||(A - z) x - delta|| must be <= 1e-10; a failed or
-    inaccurate solve raises NumericalError tagged with its realization.
+    each block of realizations is drawn in one batched call.  A
+    tridiagonal free matrix (the nearest-neighbour chain) makes a block of
+    realizations one block-diagonal tridiagonal system and one ?gtsv call.
+    The corners of the band storage are zeros, so no elimination step
+    couples two realizations and each row has the bits of its own solve.
+    Every other matrix uses SuperLU in symmetric mode: A - z is complex
+    symmetric, so a minimum degree ordering of A + A^T with
+    diagonal-preferring threshold pivoting (0.01) roughly halves the fill
+    of the default COLAMD ordering; one step of iterative refinement with
+    the same factor restores the accuracy the relaxed pivoting gives up.
+    The tests hold the reference both paths are checked against:
+    ``green_row`` in ``tests/oracles.py``, one default ``splu`` (COLAMD,
+    partial pivoting) per row, and ``banded_green_rows``, one tridiagonal
+    ``solve_banded`` per row.  Every residual ||(A - z) x - delta|| must be
+    <= 1e-10; a failed or inaccurate solve raises NumericalError tagged
+    with its realization.
     Solves and residuals run with subnormals flushed to zero.
     """
 
@@ -175,12 +175,10 @@ class RealizationEngine:
         self.sparse, self.model = sparse, model
         n = self.op.size
         self.chunk = max(1, _CHUNK_ENTRIES // n)
-        self.band = None  # half-bandwidth on the banded path
-        if spec.dim == 1:
-            self.band = max((abs(o[0]) for o, _ in spec.hopping), default=0)
-            self.ab = band_storage(self.op.matrix, self.band, dtype=complex)
-            self.banded_solve, = get_lapack_funcs(("gtsv" if self.band == 1 else "gbsv",),
-                                                  (self.ab,))
+        self.ab = None  # the free band, on the tridiagonal path
+        if is_tridiagonal(self.op.matrix):
+            self.ab = band_storage(self.op.matrix, dtype=complex)
+            self.gtsv, = get_lapack_funcs(("gtsv",), (self.ab,))
 
     def diagonals(self, realizations) -> np.ndarray:
         """Potentials of a block of realizations on the volume diagonal."""
@@ -191,8 +189,8 @@ class RealizationEngine:
     def green_rows(self, z: complex, diags: np.ndarray, first: int = 0):
         """(Green rows, residuals) for realizations first, first + 1, ..."""
         with _flush_subnormals():
-            if self.band is not None:
-                rows = self._banded_rows(z, diags, first)
+            if self.ab is not None:
+                rows = self._gtsv_rows(z, diags, first)
             else:
                 rows = self._splu_rows(z, diags, first)
             applied = (self.op.matrix @ rows.T).T + (diags - z) * rows
@@ -204,22 +202,16 @@ class RealizationEngine:
                                  realization=first + i, residual=float(residuals[i]))
         return rows, residuals
 
-    def _banded_rows(self, z: complex, diags: np.ndarray, first: int) -> np.ndarray:
-        """One LAPACK call on the block-diagonal band of a block of realizations."""
+    def _gtsv_rows(self, z: complex, diags: np.ndarray, first: int) -> np.ndarray:
+        """One ?gtsv call on the block-diagonal band of a block of realizations."""
         count, n = diags.shape
-        k = self.band
         ab = np.tile(self.ab, count)
-        ab[k] += (diags - z).ravel()
+        ab[1] += (diags - z).ravel()
         rhs = np.zeros(count * n, dtype=complex)
         rhs[self.source::n] = 1.0
         if n == 1:  # solve_banded divides for one site; so do these rows, to keep its bits
-            return (rhs / ab[k]).reshape(count, n)
-        if k == 1:
-            *_, x, info = self.banded_solve(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
-        else:  # ?gbsv wants k more rows above the band for the fill of pivoting
-            padded = np.zeros((3 * k + 1, ab.shape[1]), dtype=complex)
-            padded[k:] = ab
-            *_, x, info = self.banded_solve(k, k, padded, rhs, overwrite_ab=1, overwrite_b=1)
+            return (rhs / ab[1]).reshape(count, n)
+        *_, x, info = self.gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
         if info > 0:  # an exactly zero pivot in row info (1-based)
             r = first + (info - 1) // n
             raise NumericalError(f"realization {r}: solve failed: singular matrix", realization=r)
@@ -456,7 +448,6 @@ def coupling_constant_C(
 @dataclass(frozen=True)
 class KsReport:
     value: float
-    c_min: float
     localized: bool
 
 
@@ -482,7 +473,7 @@ def k_s_factor(
     if c_min <= 0:
         raise ValueError("coupling constant C must be positive")
     value = s_norm(spec, s) ** s / c_min
-    return KsReport(float(value), float(c_min), bool(value < 1.0))
+    return KsReport(float(value), bool(value < 1.0))
 
 
 def lambda_threshold(spec: SymbolSpec, s: float, kappa_hat: float) -> float:
@@ -509,18 +500,19 @@ class DecayFit:
     distances: tuple[int, ...]
 
 
-def decay_rate_fit(estimate: MomentEstimate, k_s: float, min_bins: int = 6) -> DecayFit:
+def decay_rate_fit(estimate: MomentEstimate, k_s: float) -> DecayFit:
     """Least-squares slope of log mean vs distance over reliable bins.
 
-    Bins need mean > 10 x stderr; sites near the boundary are excluded
-    by the profile.  Passes when the empirical rate is at most
-    log(k_s) + 0.05, i.e. decay at least as fast as the geometric bound.
+    Bins need mean > 10 x stderr, and the fit needs 6 of them; sites near
+    the boundary are excluded by the profile.  Passes when the empirical
+    rate is at most log(k_s) + 0.05, i.e. decay at least as fast as the
+    geometric bound.
     """
-    rows = estimate.distance_profile(boundary_margin=2)
+    rows = estimate.distance_profile()
     reliable = [(d, m) for d, m, err, _ in rows if m > 0 and m > 10.0 * err]
-    if len(reliable) < min_bins:
+    if len(reliable) < 6:
         raise NumericalError(
-            f"only {len(reliable)} reliable distance bins, need {min_bins}",
+            f"only {len(reliable)} reliable distance bins, need 6",
             bins=len(reliable),
         )
     d = np.array([r[0] for r in reliable], dtype=float)
@@ -581,6 +573,8 @@ class Theorem2Cube:
     radius: int
     infimum: float
     covers_all_sites: bool
+    threshold: float  # ||H0||_s^s
+    values: np.ndarray  # (1 + |m|)^(gamma s) kappa_hat per site of the set, in its order
 
 
 def theorem2_cube(
@@ -607,4 +601,4 @@ def theorem2_cube(
     radius = int(np.max(dist[values <= threshold], initial=0))
     outside = values[dist > radius]
     infimum = float(np.min(outside / threshold, initial=math.inf))
-    return Theorem2Cube(radius, infimum, not outside.size)
+    return Theorem2Cube(radius, infimum, not outside.size, threshold, values)

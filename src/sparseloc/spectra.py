@@ -1,6 +1,6 @@
 """Finite-volume eigen-diagnostics: IPR profiles, level-spacing ratios,
-and mobility-edge scans against the +/- ||H0||_1 markers.  1D volumes
-are diagonalized on their band, larger dimensions as dense matrices.
+and mobility-edge scans against the +/- ||H0||_1 markers.  Tridiagonal
+matrices are diagonalized on their band, all others as dense matrices.
 
 Classification of localized vs extended states is always by IPR
 contrast between energy bins, never by an absolute threshold:
@@ -14,66 +14,43 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eig_banded
 from scipy.linalg.lapack import dstevd
 
 from ._stats import run_indexed
 from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import AssembledOperator, SymbolSpec, band_storage, s_norm
+from .operators import SymbolSpec, band_storage, is_tridiagonal, s_norm
 from .resolvent import RealizationEngine
 
 DENSE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class EigenReport:
-    eigenvalues: np.ndarray
-    iprs: np.ndarray
-    volume: int
-    realization: int
+def eigensystem(matrix: sp.spmatrix, realization: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, IPRs) of a real symmetric matrix, one IPR per state.
 
-
-def _lower_band(matrix: sp.spmatrix) -> np.ndarray:
-    """LAPACK lower band storage of a symmetric matrix: row d holds the
-    d-th subdiagonal, for d up to the farthest stored entry."""
-    coo = matrix.tocoo()
-    k = int(np.max(np.abs(coo.row - coo.col), initial=0))
-    return band_storage(matrix, k)[k:]
-
-
-def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CAP) -> EigenReport:
-    """Full symmetric eigendecomposition with per-state IPRs.
-
-    A 1D matrix is banded (bandwidth = hopping range), and LAPACK
-    diagonalizes the band directly by divide and conquer: ?stevd for
-    bandwidth <= 1, ?sbevd for wider bands.  On a tridiagonal band ?sbevd
-    runs the same ?stedc and then multiplies by an identity Q, so ?stevd
-    gives its eigenvalues bit for bit without that product.  In
-    nu >= 2 dimensions the band is side^(nu - 1) wide and the dense
-    ?syevd of ``np.linalg.eigh`` is faster.  Every decomposition must
-    have residual max_i ||A v_i - e_i v_i|| <= 1e-8, taken with the sparse
-    matrix; a solver failure or a larger residual raises NumericalError
-    tagged with its realization.
+    A tridiagonal matrix (the nearest-neighbour chain) goes to LAPACK's
+    ?stevd, divide and conquer on the band; ?sbevd would run the same
+    ?stedc and then multiply by an identity Q, so ?stevd gives its
+    eigenvalues bit for bit without that product.  Every other matrix
+    goes to the dense ?syevd of ``np.linalg.eigh``.  Every decomposition
+    must have residual max_i ||A v_i - e_i v_i|| <= 1e-8, taken with the
+    sparse matrix; a solver failure or a larger residual raises
+    NumericalError tagged with its realization.
     """
-    n = op.size
-    if n > cap:
+    n = matrix.shape[0]
+    if n > DENSE_CAP:
         raise ValueError(
-            f"volume {n} exceeds the dense-diagonalization cap {cap}; "
+            f"volume {n} exceeds the dense-diagonalization cap {DENSE_CAP}; "
             "reduce the volume (Green-function tools handle large ones)"
         )
-    matrix = op.matrix.real if np.iscomplexobj(op.matrix) else op.matrix
     try:
-        if op.cube.dim == 1:
-            band = _lower_band(matrix)
-            if band.shape[0] <= 2:  # ?stevd wants max(n - 1, 1) off-diagonal entries
-                off = band[1, :-1] if band.shape[0] == 2 else np.zeros(max(n - 1, 1))
-                values, vectors, info = dstevd(band[0], off, compute_v=1)
-                if info:
-                    raise np.linalg.LinAlgError(f"?stevd returned info {info}")
-            else:
-                values, vectors = eig_banded(band, lower=True, check_finite=False)
+        if is_tridiagonal(matrix):
+            ab = band_storage(matrix)
+            # ?stevd wants max(n - 1, 1) off-diagonal entries; the last entry of ab[2] is 0
+            values, vectors, info = dstevd(ab[1], ab[2, :max(n - 1, 1)], compute_v=1)
+            if info:
+                raise np.linalg.LinAlgError(f"?stevd returned info {info}")
         else:
             values, vectors = np.linalg.eigh(matrix.toarray())
     except np.linalg.LinAlgError as exc:
@@ -82,8 +59,7 @@ def eigensystem(op: AssembledOperator, realization: int = 0, cap: int = DENSE_CA
     if not residual <= 1e-8:  # NaN fails too
         raise NumericalError("eigendecomposition residual above 1e-8",
                              residual=float(residual), realization=realization)
-    iprs = np.sum(np.square(np.square(vectors)), axis=0)
-    return EigenReport(values, iprs, n, realization)
+    return values, np.sum(np.square(np.square(vectors)), axis=0)
 
 
 def spacing_ratios(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +92,6 @@ class EdgeScan:
     h0_norm_1: float
     h0_norm_s: float
     s: float
-    realizations: int
 
     def band_center_median(self) -> float:
         for b in self.bins:
@@ -145,7 +120,7 @@ def mobility_edge_scan(
     bin_width: float = 0.1,
     threads: int = 1,
 ) -> EdgeScan:
-    """Pool eigen-reports over realizations and bin the spectrum.
+    """Pool the eigenvalues and IPRs of every realization and bin the spectrum.
 
     Per bin: state count, median IPR, and the mean consecutive-spacing
     ratio.  Marker energies ||H0||_1 and ||H0||_s are computed from the
@@ -159,21 +134,15 @@ def mobility_edge_scan(
     engine = RealizationEngine(spec, volume, sparse, model, volume.center)
     diags = engine.diagonals(range(realizations))
 
-    def one(r: int) -> EigenReport:
-        op = AssembledOperator(volume, engine.op.matrix + sp.diags(diags[r]))
-        return eigensystem(op, realization=r)
+    def one(r: int) -> tuple[np.ndarray, np.ndarray]:
+        return eigensystem(engine.op.matrix + sp.diags(diags[r]), realization=r)
 
     reports = run_indexed(one, realizations, threads)
-    energies = np.concatenate([rep.eigenvalues for rep in reports])
-    iprs = np.concatenate([rep.iprs for rep in reports])
-    r_energy = []
-    r_value = []
-    for rep in reports:
-        es, rs = spacing_ratios(rep.eigenvalues)
-        r_energy.append(es)
-        r_value.append(rs)
-    r_energy = np.concatenate(r_energy) if r_energy else np.zeros(0)
-    r_value = np.concatenate(r_value) if r_value else np.zeros(0)
+    energies = np.concatenate([values for values, _ in reports])
+    iprs = np.concatenate([ipr for _, ipr in reports])
+    ratios = [spacing_ratios(values) for values, _ in reports]
+    r_energy = np.concatenate([e for e, _ in ratios])
+    r_value = np.concatenate([r for _, r in ratios])
 
     lo_edge = math.floor(float(energies.min()) / bin_width) * bin_width
     n_bins = int(math.ceil((float(energies.max()) - lo_edge) / bin_width)) + 1
@@ -193,4 +162,4 @@ def mobility_edge_scan(
     total = sum(b.count for b in bins)
     if total != energies.size:
         raise RuntimeError(f"bin counts {total} != pooled states {energies.size}")
-    return EdgeScan(tuple(bins), s_norm(spec, 1.0), s_norm(spec, s), s, realizations)
+    return EdgeScan(tuple(bins), s_norm(spec, 1.0), s_norm(spec, s), s)

@@ -83,19 +83,19 @@ def green_row(op: AssembledOperator, z: complex, source: Site) -> GreenRow:
     return GreenRow(op.cube, tuple(source), x, residual)
 
 
-def banded_green_rows(op: AssembledOperator, band: int, z: complex, diags: np.ndarray,
+def banded_green_rows(op: AssembledOperator, z: complex, diags: np.ndarray,
                       source: Site) -> np.ndarray:
-    """Green rows of op + diag(d) - z for each row d of ``diags``: one
-    ``solve_banded`` call (?gtsv for band 1, ?gbsv otherwise, a division
-    for one site) per realization on a copy of the free band."""
-    free = band_storage(op.matrix, band, dtype=complex)
+    """Green rows of the tridiagonal op + diag(d) - z for each row d of
+    ``diags``: one ``solve_banded((1, 1))`` call (?gtsv, a division for
+    one site) per realization on a copy of the free band."""
+    free = band_storage(op.matrix, dtype=complex)
     rhs = np.zeros(op.size, dtype=complex)
     rhs[op.index_of(source)] = 1.0
     rows = np.empty(diags.shape, dtype=complex)
     for i, diag in enumerate(diags):
         ab = free.copy()
-        ab[band] += diag - z
-        rows[i] = solve_banded((band, band), ab, rhs, overwrite_ab=True, check_finite=False)
+        ab[1] += diag - z
+        rows[i] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
     return rows
 
 

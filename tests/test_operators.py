@@ -14,6 +14,7 @@ from sparseloc.operators import (
     assemble_finite_volume,
     band_storage,
     delta_symbol,
+    is_tridiagonal,
     kernel_decay_check,
     neumann_fractional_bound,
     periodized_gaussian,
@@ -313,15 +314,18 @@ def test_axis_derivative_sup_matches_grid_formula(axes):
 
 @pytest.mark.parametrize("k,n", [(0, 1), (1, 7), (3, 10), (2, 2)])
 def test_band_storage_holds_each_diagonal_in_its_row(k, n):
+    # a symmetric matrix with k diagonals each side; it is tridiagonal when every
+    # stored entry has |i - j| <= 1, and band storage holds its three central diagonals
     rng = np.random.default_rng(k * 10 + n)
     dense = np.triu(np.tril(rng.standard_normal((n, n)), k), -k)
-    dense = dense + dense.T  # symmetric, k diagonals each side
-    ab = band_storage(sp.csr_matrix(dense), k, dtype=complex)
-    assert ab.shape == (2 * k + 1, n) and ab.dtype == complex
-    for i, j in itertools.product(range(n), repeat=2):  # LAPACK: ab[k + i - j, j] = A[i, j]
-        if abs(i - j) <= k:
-            assert ab[k + i - j, j] == dense[i, j]
-    lower = band_storage(sp.csr_matrix(dense), k)[k:]  # row d: the d-th subdiagonal
-    for d in range(k + 1):
+    dense = dense + dense.T
+    assert is_tridiagonal(sp.csr_matrix(dense)) == (min(k, n - 1) <= 1)
+    ab = band_storage(sp.csr_matrix(dense), dtype=complex)
+    assert ab.shape == (3, n) and ab.dtype == complex
+    for i, j in itertools.product(range(n), repeat=2):  # LAPACK: ab[1 + i - j, j] = A[i, j]
+        if abs(i - j) <= 1:
+            assert ab[1 + i - j, j] == dense[i, j]
+    lower = band_storage(sp.csr_matrix(dense))[1:]  # row d: the d-th subdiagonal
+    for d in (0, 1):
         assert lower[d, :n - d].tolist() == np.diagonal(dense, -d).tolist()
         assert not lower[d, n - d:].any()

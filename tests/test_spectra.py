@@ -60,19 +60,19 @@ def test_ipr_requires_normalization():
 def test_eigensystem_zero_operator():
     zero = SymbolSpec(((),))
     op = assemble_finite_volume(zero, Cube((0,), 4))
-    report = eigensystem(op)
-    assert np.max(np.abs(report.eigenvalues)) == 0.0
-    assert np.all(report.iprs >= 1.0 / report.volume - 1e-12)
-    assert np.all(report.iprs <= 1.0 + 1e-12)
+    eigenvalues, iprs = eigensystem(op.matrix)
+    assert np.max(np.abs(eigenvalues)) == 0.0
+    assert np.all(iprs >= 1.0 / op.size - 1e-12)
+    assert np.all(iprs <= 1.0 + 1e-12)
 
 
 def test_eigensystem_dirichlet_spectrum():
     n_half = 10
     op = assemble_finite_volume(DELTA1, Cube((0,), n_half))
-    report = eigensystem(op)
+    eigenvalues, _ = eigensystem(op.matrix)
     n = 2 * n_half + 1
     expected = np.sort(2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
-    np.testing.assert_allclose(report.eigenvalues, expected, atol=1e-10)
+    np.testing.assert_allclose(eigenvalues, expected, atol=1e-10)
 
 
 def test_eigensystem_trace_identity():
@@ -80,25 +80,26 @@ def test_eigensystem_trace_identity():
     cube = Cube((0,), 15)
     potential = {tuple(s): float(rng.normal()) for s in cube.coords().tolist()}
     op = _assemble(DELTA1, potential, cube)
-    report = eigensystem(op)
-    assert np.sum(report.eigenvalues) == pytest.approx(
+    eigenvalues, _ = eigensystem(op.matrix)
+    assert np.sum(eigenvalues) == pytest.approx(
         float(op.matrix.diagonal().sum()), abs=1e-8
     )
 
 
 def test_eigensystem_single_strong_site():
     op = _assemble(DELTA1, {(0,): 10.0}, Cube((0,), 5))
-    report = eigensystem(op)
-    top = np.argmax(report.eigenvalues)
+    eigenvalues, iprs = eigensystem(op.matrix)
+    top = np.argmax(eigenvalues)
     # rank-one dominated state: eigenvalue near 10, sharply peaked
-    assert report.eigenvalues[top] == pytest.approx(10.0, abs=0.5)
-    assert report.iprs[top] > 0.8
+    assert eigenvalues[top] == pytest.approx(10.0, abs=0.5)
+    assert iprs[top] > 0.8
 
 
 def test_eigensystem_respects_cap():
-    op = assemble_finite_volume(DELTA1, Cube((0,), 60))
-    with pytest.raises(ValueError, match="cap"):
-        eigensystem(op, cap=100)
+    op = assemble_finite_volume(DELTA1, Cube((0,), 2048))
+    assert op.size == spectra.DENSE_CAP + 1
+    with pytest.raises(ValueError, match="cap 4096"):
+        eigensystem(op.matrix)
 
 
 def test_spacing_ratios_poisson_reference():
@@ -171,11 +172,11 @@ def test_edge_scan_weighted_contrast_smoke():
 def _edge_bins_reference(kernel, sparse, model, volume, realizations, bin_width):
     """Edge-scan bins with every realization re-assembled from its dict
     potential, placed site by site; each bin is [lo, next lo)."""
-    reports = [eigensystem(_assemble(kernel, sample_potential(model, sparse, r), volume), r)
+    reports = [eigensystem(_assemble(kernel, sample_potential(model, sparse, r), volume).matrix, r)
                for r in range(realizations)]
-    energies = np.concatenate([rep.eigenvalues for rep in reports])
-    iprs = np.concatenate([rep.iprs for rep in reports])
-    ratios = [spacing_ratios(rep.eigenvalues) for rep in reports]
+    energies = np.concatenate([values for values, _ in reports])
+    iprs = np.concatenate([ipr for _, ipr in reports])
+    ratios = [spacing_ratios(values) for values, _ in reports]
     r_energy = np.concatenate([e for e, _ in ratios])
     r_value = np.concatenate([r for _, r in ratios])
     lo_edge = math.floor(float(energies.min()) / bin_width) * bin_width
@@ -254,7 +255,7 @@ def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
         with monkeypatch.context() as m:
             _patch_solver(m, dim, _perturbed)
             with pytest.raises(NumericalError) as err:
-                eigensystem(op, realization=7)
+                eigensystem(op.matrix, realization=7)
         assert err.value.diagnostics["realization"] == 7
         assert err.value.diagnostics["residual"] > 1e-8
 
@@ -300,6 +301,16 @@ RANGE2 = SymbolSpec((((1, 1.0), (2, 0.35)),))
 ZERO = SymbolSpec(((),))
 
 
+def _lower_band(matrix, k):
+    """LAPACK lower band storage of a symmetric matrix: row d holds the
+    d-th subdiagonal."""
+    n = matrix.shape[0]
+    band = np.zeros((k + 1, n))
+    for d in range(k + 1):
+        band[d, :n - d] = matrix.diagonal(-d)
+    return band
+
+
 @pytest.mark.parametrize(
     "kernel,bandwidth,cube,sparse,model",
     [
@@ -330,20 +341,25 @@ def test_banded_path_matches_dense_eigh(monkeypatch, kernel, bandwidth, cube, sp
     monkeypatch.setattr(spectra, "dstevd", spy)
     for r in range(2):
         op = _assemble(kernel, sample_potential(model, sparse, r), cube)
-        band = spectra._lower_band(op.matrix)
-        assert band.shape[0] == bandwidth + 1
-        report = eigensystem(op, realization=r)
+        assert spectra.is_tridiagonal(op.matrix) == (bandwidth <= 1)
+        eigenvalues, iprs = eigensystem(op.matrix, realization=r)
         dense = op.matrix.toarray()
         values, vectors = np.linalg.eigh(dense)
         scale = max(1.0, float(np.linalg.norm(dense, 2)))
-        np.testing.assert_allclose(report.eigenvalues, values, rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
+        np.testing.assert_allclose(eigenvalues, values, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(iprs, np.sum(np.abs(vectors) ** 4, axis=0),
                                    rtol=1e-10, atol=0.0)
-        # bandwidth <= 1 goes to ?stevd, which must give ?sbevd's eigenpairs bit for bit
-        sb_values, sb_vectors = eig_banded(band, lower=True, check_finite=False)
-        assert report.eigenvalues.tobytes() == sb_values.tobytes()
-        assert report.iprs.tobytes() == np.sum(np.square(np.square(sb_vectors)), axis=0).tobytes()
-        if bandwidth <= 1:
+        # ?sbevd (eig_banded) on the band is the reference: ?stevd must give its
+        # eigenpairs bit for bit, the dense ?syevd of wider bands must match it closely
+        sb_values, sb_vectors = eig_banded(_lower_band(op.matrix, bandwidth), lower=True,
+                                           check_finite=False)
+        sb_iprs = np.sum(np.square(np.square(sb_vectors)), axis=0)
+        if bandwidth > 1:
+            np.testing.assert_allclose(eigenvalues, sb_values, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(iprs, sb_iprs, rtol=1e-10, atol=0.0)
+        else:
+            assert eigenvalues.tobytes() == sb_values.tobytes()
+            assert iprs.tobytes() == sb_iprs.tobytes()
             _, st_vectors, info = stevd.pop()
             assert info == 0
             # ?sbevd multiplies by an identity Q, which turns a -0.0 into +0.0
@@ -354,15 +370,18 @@ def test_banded_path_matches_dense_eigh(monkeypatch, kernel, bandwidth, cube, sp
 @pytest.mark.parametrize("kernel,half", [(DELTA1, 200), (RANGE2, 150), (ZERO, 150), (DELTA1, 0)],
                          ids=["nn-401", "range2-301", "zero-kernel-301", "one-site"])
 def test_ipr_sum_equals_abs_fourth_power(kernel, half):
-    # eigensystem squares the vectors twice; the sum must match |v|**4 to 1e-14, and
-    # ?sbevd's vectors (eig_banded) give it bit for bit on every band width
+    # eigensystem squares the vectors twice; the sum must match |v|**4 to 1e-14, and the
+    # vectors of the same solver give it bit for bit: ?sbevd's (eig_banded) on a tridiagonal
+    # matrix, where ?stevd runs, and the dense ?syevd's (eigh) on range 2
     cube = Cube((0,), half)
     model = DisorderModel(UniformLaw(-1, 1), coupling=3.0, seed=8)
     sparse = generate_sparse_set(0.5, cube, "bernoulli_thinned", 2) if half else \
         sparse_set_from_sites([(0,)], 0.5, 1)
     op = _assemble(kernel, sample_potential(model, sparse, 0), cube)
-    report = eigensystem(op)
-    _, vectors = eig_banded(spectra._lower_band(op.matrix), lower=True, check_finite=False)
-    np.testing.assert_allclose(report.iprs, np.sum(np.abs(vectors) ** 4, axis=0),
-                               rtol=1e-14, atol=0.0)
-    assert report.iprs.tobytes() == np.sum(np.square(np.square(vectors)), axis=0).tobytes()
+    _, iprs = eigensystem(op.matrix)
+    if kernel is RANGE2:
+        _, vectors = np.linalg.eigh(op.matrix.toarray())
+    else:
+        _, vectors = eig_banded(_lower_band(op.matrix, 1), lower=True, check_finite=False)
+    np.testing.assert_allclose(iprs, np.sum(np.abs(vectors) ** 4, axis=0), rtol=1e-14, atol=0.0)
+    assert iprs.tobytes() == np.sum(np.square(np.square(vectors)), axis=0).tobytes()
