@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import key_uniforms, site_uniforms
+from ._rng import key_uniforms
 
 Site = tuple[int, ...]
 
@@ -224,52 +225,105 @@ def _axis_shell_sites(center: Site, r: int, budget: int) -> list[Site]:
     return out
 
 
-def _binomial_icdf(u: float, n: int, p: float) -> int:
-    """Inverse CDF of Binomial(n, p); exact pmf recurrence, no RNG state."""
+def _binomial_cdf(n: int, p: float, stop: int) -> np.ndarray:
+    """The Binomial(n, p) CDF sums cdf_0 .. cdf_(K-1) of the exact pmf
+    recurrence, closed by +inf at index K = min(kmax, stop).  The first
+    entry >= u is then min(k, stop), k the inverse CDF at u as the pmf walk
+    finds it: the first k with cdf_k >= u, or kmax, where the walk gives up
+    (k is n for p >= 1 and 0 for p <= 0 or n == 0)."""
     if p <= 0.0 or n == 0:
-        return 0
+        return np.array([np.inf])
     if p >= 1.0:
-        return n
-    log_q = math.log1p(-p)
-    pmf = math.exp(n * log_q)
-    cdf = pmf
-    k = 0
+        return np.concatenate((np.zeros(min(n, stop)), [np.inf]))
     ratio = p / (1.0 - p)
-    kmax = min(n, int(n * p + 12.0 * math.sqrt(n * p * (1 - p)) + 25))
-    while cdf < u and k < kmax:
-        pmf *= (n - k) / (k + 1) * ratio
-        k += 1
-        cdf += pmf
-    return k
+    kmax = min(n, stop, int(n * p + 12.0 * math.sqrt(n * p * (1 - p)) + 25))
+    # Python ints keep (n - k) / (k + 1) one correctly rounded division at any n;
+    # cumprod and cumsum multiply and add in the recurrence's order
+    steps = [math.exp(n * math.log1p(-p))] + [(n - k) / (k + 1) * ratio for k in range(kmax)]
+    return np.concatenate((np.cumsum(np.cumprod(steps))[:kmax], [np.inf]))
+
+
+class _ThinningPlan(NamedTuple):
+    """The seed-free part of every bernoulli_thinned set of one (nu,
+    half-side, alpha): the small-shell ball by radius with each site's keep
+    probability, the running caps, and the large shells' Binomial sums."""
+
+    ball: np.ndarray  # offsets from the center, by radius, each shell in lexicographic order
+    radius: np.ndarray
+    p_site: np.ndarray  # 0 at the center, which is always in
+    starts: np.ndarray  # ball row of the first site of each radius 0 .. m + 1
+    caps: list[int]  # cap_for((2r + 1)^nu, alpha) for r = 0 .. half-side
+    large: np.ndarray  # radii m + 1 .. half-side
+    cdf: np.ndarray  # a _binomial_cdf row per large shell, padded with +inf
+
+    def binomial_counts(self, u: np.ndarray) -> list[int]:
+        """Each large shell's Binomial count at its uniform u, capped at the
+        shell's cap: the first entry >= u of its row (bisect_left), which
+        argmin finds as the first False of ``row < u``."""
+        return np.argmin(self.cdf < u[:, None], axis=1).tolist()
+
+
+@lru_cache(maxsize=1)
+def _thinning_plan(dim: int, half_side: int, alpha: float) -> _ThinningPlan:
+    """One plan per key, held for the most recent key only: a caller makes
+    its sets of one (nu, half-side, alpha) one after another."""
+    p = [min(1.0, (2.0 * r) ** (dim * (alpha - 1.0))) if r else 0.0 for r in range(half_side + 1)]
+    caps = [cap_for((2 * r + 1) ** dim, alpha) for r in range(half_side + 1)]
+    m = next((r - 1 for r in range(1, half_side + 1) if _shell_size(r, dim) > 1024), half_side)
+    ball = Cube((0,) * dim, m).coords()  # shell sizes grow with r: the small shells are 1 .. m
+    radius = np.max(np.abs(ball), axis=1)
+    order = np.argsort(radius, kind="stable")
+    ball, radius = ball[order], radius[order]
+    large = np.arange(m + 1, half_side + 1, dtype=np.int64)
+    # a count is used as min(count, cap left), and the center leaves less than the cap
+    rows = [_binomial_cdf(_shell_size(r, dim), p[r], caps[r]) for r in large.tolist()]
+    cdf = np.full((len(rows), max(map(len, rows), default=0)), np.inf)
+    for row, sums in zip(cdf, rows):
+        row[:len(sums)] = sums
+    starts = np.searchsorted(radius, np.arange(m + 2))
+    plan = _ThinningPlan(ball, radius, np.array(p)[radius], starts, caps, large, cdf)
+    for field in plan:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False  # shared by every call of the key
+    return plan
 
 
 def _place_on_shells(radii, ks, seed: int, dim: int) -> list[np.ndarray]:
     """Per shell, the offsets of the first ``k`` distinct shell sites hit by
     uniform draws from its enclosing cube, in attempt order; fewer when its
-    512(k+4) attempts hit fewer.  Attempts are drawn in growing chunks for
-    the shells still short, at most ``_CHUNK_ENTRIES`` draws at a time (or
-    one attempt per shell, if more).  Draws are keyed on (radius, attempt,
+    512(k+4) attempts hit fewer.  A shell first draws 1.25 k / f + 16
+    attempts, f its exact hit fraction, and doubles its attempts while it
+    is short; no call draws more than ``_CHUNK_ENTRIES`` entries (one
+    attempt, if that has more).  Draws are keyed on (radius, attempt,
     axis), so no chunking changes a draw, and one sort keyed on (shell,
     site) finds the first hits of every shell."""
     radii = np.asarray(radii, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64)
     limits = 512 * (ks + 4)
+    target = np.minimum([math.ceil(1.25 * k / (1.0 - ((2 * r - 1) / (2 * r + 1)) ** dim)) + 16
+                         for r, k in zip(radii.tolist(), ks.tolist())], limits)
+    drawn = np.zeros(len(radii), dtype=np.int64)
     side = 2 * int(radii.max(initial=0)) + 1
     fits = len(radii) * side ** dim < 2 ** 63  # key: shell, then index in the largest cube
     axes = np.arange(dim, dtype=np.int64)
+    per_call = max(1, _CHUNK_ENTRIES // dim)  # attempts
     shell = np.zeros(0, dtype=np.int64)  # the distinct hits so far, by shell, then attempt
     offs = np.zeros((0, dim), dtype=np.int64)
     active = np.arange(len(radii))
-    start = 0
     while len(active):
-        stop = min(max(64, 4 * start), int(limits[active].max()),
-                   start + max(1, _CHUNK_ENTRIES // (dim * len(active))))
-        r = radii[active, None, None]
-        attempts = np.arange(start, stop, dtype=np.int64)
+        # this round: each active shell's window, at most per_call attempts, first shells first
+        ends = np.minimum(np.cumsum(target[active] - drawn[active]), per_call)
+        take = ends - np.concatenate(([0], ends[:-1]))
+        which = np.repeat(active, take)
+        attempts = drawn[which] + np.arange(len(which)) - np.repeat(ends - take, take)
+        r = radii[which, None]
         u = key_uniforms(seed, _TAG_SHELL_PLACE, (r, attempts[:, None], axes))
         new = np.floor(u * (2 * r + 1)).astype(np.int64) - r
-        hit = (np.max(np.abs(new), axis=2) == r[:, :, 0]) & (attempts < limits[active, None])
-        shell = np.concatenate((shell, active[np.nonzero(hit)[0]]))
+        size = np.abs(new[:, 0])  # max-norm, one axis at a time: faster than a max over axis 1
+        for j in range(1, dim):
+            size = np.maximum(size, np.abs(new[:, j]))
+        hit = size == r[:, 0]
+        shell = np.concatenate((shell, which[hit]))
         offs = np.concatenate((offs, new[hit]))
         if fits:
             key = shell * side ** dim + (offs + side // 2) @ side ** np.arange(dim - 1, -1, -1)
@@ -278,68 +332,65 @@ def _place_on_shells(radii, ks, seed: int, dim: int) -> list[np.ndarray]:
             _, first = np.unique(np.column_stack((shell, offs)), axis=0, return_index=True)
         first = first[np.lexsort((first, shell[first]))]
         shell, offs = shell[first], offs[first]
+        drawn[active] += take
         found = np.bincount(shell, minlength=len(radii))
-        active = active[(found[active] < ks[active]) & (stop < limits[active])]
-        start = stop
+        active = active[(found[active] < ks[active]) & (drawn[active] < limits[active])]
+        grow = active[drawn[active] == target[active]]
+        target[grow] = np.minimum(2 * target[grow], limits[grow])
     found = np.bincount(shell, minlength=len(radii))
     offs = offs[np.arange(len(shell)) - (np.cumsum(found) - found)[shell] < ks[shell]]
     ends = np.cumsum(np.minimum(found, ks)).tolist()
     return [offs[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _bernoulli_thinned(cube: Cube, alpha: float, seed: int, count: int, cap_at) -> list[np.ndarray]:
+def _bernoulli_thinned(cube: Cube, alpha: float, seed: int) -> np.ndarray:
     """Shell by shell from the center out: each site of a shell with at most
     1024 sites is kept with probability p; a larger shell draws its count
     from Binomial(shell size, p) and places that many sites uniformly on it.
     Every shell is then hard-capped to the running cap.  The small shells
     form a ball around the center, drawn in one call with the radius as
-    each row's counter.  The large shells' counts are set on the
-    assumption that each finds its sites, and all are placed in one batch;
-    from the first shell that comes up short, counts and places are redone."""
-    dim = cube.dim
+    each row's counter and cut by one rank mask.  The large shells' counts
+    are set on the assumption that each finds its sites, and all are placed
+    in one batch; from the first shell that comes up short, counts and
+    places are redone.  Returns the sites other than the center."""
+    plan = _thinning_plan(cube.dim, cube.half_side, alpha)
     center = np.asarray(cube.center, dtype=np.int64)
-    small = [r for r in range(1, cube.half_side + 1) if _shell_size(r, dim) <= 1024]
-    large = list(range(len(small) + 1, cube.half_side + 1))  # shell sizes grow with r
-    ball = Cube(cube.center, len(small)).coords()
-    radius = np.max(np.abs(ball - center), axis=1)
-    order = np.argsort(radius, kind="stable")  # each shell stays in lexicographic order
-    ball, radius = ball[order], radius[order]
-    u_site = key_uniforms(seed, _TAG_SITE_BERNOULLI, (radius, *ball.T))
-    starts = np.searchsorted(radius, np.arange(len(small) + 2)).tolist()
-    out = []
-    for r in small:
-        allowed = cap_at(r) - count
-        if allowed > 0:
-            shell = slice(starts[r], starts[r + 1])
-            p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
-            out.append(ball[shell][u_site[shell] < p][:allowed])
-            count += len(out[-1])
-    u_count = site_uniforms(seed, _TAG_SHELL_COUNT, large, [[0]])[:, 0].tolist() if large else []
+    kept = np.flatnonzero(key_uniforms(seed, _TAG_SITE_BERNOULLI,
+                                       (plan.radius, *(plan.ball + center).T)) < plan.p_site)
+    before = np.searchsorted(kept, plan.starts)  # kept rows ahead of each shell
+    take, count = [0], 1  # the center is always in
+    bounds = before.tolist()
+    for cap, lo, hi in zip(plan.caps[1:], bounds[1:], bounds[2:]):
+        take.append(min(hi - lo, max(0, cap - count)))
+        count += take[-1]
+    radius = plan.radius[kept]
+    rank = np.arange(len(kept)) - before[radius]  # of each kept site within its shell
+    offsets = [plan.ball[kept[rank < np.array(take)[radius]]]]
+    large, binomial = plan.large.tolist(), []
+    if large:
+        binomial = plan.binomial_counts(key_uniforms(seed, _TAG_SHELL_COUNT, (plan.large, 0)))
     placed = {}  # (r, k) -> offsets, kept across redos
-    while large:
-        plan, planned = [], count
-        for r, u in zip(large, u_count):
-            allowed = cap_at(r) - planned
-            if allowed > 0:
-                p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
-                k = min(_binomial_icdf(u, _shell_size(r, dim), p), allowed)
-                if k > 0:
-                    plan.append((r, k))
-                    planned += k
-        todo = [rk for rk in plan if rk not in placed]
-        if todo:
-            radii, ks = zip(*todo)
-            placed.update(zip(todo, _place_on_shells(radii, ks, seed, dim)))
-        for r, k in plan:
-            out.append(center + placed[r, k])
-            count += len(out[-1])
-            if len(out[-1]) < k:  # short: recount the shells after it
-                i = r + 1 - large[0]
-                del large[:i], u_count[:i]
+    first = 0
+    while first < len(large):
+        todo, planned = [], count
+        for r, n in zip(large[first:], binomial[first:]):
+            k = min(n, plan.caps[r] - planned)
+            if k > 0:
+                todo.append((r, k))
+                planned += k
+        new = [rk for rk in todo if rk not in placed]
+        if new:
+            radii, ks = zip(*new)
+            placed.update(zip(new, _place_on_shells(radii, ks, seed, cube.dim)))
+        for r, k in todo:
+            offsets.append(placed[r, k])
+            count += len(offsets[-1])
+            if len(offsets[-1]) < k:  # short: recount the shells after it
+                first = r + 1 - large[0]
                 break
         else:
             break
-    return out
+    return center + np.concatenate(offsets)
 
 
 def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> SparseSet:
@@ -364,7 +415,7 @@ def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> 
             if budget > 0:
                 sites.extend(_axis_shell_sites(cube.center, r, budget))
     elif generator == "bernoulli_thinned":
-        shells = _bernoulli_thinned(cube, alpha, seed, 1, cap_at)
+        shells = [_bernoulli_thinned(cube, alpha, seed)]
     else:
         raise ValueError(
             f"unknown generator {generator!r}; expected deterministic_powers or bernoulli_thinned"

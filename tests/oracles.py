@@ -5,7 +5,8 @@ shipped beside its fast path: the hopping list of a symbol as a separate
 kernel object built it, a Green row by one default sparse LU per row, the
 1D Green rows of a block of realizations by one banded solve per
 realization, propagator elements one offset at a time, a growing weight
-one site at a time, and the IPR of one vector.
+one site at a time, the IPR of one vector, and a Binomial inverse CDF by
+one scalar pmf walk per draw.
 """
 
 from __future__ import annotations
@@ -137,3 +138,22 @@ def ipr(psi: np.ndarray) -> float:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"vector not normalized: |psi| = {norm}")
     return float(np.sum(np.abs(psi) ** 4))
+
+
+def binomial_icdf(u: float, n: int, p: float) -> int:
+    """Inverse CDF of Binomial(n, p); exact pmf recurrence, no RNG state."""
+    if p <= 0.0 or n == 0:
+        return 0
+    if p >= 1.0:
+        return n
+    log_q = math.log1p(-p)
+    pmf = math.exp(n * log_q)
+    cdf = pmf
+    k = 0
+    ratio = p / (1.0 - p)
+    kmax = min(n, int(n * p + 12.0 * math.sqrt(n * p * (1 - p)) + 25))
+    while cdf < u and k < kmax:
+        pmf *= (n - k) / (k + 1) * ratio
+        k += 1
+        cdf += pmf
+    return k

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import math
@@ -7,19 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseloc import lattice
 from sparseloc._rng import key_uniforms, site_uniforms
 from sparseloc.config import validate_config
 from sparseloc.lattice import (
+    _CHUNK_ENTRIES,
     _TAG_SHELL_COUNT,
     _TAG_SHELL_PLACE,
     _TAG_SITE_BERNOULLI,
     Cube,
     SparseSet,
     _axis_shell_sites,
-    _binomial_icdf,
+    _binomial_cdf,
     _place_on_shells,
     _shell_radii,
     _shell_size,
+    _thinning_plan,
     cap_for,
     centered_subcubes,
     generate_sparse_set,
@@ -28,6 +32,8 @@ from sparseloc.lattice import (
     sparse_set_to_text,
     sparseness_profile,
 )
+
+from oracles import binomial_icdf
 
 
 def _product_sites(cube):
@@ -267,7 +273,7 @@ def _ref_generate(alpha, cube, generator, seed):
             cand = sorted(s for s, ui in zip(shell, u) if ui < p)
         else:
             u = site_uniforms(seed, _TAG_SHELL_COUNT, r, np.array([[0]], dtype=np.int64))
-            k = min(_binomial_icdf(float(u[0]), _shell_size(r, dim), p), allowed)
+            k = min(binomial_icdf(float(u[0]), _shell_size(r, dim), p), allowed)
             cand = _ref_place(cube.center, r, k, seed, dim) if k > 0 else []
         sites.extend(cand[:allowed])
         count += len(cand[:allowed])
@@ -343,6 +349,50 @@ def test_binomial_count_sets_equal_scalar_reference(dim, half, alpha):
         assert list(sparse.sites) == _ref_generate(alpha, cube, "bernoulli_thinned", seed)
 
 
+def _probe_uniforms(sums):
+    """Uniforms on, just below and just above the finite sums (every
+    len // 40-th of a long row), and near both ends of (0, 1]."""
+    u = {2.0 ** -54, 0.5, 1.0 - 2.0 ** -53, 1.0}
+    for x in sums[np.isfinite(sums)][:: max(1, len(sums) // 40)].tolist():
+        u.update(v for v in (x, np.nextafter(x, 0.0), np.nextafter(x, 2.0)) if 0.0 < v <= 1.0)
+    return sorted(u)
+
+
+@pytest.mark.parametrize("n,p", [
+    (0, 0.3),                 # no trials
+    (50, -0.5), (50, 0.0),    # p <= 0
+    (50, 1.0), (50, 1.5),     # p >= 1: every trial succeeds
+    (1, 0.5), (7, 0.02),
+    (1178, 0.04),             # a 3D shell at r = 7
+    (20000, 0.001),
+    (20000, 0.25),            # the first pmf underflows: every u is above cdf[kmax]
+    (20000, 0.9),             # kmax < n
+    (3 ** 41 - 1, 1e-18),     # n past 2**53: (n - k) / (k + 1) must be one rounding
+])
+@pytest.mark.parametrize("stop", [None, 3])
+def test_binomial_sums_bisect_to_the_scalar_inverse_cdf(n, p, stop):
+    # a capped count: min(inverse CDF, stop); None stands for no cut
+    cut = n + 1 if stop is None else stop
+    sums = _binomial_cdf(n, p, cut)
+    assert sums[-1] == np.inf and np.all(sums[1:] >= sums[:-1])
+    table = sums.tolist()
+    for u in _probe_uniforms(sums):
+        assert bisect.bisect_left(table, u) == min(binomial_icdf(u, n, p), cut), u
+
+
+@pytest.mark.parametrize("dim,half,alpha", [(3, 12, 0.1), (4, 16, 0.25), (5, 30, 0.3), (3, 9, 0.95)])
+def test_plan_counts_equal_capped_scalar_inverse_cdf(dim, half, alpha):
+    # each large shell's count is the first sum >= u in its padded row
+    plan = _thinning_plan(dim, half, alpha)
+    large = plan.large.tolist()
+    assert large and plan.cdf.shape[0] == len(large)
+    for i, r in enumerate(large):
+        n, p = _shell_size(r, dim), min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
+        for u in _probe_uniforms(plan.cdf[i]):
+            got = plan.binomial_counts(np.full(len(large), u))[i]
+            assert got == min(binomial_icdf(u, n, p), plan.caps[r]), (r, u)
+
+
 def _assert_placement(center, radii, ks, seed):
     got = _place_on_shells(radii, ks, seed, len(center))
     assert len(got) == len(radii)
@@ -399,6 +449,31 @@ def test_batched_placement_equals_scalar_reference(dim, seed, data):
                                min_size=1, max_size=6, unique=True))
     ks = data.draw(st.lists(st.integers(1, 8), min_size=len(radii), max_size=len(radii)))
     _assert_placement((0,) * dim, sorted(radii), ks, seed)
+
+
+@pytest.mark.parametrize("center,radii,ks", [
+    ((0, 0, 0), list(range(5, 41)), [300] * 36),  # about 330,000 draws in all
+    ((1,) * 40, [1, 2, 3], [2000, 2000, 2000]),   # 40 draws per attempt, an overflowing key
+], ids=["3d-many-shells", "dim40"])
+def test_placement_draws_stay_within_the_chunk_bound(monkeypatch, center, radii, ks):
+    sizes = []
+
+    def counted(seed, tag, columns):
+        u = key_uniforms(seed, tag, columns)
+        sizes.append(u.size)
+        return u
+
+    monkeypatch.setattr(lattice, "key_uniforms", counted)
+    got = _place_on_shells(radii, ks, 8, len(center))
+    assert len(sizes) > 1 and max(sizes) <= _CHUNK_ENTRIES
+    assert sum(sizes) > 2 * _CHUNK_ENTRIES
+    # no chunking changes a draw: without the bound, the same sites come out
+    monkeypatch.setattr(lattice, "_CHUNK_ENTRIES", 1 << 40)
+    whole = _place_on_shells(radii, ks, 8, len(center))
+    assert len(got) == len(whole) == len(radii)
+    for a, b in zip(got, whole):
+        assert a.tobytes() == b.tobytes()
+    assert [len(a) for a in got] == list(ks)
 
 
 # SHA-256 of the concatenated sparse_set_to_text of the criterion-6 sets
@@ -533,3 +608,21 @@ def test_every_criterion_6_set_is_pinned(nu, half, alpha, digest):
     text = "".join(sparse_set_to_text(generate_sparse_set(alpha, cube, generator, seed))
                    for generator, seed in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_interleaved_keys_evict_the_plan_and_keep_every_set():
+    # criterion 6 makes its sets one (nu, alpha) at a time; interleaving the
+    # keys rebuilds the one held plan on every call and changes no set
+    keys = [(nu, half, alpha) for nu, half, alphas in _C06_PLAN for alpha in alphas]
+    seeds = range(6)
+    sequential = {(key, seed): generate_sparse_set(key[2], Cube((0,) * key[0], key[1]),
+                                                   "bernoulli_thinned", seed)
+                  for key in keys for seed in seeds}
+    for seed in seeds:
+        for key in keys:
+            sparse = generate_sparse_set(key[2], Cube((0,) * key[0], key[1]),
+                                         "bernoulli_thinned", seed)
+            assert sparse.coords.tobytes() == sequential[key, seed].coords.tobytes()
+            assert _thinning_plan.cache_info().currsize == 1
+    plan = _thinning_plan(*keys[-1])
+    assert not any(a.flags.writeable for a in plan if isinstance(a, np.ndarray))
