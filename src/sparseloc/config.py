@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import Cube, cap_violation, generate_sparse_set, max_norm, sparse_set_from_sites
+from .lattice import (Cube, SparseSet, cap_violation, generate_sparse_set, max_norm,
+                      sparse_set_from_sites)
 from .operators import SymbolSpec, delta_symbol, s_norm
 from .disorder import DisorderModel, make_law
 
@@ -298,7 +299,7 @@ def _build_sparse_set(f: dict, dim: int, volume: Cube | None):
         if cube.volume > _ENUMERATION_GUARD:
             raise _bad(f"refusing to enumerate {cube.volume} sites "
                        f"(guard {_ENUMERATION_GUARD}); use arithmetic indexing instead")
-        sparse = sparse_set_from_sites(cube.coords(), alpha, dim, seed)
+        sparse = SparseSet(cube.coords(), alpha, gen, seed, dim)
     else:
         sparse = generate_sparse_set(alpha, cube, gen, seed)
     # S lies in its cube, so only a cube reaching out of the volume needs the sites checked
@@ -341,16 +342,21 @@ def _sparseness(p, bad):
     elif sparse is not None and not 0.0 < sparse.alpha < window:
         bad.append(("sparse_set.alpha", f"must lie in the admissible window (0, {window:.6g}) "
                                         f"= (0, 2*(1/3 - 1/nu)) for nu = {dim}"))
-    too_dense = sparse is not None and sparse.generator == "explicit_list" and cap_violation(sparse)
+    too_dense = (sparse is not None and sparse.generator in ("explicit_list", "full_cube")
+                 and cap_violation(sparse))
     if too_dense:
         bad.append(("sparse_set", too_dense))
 
 
 def _monte_carlo(p, bad):
     """The volume in the symbol's dimension, S and the query source inside
-    it; echoes ||H0||_s at the query's s.  With no volume, neither S nor the
+    it, and lambda > 0 for an AM check, whose bound diverges at lambda = 0;
+    echoes ||H0||_s at the query's s.  With no volume, neither S nor the
     query is checked further."""
-    dim, volume, query = _dim(p), p.get("volume"), p.get("query")
+    dim, volume, query, model = _dim(p), p.get("volume"), p.get("query"), p.get("disorder")
+    if p.get("check_am_bound") and model is not None and model.coupling == 0:
+        bad.append(("disorder.lambda", "must be > 0 when check_am_bound is true: "
+                                       "the AM bound diverges at lambda = 0"))
     if volume is not None and dim is not None and volume.dim != dim:
         bad.append(("volume.center",
                     f"dimension {volume.dim} does not match symbol dimension {dim}"))

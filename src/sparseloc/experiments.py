@@ -33,11 +33,10 @@ from .operators import kernel_decay_check, periodized_gaussian, s_norm
 from .resolvent import (
     GreenQuery,
     am_uniform_bound,
-    coupling_constant_C,
     decay_rate_fit,
     estimate_decoupling,
     fractional_moment_estimate,
-    k_s_factor,
+    k_s,
     lambda_threshold,
     simon_wolff_proxy,
     theorem2_cube,
@@ -289,20 +288,22 @@ def _run_decay_fit(cfg, stage, threads):
     kappa = o["kappa_hat"]
     if kappa is None:
         kappa = estimate_decoupling(o["model"].law, q.s).kappa_hat
-    has_on = len(o["sparse"]) > 0
-    has_off = o["volume"].volume > len(o["sparse"])
-    profile = ([True] if has_on else []) + ([False] if has_off else [])
-    ks = k_s_factor(o["spec"], q.energy, o["model"].coupling, q.s, profile, kappa)
-    fit = decay_rate_fit(est, ks.value)
+    n_on = len(o["sparse"])
+    c_on, c_off = abs(o["model"].coupling) ** q.s * kappa, abs(q.energy) ** q.s
+    c = [c_on] if n_on else []  # C of each kind of site the volume has
+    if o["volume"].volume > n_on:
+        c.append(c_off)
+    ks = max(k_s(o["spec"], q.s, c_site) for c_site in c)
+    fit = decay_rate_fit(est, ks)
     summary = {
         "rate": fit.rate,
         "intercept": fit.intercept,
         "passed": fit.passed,
-        "k_s": ks.value,
-        "log_k_s": math.log(ks.value),
+        "k_s": ks,
+        "log_k_s": math.log(ks),
         "kappa_hat": kappa,
         "distances": list(fit.distances),
-        "localized_regime": ks.localized,
+        "localized_regime": ks < 1.0,
     }
     return {"decay_rate": fit.passed}, summary
 
@@ -335,17 +336,12 @@ def _run_thresholds(cfg, stage, threads):
         dec = estimate_decoupling(model.law, s)
         interior_ok = interior_ok and dec.interior
         lam_s = lambda_threshold(o["spec"], s, dec.kappa_hat)
-        norm = s_norm(o["spec"], s)
-        rows.append(
-            (s, norm, dec.kappa_hat, dec.d_eff, lam_s,
-             am_uniform_bound(model.coupling, s) if model.coupling > 0 else math.inf)
-        )
+        rows.append((s, s_norm(o["spec"], s), dec.kappa_hat, dec.d_eff, lam_s,
+                     am_uniform_bound(model.coupling, s)))
         for energy in o["energies"] or []:
-            c_on = coupling_constant_C(energy, model.coupling, s, True, dec.kappa_hat)
-            c_off = coupling_constant_C(energy, model.coupling, s, False, dec.kappa_hat)
-            # k_s = ||H0||_s^s / C, infinite where C vanishes (lambda = 0 or E = 0)
-            ks_all, ks_off = (norm ** s / c if c > 0 else math.inf for c in (c_on, c_off))
-            ks_rows.append((s, energy, c_on, c_off, ks_all, ks_off, max(ks_all, ks_off)))
+            c_on, c_off = abs(model.coupling) ** s * dec.kappa_hat, abs(energy) ** s
+            ks_on, ks_off = k_s(o["spec"], s, c_on), k_s(o["spec"], s, c_off)
+            ks_rows.append((s, energy, c_on, c_off, ks_on, ks_off, max(ks_on, ks_off)))
     write_csv(
         stage / "thresholds.csv",
         ["s", "h0_norm_s", "kappa_hat", "d_eff", "lambda_threshold", "am_uniform_bound"],
@@ -381,8 +377,9 @@ def _run_edge_scan(cfg, stage, threads):
         threshold = scan.h0_norm_1 + o["contrast"]["offset"]
         outer = scan.pooled_median_outside(threshold)
         center = scan.band_center_median()
-        ratio = outer / center if center > 0 else math.inf
-        verdicts["ipr_contrast"] = bool(ratio >= o["contrast"]["min_ratio"])
+        # None: no populated bin to measure, and no contrast to claim
+        ratio = None if None in (outer, center) else outer / center if center > 0 else math.inf
+        verdicts["ipr_contrast"] = ratio is not None and ratio >= o["contrast"]["min_ratio"]
         summary = {"outer_median": outer, "center_median": center, "contrast": ratio}
     return verdicts, summary
 

@@ -31,7 +31,7 @@ class SymbolSpec:
     """Separable symbol; one cosine series {k: c_k} per axis.
 
     ``hopping`` is its kernel: (offset, c_k) at +/- k e_i for every
-    nonzero c_k, sorted by offset.  s-norms are cached per instance.
+    nonzero c_k, sorted by offset.
     """
 
     axes: tuple[tuple[tuple[int, float], ...], ...]
@@ -56,7 +56,6 @@ class SymbolSpec:
                    for sign in (1, -1)]
         object.__setattr__(self, "axes", tuple(norm))
         object.__setattr__(self, "hopping", tuple(sorted(hopping)))
-        object.__setattr__(self, "_s_norms", {})
 
     @property
     def dim(self) -> int:
@@ -105,16 +104,12 @@ def s_norm(spec: SymbolSpec, s: float) -> float:
     """(sum_d |c(d)|^s)^(1/s) over the symbol's kernel; exact."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    cached = spec._s_norms.get(s)
-    if cached is not None:
-        return cached
     total = 0.0
     for _, amp in spec.hopping:
         total += abs(amp) ** s
     if not math.isfinite(total):
         raise NumericalError("s-norm sum diverged", partial_sum=total, s=s)
-    value = total ** (1.0 / s) if total > 0.0 else 0.0
-    return spec._s_norms.setdefault(s, value)  # atomic: racing threads agree
+    return total ** (1.0 / s) if total > 0.0 else 0.0
 
 
 def neumann_fractional_bound(spec: SymbolSpec, energy: float, s: float) -> float:

@@ -34,6 +34,8 @@ _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
 # the graded decoupling rule: geometric ratio, panels per half piece less one, nodes per panel
 _RULE_RATIO, _RULE_LEVELS, _RULE_NODES = 0.15, 8, 15
+# the decoupling search: radius in units of the law's scale, Re x Im grid points, zoom rounds
+_SEARCH_RADIUS, _GRID_RE, _GRID_IM, _ZOOMS = 10.0, 9, 4, 5
 _FTZ_DAZ = 0x8040  # MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6)
 _FENV_T = ctypes.c_ubyte * 32  # x86-64 glibc fenv_t; MXCSR at byte 28
 
@@ -283,10 +285,8 @@ class DecouplingEstimate:
     consistency and interior-minimizer checks guard the estimate.
     """
 
-    s: float
     kappa_hat: float
     d_eff: float
-    grid: str
     minimizer: tuple[complex, complex]
     interior: bool
 
@@ -346,28 +346,21 @@ def _frac_integral(law, s: float, eta: np.ndarray, beta: np.ndarray | None) -> n
     return out
 
 
-def estimate_decoupling(
-    law,
-    s: float,
-    radius: float | None = None,
-    n_real: int = 9,
-    n_imag: int = 4,
-    refine_rounds: int = 5,
-) -> DecouplingEstimate:
+def estimate_decoupling(law, s: float) -> DecouplingEstimate:
     """Estimate the decoupling constant by a coarse complex grid search
     plus local zoom refinement around the minimizer.
 
-    The grid covers Re in [-R, R], Im in [0, R] for both arguments
-    (conjugation symmetry makes negative imaginary parts redundant).
+    The grid covers Re in [-R, R], Im in [0, R] for both arguments, with
+    R = _SEARCH_RADIUS x the law's scale (conjugation symmetry makes
+    negative imaginary parts redundant).
     Each round (the coarse grid, then each zoom) integrates what it still
     needs in two batched calls: the denominators, then the numerators.
     """
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")
-    if radius is None:
-        radius = 10.0 * law.scale
-    step_re = 2.0 * radius / (n_real - 1) if n_real > 1 else radius
-    step_im = radius / (n_imag - 1) if n_imag > 1 else radius
+    radius = _SEARCH_RADIUS * law.scale
+    step_re = 2.0 * radius / (_GRID_RE - 1)
+    step_im = radius / (_GRID_IM - 1)
 
     def point(units: tuple[float, float]) -> complex:
         # points are kept in grid units (exact dyadic floats): a point that the
@@ -402,13 +395,13 @@ def estimate_decoupling(
                 best = (r, e, b)
         return best
 
-    coarse = [(float(a), float(b)) for a in range(n_real) for b in range(n_imag)]
+    coarse = [(float(a), float(b)) for a in range(_GRID_RE) for b in range(_GRID_IM)]
     kappa, eta0, beta0 = search(coarse, coarse, (math.inf, coarse[0], coarse[0]))
     interior = all(abs(abs(p.real) - radius) > 1e-12 and abs(p.imag - radius) > 1e-12
                    for p in (point(eta0), point(beta0)))
     shifts = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
     zoom = 1.0
-    for _ in range(refine_rounds):
+    for _ in range(_ZOOMS):
         etas = [(eta0[0] + u * zoom, max(0.0, eta0[1] + v * zoom))
                 for u in shifts for v in (-0.5, 0.0, 0.5)]
         betas = [(beta0[0] + u * zoom, max(0.0, beta0[1] + v * zoom))
@@ -416,8 +409,7 @@ def estimate_decoupling(
         kappa, eta0, beta0 = search(etas, betas, (kappa, eta0, beta0))
         zoom *= 0.5
     d_eff = kappa / (1.0 - s) ** s
-    grid = f"Re x Im grid {n_real}x{n_imag} on radius {radius:g}, {refine_rounds} zooms"
-    return DecouplingEstimate(s, float(kappa), float(d_eff), grid,
+    return DecouplingEstimate(float(kappa), float(d_eff),
                               _canonical_image(law, point(eta0), point(beta0)), interior)
 
 
@@ -436,44 +428,11 @@ def _canonical_image(law, eta: complex, beta: complex) -> tuple[complex, complex
     return eta, beta
 
 
-def coupling_constant_C(
-    energy: float, coupling: float, s: float, on_sparse_set: bool, kappa_hat: float
-) -> float:
-    """|E|^s off the random set; |coupling|^s kappa_hat on it."""
-    if on_sparse_set:
-        return abs(coupling) ** s * kappa_hat
-    return abs(energy) ** s
-
-
-@dataclass(frozen=True)
-class KsReport:
-    value: float
-    localized: bool
-
-
-def k_s_factor(
-    spec: SymbolSpec,
-    energy: float,
-    coupling: float,
-    s: float,
-    on_set_profile,
-    kappa_hat: float,
-) -> KsReport:
-    """k_s = ||H0||_s^s / min_site C(E, ., s); localization regime iff < 1.
-
-    ``on_set_profile`` is an iterable of booleans marking which relevant
-    sites carry the random coupling.  The report never claims a
-    localization certificate when k_s >= 1 (the geometric sum diverges).
-    """
-    profile = list(on_set_profile)
-    if not profile:
-        raise ValueError("on_set_profile must be nonempty")
-    c_values = [coupling_constant_C(energy, coupling, s, flag, kappa_hat) for flag in profile]
-    c_min = min(c_values)
-    if c_min <= 0:
-        raise ValueError("coupling constant C must be positive")
-    value = s_norm(spec, s) ** s / c_min
-    return KsReport(float(value), bool(value < 1.0))
+def k_s(spec: SymbolSpec, s: float, c: float) -> float:
+    """k_s = ||H0||_s^s / C(E, n, s), +inf where C = 0; the localization
+    regime holds iff k_s < 1.  C is |lambda|^s kappa_hat on the sites of S
+    and |E|^s off them."""
+    return s_norm(spec, s) ** s / c if c > 0 else math.inf
 
 
 def lambda_threshold(spec: SymbolSpec, s: float, kappa_hat: float) -> float:
@@ -484,11 +443,13 @@ def lambda_threshold(spec: SymbolSpec, s: float, kappa_hat: float) -> float:
 
 
 def am_uniform_bound(coupling: float, s: float) -> float:
-    """Uniform two-point bound (2 sqrt 2)^s / (lambda^s (1 - s))."""
-    if coupling <= 0:
-        raise ValueError("coupling must be > 0")
+    """Uniform two-point bound (2 sqrt 2)^s / (lambda^s (1 - s)), +inf at lambda = 0."""
+    if coupling < 0:
+        raise ValueError("coupling must be >= 0")
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")
+    if coupling == 0:
+        return math.inf
     return (2.0 * math.sqrt(2.0)) ** s / (coupling ** s * (1.0 - s))
 
 

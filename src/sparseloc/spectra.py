@@ -93,21 +93,18 @@ class EdgeScan:
     h0_norm_s: float
     s: float
 
-    def band_center_median(self) -> float:
-        for b in self.bins:
-            if b.lo <= 0.0 < b.hi and b.count > 0:
-                return b.median_ipr
-        raise ValueError("no populated bin containing E = 0")
+    def band_center_median(self) -> float | None:
+        """Median IPR of the populated bin containing E = 0, or None."""
+        return next((b.median_ipr for b in self.bins if b.lo <= 0.0 < b.hi and b.count > 0), None)
 
-    def pooled_median_outside(self, threshold: float) -> float:
+    def pooled_median_outside(self, threshold: float) -> float | None:
+        """Median of the populated bins' median IPRs beyond |E| >= threshold, or None."""
         pooled = [
             b.median_ipr
             for b in self.bins
             if b.count > 0 and (b.hi <= -threshold or b.lo >= threshold)
         ]
-        if not pooled:
-            raise ValueError(f"no populated bins beyond |E| > {threshold}")
-        return float(np.median(pooled))
+        return float(np.median(pooled)) if pooled else None
 
 
 def mobility_edge_scan(

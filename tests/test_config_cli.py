@@ -615,6 +615,67 @@ def test_cli_oversized_full_cube_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_am_check_at_lambda_zero_is_rejected_before_running(tmp_path, capsys):
+    # the AM bound diverges at lambda = 0: nothing to check, so nothing is run
+    raw = _moments_raw(check_am_bound=True)
+    raw["disorder"]["lambda"] = 0.0
+    raw["query"]["realizations"] = 4
+    path = _write_config(tmp_path, raw)
+    code = main(["moments", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config rejected:" in err
+    assert "disorder.lambda: must be > 0 when check_am_bound is true" in err
+    assert not (tmp_path / "out").exists()
+    raw["check_am_bound"] = False  # the moments alone are well defined at lambda = 0
+    validate_config(raw)
+
+
+def test_cli_edge_scan_without_a_measurable_contrast_fails_its_verdict(tmp_path, capsys):
+    # every eigenvalue lies in [3, 8]: no populated bin contains E = 0
+    raw = {
+        "kind": "edge_scan",
+        "symbol": {"delta": 1},
+        "volume": {"center": [0], "half_side": 30},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.5},
+        "disorder": {"law": "uniform", "params": [5.0, 6.0], "lambda": 1.0},
+        "realizations": 20,
+        "s": 0.5,
+        "contrast": {"offset": 1.0, "min_ratio": 2.0},
+    }
+    path = _write_config(tmp_path, raw)
+    code = main(["edge_scan", "--config", path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "verdict ipr_contrast: FAIL" in captured.out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["verdicts"] == {"ipr_contrast": False}
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["center_median"] is None and summary["contrast"] is None
+    assert summary["outer_median"] > 0
+    assert not (tmp_path / "out" / "failed").exists()
+
+
+def test_full_cube_sets_carry_their_generator(tmp_path):
+    raw = {
+        "kind": "sparseness",
+        "symbol": {"delta": 5},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.25, "half_side": 0},
+        "phi": [{"site": [0] * 5, "re": 1.0}],
+        "t_max": 16.0,
+    }
+    run_experiment(validate_config(raw), out_dir=str(tmp_path / "one"))
+    head = (tmp_path / "one" / "sparse_set.txt").read_text().splitlines()[0]
+    assert head == "# alpha=0.25 generator=full_cube seed=0 nu=5"
+    raw["sparse_set"]["half_side"] = 1  # all 3^5 sites: far over the cap 4 at alpha 0.25
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [
+        ("sparse_set", "set too dense for alpha=0.25: |S n Lambda|=243 > cap 4 at volume 243")
+    ]
+
+
 @pytest.mark.parametrize("offsets", ["abc", True, {}])
 def test_validate_rejects_non_list_propagator_offsets(offsets):
     raw = {"kind": "propagator", "symbol": {"delta": 1}, "times": [1.0], "offsets": offsets}

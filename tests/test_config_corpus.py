@@ -102,6 +102,26 @@ def test_mutation_corpus_returns_or_raises_config_error():
     assert count > 2000
 
 
+def test_lambda_zero_is_rejected_at_validation_or_runs_ok(tmp_path):
+    """Every base with a disorder block at lambda = 0 either fails validation
+    or runs to an ok manifest: nothing that validates fails mid-run."""
+    rejected = set()
+    for base in BASES:
+        if "disorder" not in base:
+            continue
+        raw = copy.deepcopy(base)
+        raw["disorder"] = dict(raw["disorder"], **{"lambda": 0.0})
+        try:
+            cfg = validate_config(raw)
+        except ConfigError:
+            rejected.add(raw["kind"])
+            continue
+        manifest = experiments.run_experiment(cfg, out_dir=str(tmp_path / raw["kind"]))
+        assert manifest.status == "ok", raw["kind"]
+    # an AM check and a k_s with lambda^s kappa_hat = 0 on S cannot be made
+    assert rejected == {"moments", "decay_fit"}
+
+
 def test_one_runner_and_one_subcommand_per_kind():
     assert set(experiments._RUNNERS) == set(config.KINDS)
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")

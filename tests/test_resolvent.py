@@ -34,16 +34,14 @@ from sparseloc.disorder import (
 )
 from sparseloc.experiments import run_experiment
 from sparseloc.resolvent import (
-    DecouplingEstimate,
     GreenQuery,
     MomentEstimate,
     RealizationEngine,
     am_uniform_bound,
-    coupling_constant_C,
     decay_rate_fit,
     estimate_decoupling,
     fractional_moment_estimate,
-    k_s_factor,
+    k_s,
     lambda_threshold,
     simon_wolff_proxy,
     theorem2_cube,
@@ -165,8 +163,16 @@ def test_green_query_validation():
         GreenQuery(1.0, 1e-3, 0.5, (9,), Cube((0,), 3), 2)
 
 
-def test_decoupling_small_s_limit_is_one():
-    dec = estimate_decoupling(UniformLaw(-1, 1), 0.02, n_real=7, n_imag=3, refine_rounds=1)
+def _search_grid(monkeypatch, n_real, n_imag, zooms):
+    """Point estimate_decoupling at an n_real x n_imag grid and ``zooms`` zoom rounds."""
+    monkeypatch.setattr(resolvent, "_GRID_RE", n_real)
+    monkeypatch.setattr(resolvent, "_GRID_IM", n_imag)
+    monkeypatch.setattr(resolvent, "_ZOOMS", zooms)
+
+
+def test_decoupling_small_s_limit_is_one(monkeypatch):
+    _search_grid(monkeypatch, 7, 3, 1)
+    dec = estimate_decoupling(UniformLaw(-1, 1), 0.02)
     assert dec.kappa_hat == pytest.approx(1.0, abs=0.05)
 
 
@@ -177,32 +183,31 @@ def test_decoupling_uniform_interior_and_regression():
     assert dec.kappa_hat == pytest.approx(0.6106, abs=0.005)
 
 
-def test_decoupling_refinement_consistency():
+def test_decoupling_refinement_consistency(monkeypatch):
     coarse = estimate_decoupling(UniformLaw(-1, 1), 0.5)
-    fine = estimate_decoupling(UniformLaw(-1, 1), 0.5, n_real=17, n_imag=7)
+    _search_grid(monkeypatch, 17, 7, resolvent._ZOOMS)
+    fine = estimate_decoupling(UniformLaw(-1, 1), 0.5)
     assert abs(fine.kappa_hat - coarse.kappa_hat) / coarse.kappa_hat < 0.005
 
 
-def test_coupling_constant_cases():
-    assert coupling_constant_C(9.0, 30.0, 0.5, False, 1.0) == pytest.approx(3.0)
-    assert coupling_constant_C(9.0, 0.0, 0.5, True, 0.7) == 0.0
-    dec = DecouplingEstimate(0.5, 0.6, 0.6 / 0.5 ** 0.5, "g", (0j, 0j), True)
-    assert coupling_constant_C(9.0, 30.0, 0.5, True, dec.kappa_hat) == pytest.approx(
-        30.0 ** 0.5 * 0.6
-    )
+def test_k_s_is_infinite_where_c_vanishes():
+    # C = |lambda|^s kappa_hat on S vanishes at lambda = 0, and C = |E|^s off S at E = 0
+    assert k_s(DELTA1, 0.5, 0.0) == math.inf
+    assert k_s(DELTA1, 0.5, 30.0 ** 0.5 * 0.6) == pytest.approx(2.0 / (30.0 ** 0.5 * 0.6))
 
 
-def test_k_s_factor_examples():
-    report = k_s_factor(DELTA1, 9.0, 0.0, 0.5, [False], 1.0)
-    assert report.value == pytest.approx(2.0 / 3.0)
-    assert report.localized
-    boundary = k_s_factor(DELTA1, s_norm(DELTA1, 0.5), 0.0, 0.5, [False], 1.0)
-    assert boundary.value == pytest.approx(1.0)
-    assert not boundary.localized
-    mixed = k_s_factor(DELTA1, 9.0, 30.0, 0.5, [True, False], 0.61)
-    on_only = k_s_factor(DELTA1, 9.0, 30.0, 0.5, [True], 0.61)
-    off_only = k_s_factor(DELTA1, 9.0, 30.0, 0.5, [False], 0.61)
-    assert mixed.value == pytest.approx(max(on_only.value, off_only.value))
+def test_k_s_examples():
+    # ||H0||_s^s = 2 for the 1D Laplacian at s = 1/2; C = |E|^s off S
+    value = k_s(DELTA1, 0.5, 9.0 ** 0.5)
+    assert value == pytest.approx(2.0 / 3.0)
+    assert value < 1.0
+    boundary = k_s(DELTA1, 0.5, s_norm(DELTA1, 0.5) ** 0.5)
+    assert boundary == pytest.approx(1.0)
+    assert not boundary < 1.0
+    # a volume with sites on and off S: the smaller C gives the larger k_s, bit for bit
+    c_on, c_off = 30.0 ** 0.5 * 0.61, 9.0 ** 0.5
+    mixed = k_s(DELTA1, 0.5, min(c_on, c_off))
+    assert mixed == max(k_s(DELTA1, 0.5, c_on), k_s(DELTA1, 0.5, c_off))
 
 
 def test_lambda_threshold_examples():
@@ -215,8 +220,9 @@ def test_lambda_threshold_examples():
 def test_am_uniform_bound_values():
     assert am_uniform_bound(10.0, 0.5) == pytest.approx(1.0636591793889978, rel=1e-12)
     assert am_uniform_bound(10.0, 0.999) > 100.0
+    assert am_uniform_bound(0.0, 0.5) == math.inf
     with pytest.raises(ValueError):
-        am_uniform_bound(0.0, 0.5)
+        am_uniform_bound(-1.0, 0.5)
     with pytest.raises(ValueError):
         am_uniform_bound(1.0, 1.0)
 
@@ -1023,7 +1029,8 @@ def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
         return original(law_, s_, eta, beta)
 
     monkeypatch.setattr(resolvent, "_frac_integral", spy)
-    dec = estimate_decoupling(law, s, None, *grid)
+    _search_grid(monkeypatch, *grid)
+    dec = estimate_decoupling(law, s)
     assert (dec.kappa_hat, dec.d_eff, dec.minimizer, dec.interior) == want
     assert len(keys) == len(set(keys))  # one integral per distinct key
     assert set(keys) == needed
@@ -1031,13 +1038,14 @@ def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
-def test_decoupling_zoom_points_coincide_without_integration_warnings(s):
+def test_decoupling_zoom_points_coincide_without_integration_warnings(monkeypatch, s):
     # eta and beta zoom lists come from one grid, so a point reached from
     # both minimizers is one complex number and never a pair of
     # breakpoints 1e-15 apart (a zero-length piece of the graded rule)
+    _search_grid(monkeypatch, 7, 3, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
-        dec = estimate_decoupling(UniformLaw(-1, 1), s, n_real=7, n_imag=3, refine_rounds=3)
+        dec = estimate_decoupling(UniformLaw(-1, 1), s)
     assert 0.0 < dec.kappa_hat < 1.0
 
 
