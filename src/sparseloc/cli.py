@@ -66,7 +66,7 @@ def _internal(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _run_kind(kind: str, args) -> int:
+def _run_kind(kind: str, args, default_threads: int) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -82,7 +82,7 @@ def _run_kind(kind: str, args) -> int:
         raw["out"] = args.out
     try:
         raw["threads"] = args.threads if args.threads is not None else raw.get(
-            "threads", _default_threads()
+            "threads", default_threads
         )
         cfg = validate_config(raw, kind)
     except ConfigError as exc:
@@ -108,7 +108,7 @@ def _run_kind(kind: str, args) -> int:
     return EXIT_OK if manifest.all_passed else EXIT_VERDICT
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, default_threads: int) -> int:
     indices = None
     if args.criteria:
         try:
@@ -117,7 +117,7 @@ def _run_verify(args) -> int:
             print("verify: --criteria must be comma-separated integers", file=sys.stderr)
             return EXIT_CONFIG
     try:
-        threads = args.threads if args.threads is not None else _default_threads()
+        threads = args.threads if args.threads is not None else default_threads
         results = run_acceptance(indices=indices, workdir=args.out, threads=threads)
     except ConfigError as exc:
         for field, reason in exc.violations:
@@ -133,9 +133,15 @@ def _run_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:  # checked under every subcommand, whichever count the run then takes
+        default_threads = _default_threads()
+    except ConfigError as exc:
+        for field, reason in exc.violations:
+            print(f"{args.command}: {field}: {reason}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "verify":
-        return _run_verify(args)
-    return _run_kind(args.command, args)
+        return _run_verify(args, default_threads)
+    return _run_kind(args.command, args, default_threads)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import (Cube, SparseSet, cap_violation, generate_sparse_set, max_norm,
                       sparse_set_from_sites)
-from .operators import SymbolSpec, delta_symbol, s_norm
+from .operators import ASSEMBLY_CAP, SymbolSpec, delta_symbol, s_norm
 from .disorder import DisorderModel, make_law
 
 
@@ -349,10 +349,10 @@ def _sparseness(p, bad):
 
 
 def _monte_carlo(p, bad):
-    """The volume in the symbol's dimension, S and the query source inside
-    it, and lambda > 0 for an AM check, whose bound diverges at lambda = 0;
-    echoes ||H0||_s at the query's s.  With no volume, neither S nor the
-    query is checked further."""
+    """The volume in the symbol's dimension and within the assembly cap, S
+    and the query source inside it, and lambda > 0 for an AM check, whose
+    bound diverges at lambda = 0; echoes ||H0||_s at the query's s.  With no
+    volume, neither S nor the query is checked further."""
     dim, volume, query, model = _dim(p), p.get("volume"), p.get("query"), p.get("disorder")
     if p.get("check_am_bound") and model is not None and model.coupling == 0:
         bad.append(("disorder.lambda", "must be > 0 when check_am_bound is true: "
@@ -363,6 +363,8 @@ def _monte_carlo(p, bad):
         volume = p["volume"] = None
     if volume is None:
         return {}
+    if volume.volume > ASSEMBLY_CAP:
+        bad.append(("volume", f"volume {volume.volume} exceeds the assembly cap {ASSEMBLY_CAP}"))
     _sparse_set(p, bad, volume)
     if query is not None and not volume.contains(query["source"]):
         bad.append(("query.source", "must lie inside the volume"))

@@ -92,8 +92,6 @@ def kernel_elements(spec: SymbolSpec, offsets, ts) -> np.ndarray:
 @dataclass(frozen=True)
 class OffdiagonalRow:
     offset: Site
-    distance: int
-    magnitude: float
     bound: float
     passed: bool
 
@@ -121,22 +119,16 @@ def verify_offdiagonal_decay(spec: SymbolSpec, t: float, offsets) -> Offdiagonal
     calib = max(mags[d] for d in admissible if max_norm(d) == d_min) * d_min ** power
     rows = []
     for d in sorted(admissible, key=max_norm):
-        dist = max_norm(d)
-        mag = mags[d]
-        bound = calib / dist ** power
-        rows.append(OffdiagonalRow(d, dist, mag, bound, bool(mag <= bound * (1 + 1e-12))))
+        bound = calib / max_norm(d) ** power
+        rows.append(OffdiagonalRow(d, bound, bool(mags[d] <= bound * (1 + 1e-12))))
     return OffdiagonalCheck(tuple(rows), calib, d_min)
 
 
-def _grid_zeros(values: np.ndarray) -> list[int]:
+def _grid_zeros(values: np.ndarray) -> np.ndarray:
     """Indices near sign changes of a periodic sample sequence."""
     sign = np.sign(values)
-    idx = []
-    n = len(values)
-    for i in range(n):
-        if sign[i] == 0 or (sign[i] != sign[(i + 1) % n] and sign[(i + 1) % n] != 0):
-            idx.append(i)
-    return idx
+    after = np.roll(sign, -1)
+    return np.flatnonzero((sign == 0) | ((sign != after) & (after != 0)))
 
 
 def _axis_targets(spec: SymbolSpec, axis: int) -> tuple[float, float]:
@@ -148,18 +140,10 @@ def _axis_targets(spec: SymbolSpec, axis: int) -> tuple[float, float]:
     """
     d1, d2, d3 = spec.axis_derivatives(axis)
     scale = max(np.max(np.abs(d2)), 1e-30)
-    max_target = -0.5
-    for i in _grid_zeros(d2):
-        if abs(d3[i]) > 1e-8 * scale:
-            max_target = -1.0 / 3.0
-            break
-    fixed_target = -0.5
     scale1 = max(np.max(np.abs(d1)), 1e-30)
-    for i in _grid_zeros(d1):
-        if abs(d2[i]) <= 1e-8 * scale1:
-            fixed_target = -1.0 / 3.0
-            break
-    return max_target, fixed_target
+    caustic = np.any(np.abs(d3[_grid_zeros(d2)]) > 1e-8 * scale)
+    degenerate = np.any(np.abs(d2[_grid_zeros(d1)]) <= 1e-8 * scale1)
+    return (-1.0 / 3.0 if caustic else -0.5), (-1.0 / 3.0 if degenerate else -0.5)
 
 
 def fit_loglog(ts, values) -> float:
@@ -257,13 +241,12 @@ def projected_norm(
     spec: SymbolSpec,
     sparse: SparseSet,
     phi: dict[Site, complex],
-    t,
+    ts: np.ndarray,
     weight_gamma: float | None = None,
-):
-    """c(t) = ( sum_{m in S} w(m)^2 |psi_t(m)|^2 )^(1/2): a float for a
-    scalar ``t``, an array for an array of times.  The times go in blocks
-    of at most ``_CHUNK_ENTRIES`` (time, site) amplitudes."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+) -> np.ndarray:
+    """c(t) = ( sum_{m in S} w(m)^2 |psi_t(m)|^2 )^(1/2) at each time of the
+    float array ``ts``.  The times go in blocks of at most ``_CHUNK_ENTRIES``
+    (time, site) amplitudes."""
     sites = sparse.coords
     w = 1.0 if weight_gamma is None else sparse.weights(weight_gamma)
     step = max(1, _CHUNK_ENTRIES // max(1, sites.shape[0]))
@@ -271,7 +254,7 @@ def projected_norm(
     for i in range(0, ts.size, step):
         psi = _site_amplitudes(spec, phi, sites, ts[i:i + step])
         c[i:i + step] = np.sqrt(np.sum((w * np.abs(psi)) ** 2, axis=1))
-    return float(c[0]) if np.ndim(t) == 0 else c
+    return c
 
 
 def _dyadic_windows(t_max: float) -> list[tuple[float, float]]:

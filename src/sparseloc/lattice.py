@@ -124,8 +124,8 @@ class SparseSet:
     distinct sites in lexicographic row order, built from any collection
     of sites.  ``alpha`` is the claimed exponent; generated sets certify the
     cap on all centered sub-cubes by construction, explicit lists may
-    violate it (sparseness_profile reports the failures).  Equality and
-    hashing follow the sites and the four labels, not the cube.
+    violate it (sparseness_profile reports the failures).  Sets compare by
+    identity.
     """
 
     coords: np.ndarray
@@ -146,15 +146,6 @@ class SparseSet:
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_weights", {})
-
-    def _key(self):
-        return self.alpha, self.generator, self.seed, self.dim, self.coords.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparseSet) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.coords)

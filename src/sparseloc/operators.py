@@ -24,6 +24,7 @@ from .errors import NumericalError
 from .lattice import Cube, Site
 
 _DERIV_GRID = 8192
+ASSEMBLY_CAP = 4_000_000  # sites; validation refuses a larger Monte-Carlo volume
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,9 @@ def _series_derivatives(series: tuple[tuple[int, float], ...]):
     return d1, d2, d3
 
 
-def delta_symbol(dim: int, k: int = 1, amplitude: float = 1.0) -> SymbolSpec:
-    """Symbol of sum_i (T_i^k + T_i^-k) scaled by amplitude (k=1: Delta)."""
-    return SymbolSpec(tuple(((k, amplitude),) for _ in range(dim)))
+def delta_symbol(dim: int) -> SymbolSpec:
+    """Symbol of the lattice Laplacian Delta = sum_i (T_i + T_i^-1)."""
+    return SymbolSpec(tuple(((1, 1.0),) for _ in range(dim)))
 
 
 def s_norm(spec: SymbolSpec, s: float) -> float:
@@ -162,7 +163,7 @@ def assemble_finite_volume(spec: SymbolSpec, cube: Cube) -> AssembledOperator:
     if cube.dim != spec.dim:
         raise ValueError("symbol and cube dimensions differ")
     n = cube.volume
-    if n > 4_000_000:
+    if n > ASSEMBLY_CAP:
         raise ValueError(f"volume {n} too large to assemble")
     coords = cube.coords()
     lo, hi = coords[0], coords[-1]

@@ -287,7 +287,6 @@ class DecouplingEstimate:
 
     kappa_hat: float
     d_eff: float
-    minimizer: tuple[complex, complex]
     interior: bool
 
 
@@ -409,23 +408,7 @@ def estimate_decoupling(law, s: float) -> DecouplingEstimate:
         kappa, eta0, beta0 = search(etas, betas, (kappa, eta0, beta0))
         zoom *= 0.5
     d_eff = kappa / (1.0 - s) ** s
-    return DecouplingEstimate(float(kappa), float(d_eff),
-                              _canonical_image(law, point(eta0), point(beta0)), interior)
-
-
-def _canonical_image(law, eta: complex, beta: complex) -> tuple[complex, complex]:
-    """The one of a minimizer (eta, beta) and its mirror image that is reported.
-
-    Every law is symmetric about its mode, so reflecting both points
-    (Re x -> 2 mode - Re x) leaves the ratio unchanged, and on a symmetric
-    grid round-off alone picks the image the search ends on.  The image
-    with Re eta right of the mode, or on it with Re beta not left of it,
-    is reported.
-    """
-    mode = law.mode
-    if (eta.real, beta.real) < (mode, mode):
-        return complex(2.0 * mode - eta.real, eta.imag), complex(2.0 * mode - beta.real, beta.imag)
-    return eta, beta
+    return DecouplingEstimate(float(kappa), float(d_eff), interior)
 
 
 def k_s(spec: SymbolSpec, s: float, c: float) -> float:

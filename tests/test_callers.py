@@ -1,4 +1,5 @@
-"""Every function, class and method of the package has a caller in the package."""
+"""Every function, class and method of the package has a caller in the package,
+and every field of its classes is read in the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ import sparseloc
 
 # only tests and bench/spans.py call it; it goes with the dict path of SparseSet sites
 _CALLERLESS = {"disorder.sample_potential"}
+# its fields are written whole by dataclasses.asdict into manifest.json
+_UNREAD = {"experiments.RunManifest"}
 
 
 def _definitions(node, prefix):
@@ -19,11 +22,16 @@ def _definitions(node, prefix):
             yield from _definitions(child, prefix)
 
 
+def _modules():
+    """(module name, parsed tree) of every module of the package."""
+    for path in sorted(Path(sparseloc.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_definition_has_a_caller_in_the_package():
     defined, used = [], set()
-    for path in sorted(Path(sparseloc.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(q, name) for q, name in _definitions(tree, path.stem)
+    for stem, tree in _modules():
+        defined += [(q, name) for q, name in _definitions(tree, stem)
                     if not (name.startswith("__") and name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -33,3 +41,20 @@ def test_every_definition_has_a_caller_in_the_package():
             elif isinstance(node, ast.alias):
                 used.update((node.name.split(".")[-1], node.asname))
     assert {q for q, name in defined if name not in used} == _CALLERLESS
+
+
+def test_every_field_is_read_in_the_package():
+    """An annotated class field counts as read when its name is loaded as an
+    attribute or passed as a keyword argument somewhere in the package."""
+    fields, read = [], set()
+    for stem, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields += [(f"{stem}.{node.name}", item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert {u.rpartition(".")[0] for u in unread} == _UNREAD, ", ".join(unread)

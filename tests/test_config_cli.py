@@ -432,6 +432,27 @@ def test_simon_wolff_verdict_recomputable_from_csv(tmp_path):
     assert manifest.verdicts["pp_trend"] == (ratios[-1] <= 1.2)
 
 
+def test_simon_wolff_reads_epsilon_only_from_the_ladder(tmp_path):
+    # query.epsilon is validated but never read: the solves run at the rungs
+    csv = []
+    for epsilon in (0.1, 0.37):
+        raw = {
+            "kind": "simon_wolff",
+            "seed": 4,
+            "symbol": {"delta": 1},
+            "volume": {"center": [0], "half_side": 15},
+            "sparse_set": {"generator": "full_cube", "alpha": 0.5},
+            "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 3.0},
+            "query": {"energy": 1.0, "epsilon": epsilon, "s": 0.5, "source": [0],
+                      "realizations": 4},
+            "eps_ladder": [1e-1, 1e-2],
+        }
+        out = tmp_path / f"sw{epsilon}"
+        run_experiment(validate_config(raw), out_dir=str(out))
+        csv.append((out / "simon_wolff.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 def test_kernel_pipeline_exports_hoppings(tmp_path):
     cfg = validate_config(
         {"kind": "kernel", "symbol": {"axes": [[{"k": 1, "c": 1.0}, {"k": 2, "c": 0.5}]]},
@@ -631,6 +652,43 @@ def test_cli_am_check_at_lambda_zero_is_rejected_before_running(tmp_path, capsys
     validate_config(raw)
 
 
+def _over_the_assembly_cap(kind, **extra):
+    # 2003^2 = 4,012,009 sites, just over the 4,000,000-site assembly cap
+    raw = _moments_raw(kind=kind, symbol={"delta": 2},
+                       volume={"center": [0, 0], "half_side": 1001},
+                       sparse_set={"generator": "explicit_list", "alpha": 0.5, "sites": []},
+                       **extra)
+    raw["query"].update(source=[0, 0], realizations=2)
+    return raw
+
+
+_CAP_VIOLATION = ("volume", "volume 4012009 exceeds the assembly cap 4000000")
+
+
+def test_cli_volume_over_the_assembly_cap_is_rejected_before_running(tmp_path, capsys):
+    path = _write_config(tmp_path, _over_the_assembly_cap("moments"))
+    code = main(["moments", "--config", path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config rejected:" in captured.err
+    assert "{}: {}".format(*_CAP_VIOLATION) in captured.err
+    assert "derived" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("decay_fit", {"kappa_hat": 0.61}),
+    ("simon_wolff", {"eps_ladder": [1e-1, 1e-2], "expect": "pp"}),
+])
+def test_validate_rejects_a_volume_over_the_assembly_cap(kind, extra):
+    raw = _over_the_assembly_cap(kind, **extra)
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert _CAP_VIOLATION in err.value.violations
+    raw["volume"]["half_side"] = 999  # 3,996,001 sites: under the cap
+    validate_config(raw)
+
+
 def test_cli_edge_scan_without_a_measurable_contrast_fails_its_verdict(tmp_path, capsys):
     # every eigenvalue lies in [3, 8]: no populated bin contains E = 0
     raw = {
@@ -791,6 +849,26 @@ def test_cli_kind_rejects_a_bad_threads_environment(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert code == 2
     assert f"SPARSELOC_THREADS: must be an integer >= 1, got '{value}'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "verify"])
+def test_cli_bad_threads_environment_is_rejected_whatever_sets_the_count(
+        tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setenv("SPARSELOC_THREADS", "abc")
+    raw = {"kind": "norms", "symbol": {"delta": 1}, "s_grid": [0.5]}
+    if source == "config":
+        raw["threads"] = 2
+    path = _write_config(tmp_path, raw)
+    argv = (["verify", "--criteria", "7"] if source == "verify"
+            else ["norms", "--config", path])
+    if source != "config":
+        argv += ["--threads", "2"]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "SPARSELOC_THREADS: must be an integer >= 1, got 'abc'" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

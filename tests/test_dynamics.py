@@ -19,7 +19,7 @@ from sparseloc.dynamics import (
     verify_offdiagonal_decay,
     verify_time_decay,
 )
-from sparseloc.lattice import Cube, generate_sparse_set, sparse_set_from_sites
+from sparseloc.lattice import Cube, generate_sparse_set, max_norm, sparse_set_from_sites
 from sparseloc.operators import SymbolSpec, delta_symbol
 
 from oracles import evolution_kernel, weight_value
@@ -104,7 +104,7 @@ def test_offdiagonal_decay_regime():
     check = verify_offdiagonal_decay(DELTA1, 5.0, [(d,) for d in range(18, 61)])
     assert check.admissible_from == 20  # 2 nu t sup|h'| = 20
     assert all(r.passed for r in check.rows)
-    assert all(r.distance >= 20 for r in check.rows)
+    assert all(max_norm(r.offset) >= 20 for r in check.rows)
 
 
 def test_offdiagonal_decay_no_admissible_offsets():
@@ -132,6 +132,27 @@ def test_time_decay_targets_and_fits():
     assert fit.fixed_pass
 
 
+def _grid_zeros_reference(values):
+    """The sign-change scan one index at a time, wrapping at the end."""
+    sign = np.sign(values)
+    n = len(values)
+    return [i for i in range(n)
+            if sign[i] == 0 or (sign[i] != sign[(i + 1) % n] and sign[(i + 1) % n] != 0)]
+
+
+@pytest.mark.parametrize("series, targets", [
+    (((1, 1.0),), (-1.0 / 3.0, -0.5)),  # Delta
+    (((1, 1.0), (3, -0.25)), (-1.0 / 3.0, -0.5)),
+    (((1, 1.0), (2, 0.25)), (-1.0 / 3.0, -1.0 / 3.0)),  # h' and h'' vanish together at pi
+    ((), (-0.5, -1.0 / 3.0)),  # h = 0: every grid point is a degenerate zero, no caustic
+])
+def test_axis_targets_and_grid_zeros_match_the_scan(series, targets):
+    spec = SymbolSpec((series,))
+    for values in spec.axis_derivatives(0):
+        assert dynamics._grid_zeros(values).tolist() == _grid_zeros_reference(values)
+    assert dynamics._axis_targets(spec, 0) == targets
+
+
 def test_time_decay_rejects_bad_grid():
     with pytest.raises(ValueError):
         verify_time_decay(DELTA1, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -141,9 +162,10 @@ def test_time_decay_rejects_bad_grid():
 
 def test_projected_norm_identity_time():
     sparse = sparse_set_from_sites([(0,), (2,)], 0.5, 1)
-    assert projected_norm(DELTA1, sparse, {(0,): 1.0}, 0.0) == pytest.approx(1.0)
-    weighted = projected_norm(DELTA1, sparse, {(0,): 1.0}, 0.0, weight_gamma=2.0)
-    assert weighted == pytest.approx(1.0)  # only the origin carries amplitude at t=0
+    t0 = np.array([0.0])
+    assert projected_norm(DELTA1, sparse, {(0,): 1.0}, t0)[0] == pytest.approx(1.0)
+    weighted = projected_norm(DELTA1, sparse, {(0,): 1.0}, t0, weight_gamma=2.0)
+    assert weighted[0] == pytest.approx(1.0)  # only the origin carries amplitude at t=0
 
 
 def test_sparseness_empty_set():
@@ -308,7 +330,7 @@ def test_shared_axis_tables_bitwise_equal_reference(monkeypatch, case, t):
     for gamma in (None, 1.5):
         c = projected_norm(spec, sparse, phi, ts, gamma)
         assert c.tolist() == [_projected_norm_reference(spec, sparse, phi, x, gamma) for x in ts]
-        assert projected_norm(spec, sparse, phi, t, gamma) == c[0]
+        assert projected_norm(spec, sparse, phi, ts[:1], gamma).tolist() == c[:1].tolist()
 
 
 def test_axis_factor_table_bitwise_equal_reference():

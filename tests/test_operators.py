@@ -29,7 +29,7 @@ def test_kernel_from_cosine_is_nearest_neighbor():
 
 
 def test_kernel_from_third_harmonic_two_dims():
-    assert dict(delta_symbol(2, k=3).hopping) == {
+    assert dict(SymbolSpec((((3, 1.0),), ((3, 1.0),))).hopping) == {
         (3, 0): 1.0, (-3, 0): 1.0, (0, 3): 1.0, (0, -3): 1.0,
     }
 
@@ -159,7 +159,7 @@ def test_assemble_zero_everything():
 
 
 def test_assembly_is_symmetric():
-    spec = delta_symbol(2, k=2)
+    spec = SymbolSpec((((2, 1.0),), ((2, 1.0),)))
     rng = np.random.default_rng(0)
     cube = Cube((0, 0), 3)
     potential = {tuple(s): float(rng.normal()) for s in cube.coords().tolist()}
@@ -210,7 +210,7 @@ def _coo_assembly_reference(hopping, cube):
     [
         (delta_symbol(1), Cube((7,), 9)),
         (SymbolSpec((((1, 1.0), (3, -0.25)),)), Cube((-4,), 2)),
-        (delta_symbol(2, k=2), Cube((3, -5), 4)),
+        (SymbolSpec((((2, 1.0),), ((2, 1.0),))), Cube((3, -5), 4)),
         (SymbolSpec((((1, 0.5),), ((2, 1.5),))), Cube((0, 0), 1)),
         (SymbolSpec(((),)), Cube((2,), 3)),
     ],

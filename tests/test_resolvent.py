@@ -893,60 +893,33 @@ def test_frac_integral_non_finite_raises():
         resolvent._frac_integral(UniformLaw(-1.0, 1.0), 0.5, np.array([complex(np.nan, 0.0)]), None)
 
 
-def _mirrored(law, point):
-    """The image of a point under the reflection of the law about its mode."""
-    return complex(2.0 * law.mode - point.real, point.imag)
-
-
 # Quad-driven searches (estimate_decoupling with _frac_integral replaced by
-# _quad_batch, default grid): kappa_hat and minimizer per (law, s).  The
-# uniform s = 0.5 entry is recomputed below; the others take 2-7 s each.
+# _quad_batch, default grid): kappa_hat per (law, s).  The uniform s = 0.5
+# entry is recomputed below; the others take 2-7 s each.
 _QUAD_SEARCHES = {
-    ("uniform", 0.3): (0.7451367382936345, (0.2734375, -0.8203125)),
-    ("uniform", 0.5): (0.6105876095901545, (0.3515625, -0.78125)),
-    ("uniform", 0.7): (0.49776589509952984, (0.4296875, -0.78125)),
-    ("gaussian", 0.3): (0.8548495628305371, (-0.1953125, 1.640625)),
-    ("gaussian", 0.5): (0.7945185121153331, (-0.3125, 1.6015625)),
-    ("gaussian", 0.7): (0.7533175658667663, (0.390625, -1.640625)),
-    ("cauchy_peaked", 0.3): (0.2738805841593414, (0.0, 0.6640625)),
-    ("cauchy_peaked", 0.5): (0.12877058017575332, (0.0, 0.7421875)),
-    ("cauchy_peaked", 0.7): (0.06638276499142744, (0.0, -0.859375)),
+    ("uniform", 0.3): 0.7451367382936345,
+    ("uniform", 0.5): 0.6105876095901545,
+    ("uniform", 0.7): 0.49776589509952984,
+    ("gaussian", 0.3): 0.8548495628305371,
+    ("gaussian", 0.5): 0.7945185121153331,
+    ("gaussian", 0.7): 0.7533175658667663,
+    ("cauchy_peaked", 0.3): 0.2738805841593414,
+    ("cauchy_peaked", 0.5): 0.12877058017575332,
+    ("cauchy_peaked", 0.7): 0.06638276499142744,
 }
 
 
 @pytest.mark.parametrize("case", sorted(_QUAD_SEARCHES))
 def test_decoupling_search_matches_quad_driven_search(case):
-    """Same kappa_hat to 1e-9 and the same minimizer.  The laws are symmetric
-    about their mode, so a minimizer and its mirror image have equal ratios
-    in exact arithmetic and round-off picks one of the two: both searches
-    report the canonical image."""
     name, s = case
-    law = _RULE_LAWS[name]
-    kappa, (eta, beta) = _QUAD_SEARCHES[case]
-    dec = estimate_decoupling(law, s)
-    assert dec.kappa_hat == pytest.approx(kappa, rel=1e-9, abs=0.0)
-    assert dec.minimizer == resolvent._canonical_image(law, complex(eta), complex(beta))
-
-
-@pytest.mark.parametrize("law", [UniformLaw(-1.0, 1.0), GaussianLaw(0.0, 1.0),
-                                 UniformLaw(0.5, 1.5), TruncatedCauchyLaw(0.01, 1.0)])
-def test_decoupling_minimizer_mirror_images_report_one_point(law):
-    m = law.mode
-    for eta, beta in [(complex(m + 0.1953125, 0.25), complex(m - 1.640625, 0.0)),
-                      (complex(m, 0.5), complex(m + 0.859375, 0.125))]:
-        mirror = (_mirrored(law, eta), _mirrored(law, beta))
-        assert resolvent._canonical_image(law, *mirror) == (eta, beta)
-        assert resolvent._canonical_image(law, eta, beta) == (eta, beta)
-    on_mode = (complex(m, 0.0), complex(m, 0.5))  # its own mirror image
-    assert resolvent._canonical_image(law, *on_mode) == on_mode
+    dec = estimate_decoupling(_RULE_LAWS[name], s)
+    assert dec.kappa_hat == pytest.approx(_QUAD_SEARCHES[case], rel=1e-9, abs=0.0)
 
 
 def test_decoupling_quad_driven_search_reproduces_pinned_entry(monkeypatch):
     monkeypatch.setattr(resolvent, "_frac_integral", _quad_batch)
     dec = estimate_decoupling(_RULE_LAWS["uniform"], 0.5)
-    kappa, (eta, beta) = _QUAD_SEARCHES[("uniform", 0.5)]
-    assert dec.kappa_hat == pytest.approx(kappa, rel=1e-12, abs=0.0)
-    assert dec.minimizer == (complex(eta), complex(beta))
+    assert dec.kappa_hat == pytest.approx(_QUAD_SEARCHES[("uniform", 0.5)], rel=1e-12, abs=0.0)
 
 
 # --- one integral per distinct decoupling key ----------------------------------
@@ -1001,9 +974,7 @@ def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
                 r = ratio(eta, beta)
                 if r < kappa:
                     kappa, eta0, beta0 = r, eta, beta
-    fields = (float(kappa), float(kappa / (1.0 - s) ** s),
-              resolvent._canonical_image(law, point(eta0), point(beta0)), interior)
-    return fields, needed
+    return (float(kappa), float(kappa / (1.0 - s) ** s), interior), needed
 
 
 @pytest.mark.parametrize(
@@ -1031,7 +1002,7 @@ def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
     monkeypatch.setattr(resolvent, "_frac_integral", spy)
     _search_grid(monkeypatch, *grid)
     dec = estimate_decoupling(law, s)
-    assert (dec.kappa_hat, dec.d_eff, dec.minimizer, dec.interior) == want
+    assert (dec.kappa_hat, dec.d_eff, dec.interior) == want
     assert len(keys) == len(set(keys))  # one integral per distinct key
     assert set(keys) == needed
     assert len(calls) <= 2 * (1 + grid[2])  # denominators, numerators: per round
