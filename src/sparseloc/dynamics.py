@@ -7,14 +7,18 @@ per-axis oscillatory integrals
 
 Each factor is a Fourier coefficient of the unimodular function
 e^{-i t h_i}, computed by a periodic trapezoid sum (spectrally accurate)
-with node count scaled to t so aliasing stays below 1e-10.  For a pure
-single-harmonic axis 2 c cos(k theta) the factor has the closed Bessel
-form (-i)^(d/k) J_(d/k)(2 c t), kept as a cross-check path only.
+with node count scaled to t so aliasing stays below 1e-10.  Every symbol
+is a cosine series, so e^{-i t h_i} is even and the trapezoid sum over
+the full period is a DCT-I over the half period [0, pi]: half the nodes
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  For a pure single-harmonic
+axis 2 c cos(k theta) the factor has the closed Bessel form
+(-i)^(d/k) J_(d/k)(2 c t), kept as a cross-check path only.
 
 Every matrix element, single or summed over a source phi, is one array
 product of axis tables in ``_site_amplitudes``.  The tests keep the
 element-by-element product (``evolution_kernel`` in ``tests/oracles.py``)
-as the reference it is checked against.
+as the reference it is checked against, and the full-period FFT rule
+(``fft_axis_factor_table``) as the reference of the axis tables.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+from numpy.polynomial.legendre import legder, legval
+from scipy.fft import dct, next_fast_len
+from scipy.linalg.lapack import dsterf
 from scipy.special import jv
 
 from .disorder import sample_potentials
@@ -36,32 +42,41 @@ _CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of ti
 
 
 def _node_count(t: float, slope: float, d_max: int) -> int:
+    """Full-period node count 2m of an axis table, at least the fast FFT
+    length that keeps aliasing below 1e-10, with m a fast length: the
+    DCT-I over m + 1 nodes runs a real FFT of length 2m."""
     reach = abs(t) * slope
     pad = 64.0 + 12.0 * (reach + 1.0) ** (1.0 / 3.0)
-    return next_fast_len(max(256, int(2.2 * (reach + d_max + pad))))
+    n = next_fast_len(max(256, int(2.2 * (reach + d_max + pad))))
+    return 2 * next_fast_len((n + 1) // 2)
 
 
 def _axis_tables(spec: SymbolSpec, axis: int, ts: np.ndarray, d_max: int) -> np.ndarray:
     """Axis factors for offsets -d_max..d_max (column d + d_max), one row
-    per time of ``ts``.  Times that share a node count share one 2-D
-    ``ifft``, taken in blocks of at most ``_CHUNK_ENTRIES`` entries."""
+    per time of ``ts``.
+
+    The trapezoid sum of the even function g = e^{-i t h} on 2m nodes is
+    (g_0 + (-1)^d g_m + 2 sum_{0<j<m} g_j cos(pi d j / m)) / 2m with
+    g_j = g(pi j / m): a DCT-I over the m + 1 nodes of [0, pi], gathered
+    at |d| <= d_max < m.  Times that share a node count share one 2-D
+    ``dct``, taken in blocks of at most ``_CHUNK_ENTRIES`` entries."""
     slope = spec.axis_derivative_sup(axis)
     counts = np.array([_node_count(t, slope, d_max) for t in ts], dtype=np.int64)
-    d = np.arange(-d_max, d_max + 1)
+    d = np.abs(np.arange(-d_max, d_max + 1))
     out = np.empty((len(ts), d.size), dtype=complex)
     for n in np.unique(counts).tolist():
-        thetas = 2.0 * math.pi * np.arange(n) / n
-        values = spec.axis_values(axis, thetas)
+        m = n // 2
+        values = spec.axis_values(axis, math.pi * np.arange(m + 1) / m)
         rows = np.flatnonzero(counts == n)
-        step = max(1, _CHUNK_ENTRIES // n)
+        step = max(1, _CHUNK_ENTRIES // (m + 1))
         for block in (rows[i:i + step] for i in range(0, rows.size, step)):
             g = np.exp(-1j * ts[block, None] * values)
-            coeffs = np.fft.ifft(g, axis=1)  # (1/N) sum g_j e^{+i d theta_j}
+            coeffs = dct(g, type=1, axis=1, overwrite_x=True)[:, d] / n
             finite = np.all(np.isfinite(coeffs), axis=1)
             if not np.all(finite):
                 t_bad = float(ts[block[np.argmin(finite)]])
                 raise NumericalError("axis quadrature produced non-finite values", t=t_bad, nodes=n)
-            out[block] = coeffs[:, np.mod(d, n)]
+            out[block] = coeffs
     return out
 
 
@@ -269,9 +284,28 @@ def _dyadic_windows(t_max: float) -> list[tuple[float, float]]:
 
 @functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    """numpy's ``leggauss(n)`` for n >= 2, read-only, once per n.  The
+    symmetric companion matrix is tridiagonal (Golub & Welsch, Math. Comp.
+    23, 1969), so LAPACK ?sterf takes the first guess at the nodes from
+    its two diagonals rather than a dense eigvalsh; the Newton step,
+    weights and symmetrization are numpy's, and so are the bits."""
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x, info = dsterf(np.zeros(n), np.arange(1, n) * scl[:n - 1] * scl[1:n])
+    if info != 0:
+        raise NumericalError("Gauss-Legendre eigenvalues did not converge", nodes=n, info=info)
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df  # one Newton step
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _gauss_window(f, lo: float, hi: float) -> float:

@@ -26,6 +26,7 @@ from scipy.linalg import get_lapack_funcs
 
 from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
+from .dynamics import _leggauss
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
 from .operators import SymbolSpec, assemble_finite_volume, band_storage, is_tridiagonal, s_norm
@@ -295,7 +296,7 @@ def _graded_unit_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1], graded geometrically toward 0: panels
     [r^(j+1), r^j] for j < _RULE_LEVELS and [0, r^_RULE_LEVELS], each with
     _RULE_NODES Gauss-Legendre nodes."""
-    g, w = np.polynomial.legendre.leggauss(_RULE_NODES)
+    g, w = _leggauss(_RULE_NODES)
     edges = np.append(0.0, _RULE_RATIO ** np.arange(_RULE_LEVELS, -1, -1.0))
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (half * g + (edges[:-1, None] + half)).ravel()
@@ -317,11 +318,18 @@ def _frac_integral(law, s: float, eta: np.ndarray, beta: np.ndarray | None) -> n
     same 8 x 135 nodes and a batch is one array pass, taken in blocks of
     at most ``_CHUNK_ENTRIES`` nodes.  Each integral's value does not
     depend on the batch it comes in.
+
+    The integrand is one real power per node, q^(s/2) with q =
+    |x - eta|^2 |x - beta|^2 from real parts, in units of the power of two
+    2^k <= law.scale < 2^(k+1) (exact; the integral is scaled back), so q
+    neither overflows nor underflows at law scales from 1e-300 to 1e300.
     """
     two_factors = beta is not None
     eta = np.asarray(eta, dtype=complex).reshape(-1)
     beta = np.asarray(beta, dtype=complex).reshape(-1) if two_factors else eta
     lo, hi = law.support()
+    unit = math.ldexp(1.0, 1 - math.frexp(law.scale)[1])  # 2^-k
+    back = unit ** -s  # 2^(ks) per factor
     u, v = _graded_unit_rule()
     out = np.empty(eta.size)
     step = max(1, _CHUNK_ENTRIES // (8 * u.size))  # 8 x 135 nodes per integral
@@ -332,12 +340,16 @@ def _frac_integral(law, s: float, eta: np.ndarray, beta: np.ndarray | None) -> n
         left, right = cuts[:, :-1, None], cuts[:, 1:, None]
         half = 0.5 * (right - left)
         x = np.concatenate([left + half * u, right - half * u], axis=2).reshape(e.shape[0], -1)
-        f = np.abs(x - e) ** s
+        y, e, b = x * unit, e * unit, b * unit
+        q = (y - e.real) ** 2 + e.imag ** 2
         if two_factors:
-            f *= np.abs(x - b) ** s  # before the density, so swapping eta and beta is exact
+            q *= (y - b.real) ** 2 + b.imag ** 2  # a product: swapping eta and beta is exact
+        f = q ** (0.5 * s)
         f *= law.pdf(x)
         w = np.concatenate([half * v, half * v], axis=2).reshape(e.shape[0], -1)
-        out[i:i + step] = np.sum(w * f, axis=1)
+        out[i:i + step] = np.sum(w * f, axis=1) * back
+    if two_factors:
+        out *= back
     if not np.all(np.isfinite(out)):
         bad = int(np.argmin(np.isfinite(out)))
         raise NumericalError("decoupling quadrature failed", eta=complex(eta[bad]),

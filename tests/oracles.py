@@ -4,9 +4,11 @@ Each one computes a quantity the slow, direct way that the package once
 shipped beside its fast path: the hopping list of a symbol as a separate
 kernel object built it, a Green row by one default sparse LU per row, the
 1D Green rows of a block of realizations by one banded solve per
-realization, propagator elements one offset at a time, a growing weight
-one site at a time, the IPR of one vector, and a Binomial inverse CDF by
-one scalar pmf walk per draw.
+realization, propagator elements one offset at a time, an axis table by
+one full-period FFT, a decoupling integral with two complex moduli and
+two powers per node, a growing weight one site at a time, the IPR of one
+vector, a Binomial inverse CDF by one scalar pmf walk per draw, and the
+counter-based uniforms with one fresh array per uint64 operation.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from sparseloc.dynamics import axis_factor_table
+from sparseloc.dynamics import _node_count, axis_factor_table
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, Site, max_norm
 from sparseloc.operators import AssembledOperator, SymbolSpec, band_storage
+from sparseloc.resolvent import _graded_unit_rule
 
 _RESIDUAL_TOL = 1e-10
 
@@ -124,6 +127,39 @@ def evolution_kernel(spec: SymbolSpec, t: float, offsets) -> dict[Site, complex]
     return out
 
 
+def fft_axis_factor_table(spec: SymbolSpec, axis: int, t: float, d_max: int) -> np.ndarray:
+    """Axis factors for offsets -d_max..d_max at one time: the trapezoid
+    sum over the full period, one 1-D inverse FFT on the package's node
+    count."""
+    n = _node_count(t, spec.axis_derivative_sup(axis), d_max)
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    coeffs = np.fft.ifft(np.exp(-1j * t * spec.axis_values(axis, thetas)))
+    return coeffs[np.mod(np.arange(-d_max, d_max + 1), n)]
+
+
+def two_power_frac_integral(law, s: float, eta, beta) -> np.ndarray:
+    """int |x - eta|^s |x - beta|^s dmu(x) per entry (one factor when
+    ``beta`` is None) on the package's composite rule, with the integrand
+    taken as |x - eta|^s times |x - beta|^s: two complex moduli and two
+    powers per node."""
+    two_factors = beta is not None
+    eta = np.asarray(eta, dtype=complex).reshape(-1, 1)
+    beta = np.asarray(beta, dtype=complex).reshape(-1, 1) if two_factors else eta
+    lo, hi = law.support()
+    u, v = _graded_unit_rule()
+    fixed = np.broadcast_to([lo, hi, law.mode], (eta.shape[0], 3))
+    cuts = np.sort(np.hstack([fixed, np.clip(eta.real, lo, hi), np.clip(beta.real, lo, hi)]), axis=1)
+    left, right = cuts[:, :-1, None], cuts[:, 1:, None]
+    half = 0.5 * (right - left)
+    x = np.concatenate([left + half * u, right - half * u], axis=2).reshape(eta.shape[0], -1)
+    f = np.abs(x - eta) ** s
+    if two_factors:
+        f *= np.abs(x - beta) ** s
+    f *= law.pdf(x)
+    w = np.concatenate([half * v, half * v], axis=2).reshape(eta.shape[0], -1)
+    return np.sum(w * f, axis=1)
+
+
 def weight_value(gamma: float, site: Site) -> float:
     """Growing coupling (1 + |n|)^gamma, max-norm distance to the origin."""
     if gamma <= 0:
@@ -157,3 +193,32 @@ def binomial_icdf(u: float, n: int, p: float) -> int:
         k += 1
         cdf += pmf
     return k
+
+
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _fold(state: np.ndarray, word: np.ndarray) -> np.ndarray:
+    return _mix64(state + _GOLDEN + word)
+
+
+def key_uniforms(seed: int, tag: int, columns) -> np.ndarray:
+    """Uniform(0,1) variates keyed on (seed, tag) and the int64 key
+    ``columns``, folded in order: splitmix64 with a fresh array per
+    operation, the seed and tag folded as a one-entry array."""
+    with np.errstate(over="ignore"):
+        state = _fold(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                      np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
+        for column in columns:
+            state = _fold(state, np.asarray(column, dtype=np.int64).view(np.uint64))
+        bits = _mix64(state)
+    # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)

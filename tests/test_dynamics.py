@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dct, next_fast_len
 
 from sparseloc import dynamics
 from sparseloc.disorder import DisorderModel, UniformLaw
@@ -19,10 +20,11 @@ from sparseloc.dynamics import (
     verify_offdiagonal_decay,
     verify_time_decay,
 )
+from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, generate_sparse_set, max_norm, sparse_set_from_sites
 from sparseloc.operators import SymbolSpec, delta_symbol
 
-from oracles import evolution_kernel, weight_value
+from oracles import evolution_kernel, fft_axis_factor_table, weight_value
 
 DELTA1 = delta_symbol(1)
 DELTA2 = delta_symbol(2)
@@ -249,12 +251,11 @@ def test_negative_amplitude_axis_matches_bessel():
 
 
 def _axis_factor_table_reference(spec, axis, t, d_max):
-    """One time, one 1-D FFT: the scalar axis table."""
-    slope = spec.axis_derivative_sup(axis)
-    n = dynamics._node_count(t, slope, d_max)
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    coeffs = np.fft.ifft(np.exp(-1j * t * spec.axis_values(axis, thetas)))
-    return coeffs[np.mod(np.arange(-d_max, d_max + 1), n)]
+    """One time, one 1-D DCT-I over the half period: the scalar axis table."""
+    n = dynamics._node_count(t, spec.axis_derivative_sup(axis), d_max)
+    m = n // 2
+    g = np.exp(-1j * t * spec.axis_values(axis, math.pi * np.arange(m + 1) / m))
+    return dct(g, type=1)[np.abs(np.arange(-d_max, d_max + 1))] / n
 
 
 def _site_amplitudes_reference(spec, phi, sites, t):
@@ -337,13 +338,55 @@ def test_axis_factor_table_bitwise_equal_reference():
     for t in (0.0, 0.7, 3.0, 25.0, 400.0):
         got = axis_factor_table(DELTA1, 0, t, 30)
         assert got.tobytes() == _axis_factor_table_reference(DELTA1, 0, t, 30).tobytes()
+        # the full-period FFT on the same nodes: 7.9e-15 at t = 400, exact at t = 0
+        np.testing.assert_allclose(got, fft_axis_factor_table(DELTA1, 0, t, 30), rtol=0, atol=5e-14)
+
+
+def _bench_times(t_max=64.0):
+    """Every time c(t) is taken at by sparseness_integral: the nodes of each
+    Gauss level on each dyadic window, and the sample times."""
+    ts = []
+    for lo, hi in dynamics._dyadic_windows(t_max):
+        for n in (48, 96, 192, 384, 768):
+            ts += (0.5 * (hi - lo) * dynamics._leggauss(n)[0] + 0.5 * (hi + lo)).tolist()
+        ts += np.linspace(lo, hi, 9)[:-1].tolist()
+    return np.array(ts + [t_max])
+
+
+@pytest.mark.parametrize("series", [((1, 1.0),), ((1, 1.0), (2, 0.3)), ((2, -0.75),)])
+def test_axis_tables_match_full_period_fft(series):
+    """The half-period DCT-I against the full-period FFT rule on every time
+    of a t_max = 64 sparseness run (8,977 times, reach 30): at most
+    3.7e-15 apart."""
+    spec, ts = SymbolSpec((series,)), _bench_times()
+    want = np.array([fft_axis_factor_table(spec, 0, t, 30) for t in ts])
+    np.testing.assert_allclose(_axis_tables(spec, 0, ts, 30), want, rtol=0, atol=1e-14)
+
+
+def test_node_count_is_even_and_never_below_the_fast_full_period_count():
+    slope = DELTA1.axis_derivative_sup(0)
+    for t in np.geomspace(0.1, 2000.0, 300):
+        for d_max in (0, 30, 500):
+            n = dynamics._node_count(t, slope, d_max)
+            reach = t * slope
+            raw = max(256, int(2.2 * (reach + d_max + 64.0 + 12.0 * (reach + 1.0) ** (1.0 / 3.0))))
+            assert n % 2 == 0 and n >= next_fast_len(raw) and d_max < n // 2
+            assert next_fast_len(n // 2) == n // 2
+
+
+def test_axis_tables_non_finite_raises(monkeypatch):
+    monkeypatch.setattr(SymbolSpec, "axis_values", lambda self, axis, thetas: thetas * np.nan)
+    with pytest.raises(NumericalError, match="non-finite") as info:
+        _axis_tables(DELTA1, 0, np.array([2.0, 1.0]), 3)
+    nodes = dynamics._node_count(2.0, DELTA1.axis_derivative_sup(0), 3)
+    assert info.value.diagnostics == {"t": 2.0, "nodes": nodes}
 
 
 def _level_case():
     """The bench sparseness set (5D, deterministic_powers, alpha 0.25,
     half side 30) and the 192 nodes of a Gauss level on [32, 64]."""
     sparse = generate_sparse_set(0.25, Cube((0,) * 5, 30), "deterministic_powers", 0)
-    nodes, _ = np.polynomial.legendre.leggauss(192)
+    nodes, _ = dynamics._leggauss(192)
     return delta_symbol(5), sparse, {(0,) * 5: 1.0}, 16.0 * nodes + 48.0
 
 
@@ -355,7 +398,7 @@ def test_c_of_t_level_bitwise_equal_scalar_reference(monkeypatch, gamma):
     assert len(counts) >= 3  # the level spans several node counts
     want = [_projected_norm_reference(spec, sparse, phi, t, gamma) for t in ts]
     assert projected_norm(spec, sparse, phi, ts, gamma).tolist() == want
-    # small blocks: time blocks of 17 and FFT blocks of one or two rows
+    # small blocks: time blocks of 17 and DCT blocks of one to three rows
     monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 1000)
     assert projected_norm(spec, sparse, phi, ts, gamma).tolist() == want
 
@@ -379,6 +422,16 @@ def test_leggauss_levels_are_cached_read_only():
     nodes, weights = dynamics._leggauss(96)
     assert dynamics._leggauss(96)[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n", [15, 48, 96, 192, 384, 768])
+def test_leggauss_bitwise_equal_numpy(n):
+    """The ?sterf eigenvalues give numpy's nodes and weights bit for bit at
+    the decoupling rule's 15 nodes and at every window level."""
+    nodes, weights = dynamics._leggauss(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
 
 
 # --- the array propagator against the Bessel closed form and the dict path ---

@@ -47,7 +47,7 @@ from sparseloc.resolvent import (
     theorem2_cube,
 )
 
-from oracles import banded_green_rows, green_row
+from oracles import banded_green_rows, green_row, two_power_frac_integral
 
 DELTA1 = delta_symbol(1)
 ZERO1 = SymbolSpec(((),))
@@ -886,6 +886,41 @@ def test_frac_integral_does_not_depend_on_batch_or_block(monkeypatch):
     monkeypatch.setattr(resolvent, "_CHUNK_ENTRIES", 3000)  # blocks of 2 integrals
     blocked = resolvent._frac_integral(law, 0.5, eta, beta)
     assert whole.tobytes() == np.array(single).tobytes() == swapped.tobytes() == blocked.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_LAWS))
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_frac_integral_matches_two_power_form(name, s):
+    """One power of the squared moduli against |x - eta|^s |x - beta|^s on
+    the same nodes; swapping eta and beta gives the same bits."""
+    law = _RULE_LAWS[name]
+    points = np.array(_rule_points(law))
+    eta, beta = np.repeat(points, points.size), np.tile(points, points.size)
+    got = resolvent._frac_integral(law, s, eta, beta)
+    np.testing.assert_allclose(got, two_power_frac_integral(law, s, eta, beta), rtol=1e-14, atol=0)
+    assert resolvent._frac_integral(law, s, beta, eta).tobytes() == got.tobytes()
+    np.testing.assert_allclose(resolvent._frac_integral(law, s, points, None),
+                               two_power_frac_integral(law, s, points, None), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e300])
+def test_frac_integral_finite_at_extreme_law_scales(scale):
+    """Validation admits any finite law parameters.  The squared moduli are
+    taken in units of a power of two near the law's scale, so their
+    product neither overflows nor underflows at the widest support the
+    two-power form integrates (1e300) or at the narrowest; both forms
+    agree there as at scale 1."""
+    for law in (UniformLaw(-scale, scale), GaussianLaw(0.0, scale), TruncatedCauchyLaw(scale, scale)):
+        radius = 10.0 * law.scale  # the search radius of estimate_decoupling
+        points = np.array([complex(-radius, radius), complex(0.3 * scale, 0.0),
+                           complex(radius, 0.01 * radius)])
+        eta, beta = np.repeat(points, points.size), np.tile(points, points.size)
+        got = resolvent._frac_integral(law, 0.3, eta, beta)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        np.testing.assert_allclose(got, two_power_frac_integral(law, 0.3, eta, beta),
+                                   rtol=1e-14, atol=0)
+        den = resolvent._frac_integral(law, 0.3, points, None)
+        assert np.all(np.isfinite(den)) and np.all(den > 0)
 
 
 def test_frac_integral_non_finite_raises():
