@@ -10,55 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = 0xFFFFFFFFFFFFFFFF
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def _mix64_int(z: int) -> int:
-    """The splitmix64 finalizer on a Python int in [0, 2^64)."""
-    z = ((z ^ (z >> 30)) * int(_M1)) & _MASK
-    z = ((z ^ (z >> 27)) * int(_M2)) & _MASK
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
 
 
-def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
-    """The splitmix64 finalizer on ``z`` in place; ``tmp`` is scratch of its shape."""
-    for shift, mult in ((_S30, _M1), (_S27, _M2)):
-        np.right_shift(z, shift, out=tmp)
-        np.bitwise_xor(z, tmp, out=z)
-        np.multiply(z, mult, out=z)
-    np.right_shift(z, _S31, out=tmp)
-    np.bitwise_xor(z, tmp, out=z)
+def _fold(state: np.ndarray, word: np.ndarray) -> np.ndarray:
+    return _mix64(state + _GOLDEN + word)
 
 
 def key_uniforms(seed: int, tag: int, columns) -> np.ndarray:
     """Uniform(0,1) variates keyed on (seed, tag) and the int64 key
     ``columns``, folded in order; the columns broadcast against each other,
-    so a row's draw depends only on its own key words.  Each fold is
-    state <- mix64(state + golden + word): (seed, tag) as Python ints, the
-    columns in place on one buffer that grows only as the shape widens."""
-    head = _mix64_int(((seed & _MASK) + int(_GOLDEN) + (tag & _MASK)) & _MASK)
-    state = np.array([head], dtype=np.uint64)
-    tmp = np.empty_like(state)
-    for column in columns:
-        word = np.asarray(column, dtype=np.int64).view(np.uint64)
-        if np.broadcast_shapes(state.shape, word.shape) == state.shape:
-            np.add(state, word, out=state)
-        else:
-            state = np.add(state, word)
-            tmp = np.empty_like(state)
-        np.add(state, _GOLDEN, out=state)
-        _mix64(state, tmp)
-    _mix64(state, tmp)
+    so a row's draw depends only on its own key words."""
+    with np.errstate(over="ignore"):
+        state = _fold(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                      np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
+        for column in columns:
+            state = _fold(state, np.asarray(column, dtype=np.int64).view(np.uint64))
+        bits = _mix64(state)
     # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
-    np.right_shift(state, _S11, out=state)
-    u = state.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
 def site_uniforms(seed: int, tag: int, realization, coords: np.ndarray) -> np.ndarray:

@@ -329,7 +329,7 @@ def _frac_integral(law, s: float, eta: np.ndarray, beta: np.ndarray | None) -> n
     beta = np.asarray(beta, dtype=complex).reshape(-1) if two_factors else eta
     lo, hi = law.support()
     unit = math.ldexp(1.0, 1 - math.frexp(law.scale)[1])  # 2^-k
-    back = unit ** -s  # 2^(ks) per factor
+    back = unit ** -(2 * s if two_factors else s)  # 2^(ks) per factor
     u, v = _graded_unit_rule()
     out = np.empty(eta.size)
     step = max(1, _CHUNK_ENTRIES // (8 * u.size))  # 8 x 135 nodes per integral
@@ -348,8 +348,6 @@ def _frac_integral(law, s: float, eta: np.ndarray, beta: np.ndarray | None) -> n
         f *= law.pdf(x)
         w = np.concatenate([half * v, half * v], axis=2).reshape(e.shape[0], -1)
         out[i:i + step] = np.sum(w * f, axis=1) * back
-    if two_factors:
-        out *= back
     if not np.all(np.isfinite(out)):
         bad = int(np.argmin(np.isfinite(out)))
         raise NumericalError("decoupling quadrature failed", eta=complex(eta[bad]),

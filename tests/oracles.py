@@ -7,8 +7,7 @@ kernel object built it, a Green row by one default sparse LU per row, the
 realization, propagator elements one offset at a time, an axis table by
 one full-period FFT, a decoupling integral with two complex moduli and
 two powers per node, a growing weight one site at a time, the IPR of one
-vector, a Binomial inverse CDF by one scalar pmf walk per draw, and the
-counter-based uniforms with one fresh array per uint64 operation.
+vector, and a Binomial inverse CDF by one scalar pmf walk per draw.
 """
 
 from __future__ import annotations
@@ -193,32 +192,3 @@ def binomial_icdf(u: float, n: int, p: float) -> int:
         k += 1
         cdf += pmf
     return k
-
-
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
-
-
-def _fold(state: np.ndarray, word: np.ndarray) -> np.ndarray:
-    return _mix64(state + _GOLDEN + word)
-
-
-def key_uniforms(seed: int, tag: int, columns) -> np.ndarray:
-    """Uniform(0,1) variates keyed on (seed, tag) and the int64 key
-    ``columns``, folded in order: splitmix64 with a fresh array per
-    operation, the seed and tag folded as a one-entry array."""
-    with np.errstate(over="ignore"):
-        state = _fold(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
-                      np.uint64(tag & 0xFFFFFFFFFFFFFFFF))
-        for column in columns:
-            state = _fold(state, np.asarray(column, dtype=np.int64).view(np.uint64))
-        bits = _mix64(state)
-    # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloc._rng import key_uniforms, site_uniforms
+from sparseloc._rng import site_uniforms
 from sparseloc.disorder import (
     DisorderModel,
     GaussianLaw,
@@ -17,7 +17,7 @@ from sparseloc.disorder import (
 )
 from sparseloc.lattice import sparse_set_from_sites
 
-from oracles import key_uniforms as fresh_array_key_uniforms, weight_value
+from oracles import weight_value
 
 
 def _line_set(lo, hi):
@@ -136,36 +136,6 @@ def test_gaussian_law_requires_positive_sd():
             GaussianLaw(0.0, sd)
     with pytest.raises(ValueError):
         make_law("gaussian", [0, 0])
-
-
-_KEY_CASES = {
-    "no columns": (3, 4, ()),
-    "negative seed and tag": (-5, -201, (np.arange(-3, 4),)),
-    "seed and tag past 2^64": (2 ** 70 + 9, 2 ** 64 + 201, (np.arange(5),)),
-    "scalar columns": (11, 7, (4, np.int64(-1))),
-    "broadcast (6, 1) x (7,)": (2 ** 40 + 1, 9, (np.arange(6)[:, None], np.arange(-3, 4))),
-    "widening twice": (1, 2, (np.array([[5]]), np.arange(4)[:, None], np.arange(3), 8)),
-    "int32 and list keys": (0, 0, (np.arange(4, dtype=np.int32), [1, -2, 3, -4])),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_KEY_CASES))
-def test_key_uniforms_bitwise_equal_array_per_operation_reference(case):
-    """The in-place fold against the fold with one fresh array per uint64
-    operation, the (seed, tag) pair folded as an array."""
-    seed, tag, columns = _KEY_CASES[case]
-    got = key_uniforms(seed, tag, columns)
-    want = fresh_array_key_uniforms(seed, tag, columns)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_site_uniforms_bitwise_equal_reference():
-    coords = np.arange(-29, 29).reshape(29, 2)
-    for realization in (3, np.arange(4)):
-        real = np.asarray(realization, dtype=np.int64)
-        want = fresh_array_key_uniforms(5, 201, (real.reshape(-1, 1), *coords.T))
-        got = site_uniforms(5, 201, realization, coords)
-        assert got.tobytes() == (want if real.ndim else want[0]).tobytes()
 
 
 def test_site_uniforms_pinned_draws():
