@@ -1,9 +1,10 @@
-"""Counter-based pseudo-random primitives.
+"""Counter-based pseudo-random draws: ``key_uniforms`` is the one draw.
 
-Every draw is a pure function of (seed, stream tag, realization index,
-site coordinates), so sampling is reproducible under any scheduling or
-partitioning of work.  The core is the splitmix64 finalizer applied to a
-fold of the inputs; all arithmetic is wrapping uint64.
+Every variate is a pure function of (seed, stream tag) and its row of key
+columns, folded in order (a potential's: realization index, then site
+coordinates), so sampling is reproducible under any scheduling or
+partitioning of work.  The core is the splitmix64 finalizer on a fold of
+the inputs, in wrapping uint64.
 """
 
 from __future__ import annotations
@@ -37,20 +38,3 @@ def key_uniforms(seed: int, tag: int, columns) -> np.ndarray:
         bits = _mix64(state)
     # 53-bit mantissa, shifted off zero so inverse CDFs stay finite
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-
-
-def site_uniforms(seed: int, tag: int, realization, coords: np.ndarray) -> np.ndarray:
-    """Uniform(0,1) variates, one per row of ``coords``.
-
-    coords: integer array of shape (n, nu).  ``realization`` is an index,
-    or a 1-D array of R indices for an (R, n) result whose row i is the
-    draw of ``realization[i]`` alone.  Values depend only on the row
-    values, never on their order in the array.  A thin wrapper: the key
-    columns are the realization, then the coordinates.
-    """
-    coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    real = np.asarray(realization, dtype=np.int64)
-    u = key_uniforms(seed, tag, (real.reshape(-1, 1), *coords.T))
-    return u if real.ndim else u[0]

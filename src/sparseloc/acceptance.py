@@ -387,7 +387,7 @@ def criterion_13_reproducibility(workdir, threads=1) -> CriterionResult:
             dirs.append(out)
         names = sorted(p.name for p in dirs[0].iterdir() if p.name != "manifest.json")
         for other in dirs[1:]:
-            match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names, shallow=False)
+            _, mismatch, errors = filecmp.cmpfiles(dirs[0], other, names, shallow=False)
             if mismatch or errors:
                 mismatched.append(f"{kind}: {mismatch or errors}")
     return CriterionResult(

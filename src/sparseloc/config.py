@@ -14,6 +14,7 @@ rules that span fields (dimensions, the volume, the sparseness window).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import ConfigError
 from .lattice import (Cube, SparseSet, cap_violation, generate_sparse_set, max_norm,
                       sparse_set_from_sites)
 from .operators import ASSEMBLY_CAP, SymbolSpec, delta_symbol, s_norm
-from .disorder import DisorderModel, make_law
+from .disorder import LAWS, DisorderModel, make_law
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,8 @@ class ExperimentConfig:
 
 REQUIRED = object()  # the default of a key that must be given
 _FAILED = object()  # what a field that failed leaves behind
-_ENUMERATION_GUARD = 2_000_000  # most sites a full_cube set may list
+_ENUMERATION_GUARD = 2_000_000  # most sites a full_cube set, or nodes a quadrature table, may hold
+_OVER_GUARD = f"quadrature nodes, over the guard {_ENUMERATION_GUARD}"
 _COORD_LIMIT = 2 ** 62  # |coordinate| bound: sites and their differences fit in int64
 
 
@@ -108,7 +110,8 @@ class _Table:
 
 
 def _is_number(x) -> bool:  # finite (x - x is NaN for NaN and Infinity, which JSON readers accept)
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and x - x == 0
+    return (isinstance(x, (int, float)) and not isinstance(x, bool) and x - x == 0
+            and abs(x) <= sys.float_info.max)  # JSON integers are unbounded; float() overflows
 
 
 def _is_int(x) -> bool:
@@ -224,8 +227,8 @@ _VOLUME = _Table({"center": (_site, REQUIRED), "half_side": (_int(0), REQUIRED)}
                  build=lambda f: _cube(f["center"], f["half_side"]),
                  malformed="missing or malformed volume block")
 _DISORDER = _Table(
-    {"law": (_check(lambda v: v in ("uniform", "gaussian", "truncated_cauchy"),
-                     "must be one of uniform, gaussian, truncated_cauchy"), REQUIRED),
+    {"law": (_check(lambda v: isinstance(v, str) and v in LAWS,
+                     f"must be one of {', '.join(LAWS)}"), REQUIRED),
      "params": (_seq("must be a list of two numbers", ok=lambda v: len(v) == 2), REQUIRED),
      "lambda": (_num(0.0), 1.0),
      "weight": (_Table({"gamma": (_POSITIVE, REQUIRED)}, lambda f: f["gamma"]), None),
@@ -407,18 +410,35 @@ def _echo_norms(p, bad):
 
 
 def _propagator(p, bad):
-    dim, offsets = _dim(p), p.get("offsets") or ()
+    """Offsets in the symbol's dimension, and each axis table within the guard:
+    about 2.2 (|t| sup|h_i'| + max|d_i|) nodes, blamed on the larger term."""
+    spec, dim, offsets = p.get("symbol"), _dim(p), p.get("offsets") or ()
     wrong = next((i for i, o in enumerate(offsets) if dim is not None and len(o) != dim), None)
     if wrong is not None:
         bad.append((f"offsets[{wrong}]", "offset dimension mismatch"))
+        return
+    t_max, over = max(map(abs, p.get("times") or [0.0])), {}
+    for axis in range(dim or 0):
+        d = [abs(o[axis]) for o in offsets] or [0]
+        reach = t_max * spec.axis_derivative_sup(axis)
+        nodes = 2.2 * (reach + max(d))
+        if nodes > _ENUMERATION_GUARD:
+            key = "times" if reach >= max(d) else f"offsets[{d.index(max(d))}]"
+            over.setdefault(key, f"axis {axis + 1} table needs about {nodes:.7g} {_OVER_GUARD}")
+    bad.extend(over.items())
 
 
 def _decay_check(p, bad):
+    """One symbol block, and a first comparison of 16 max|d| nodes within the guard."""
     given = [p.get(key, _FAILED) is not None for key in ("symbol", "sampled_symbol")]
     if all(given):  # a given block that failed its parser counts as given
         bad.append(("symbol", "give either symbol or sampled_symbol, not both"))
     elif not any(given):
         bad.append(("symbol", "need a symbol or sampled_symbol block"))
+    d = [abs(v) for v in p.get("offsets") or [0]]
+    if 16 * max(d) > _ENUMERATION_GUARD:
+        bad.append((f"offsets[{d.index(max(d))}]",
+                    f"|d| = {max(d)} needs {16 * max(d)} {_OVER_GUARD}"))
 
 
 def _theorem2(p, bad):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._rng import site_uniforms
+from ._rng import key_uniforms
 from .lattice import SparseSet, Site
 
 _TAG_POTENTIAL = 201
@@ -29,8 +29,6 @@ class UniformLaw:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("uniform law requires b > a")
-
-    name = "uniform"
 
     @property
     def scale(self) -> float:
@@ -64,8 +62,6 @@ class GaussianLaw:
         if not self.sd > 0:
             raise ValueError("gaussian law requires sd > 0")
 
-    name = "gaussian"
-
     @property
     def scale(self) -> float:
         return abs(self.mean) + self.sd
@@ -98,8 +94,6 @@ class TruncatedCauchyLaw:
         if self.scale_param <= 0 or self.cut <= 0:
             raise ValueError("scale and cut must be positive")
 
-    name = "truncated_cauchy"
-
     @property
     def scale(self) -> float:
         return self.cut
@@ -131,16 +125,13 @@ class TruncatedCauchyLaw:
 
 
 Law = UniformLaw | GaussianLaw | TruncatedCauchyLaw
+LAWS = {"uniform": UniformLaw, "gaussian": GaussianLaw, "truncated_cauchy": TruncatedCauchyLaw}
 
 
 def make_law(name: str, params) -> Law:
-    if name == "uniform":
-        return UniformLaw(*params)
-    if name == "gaussian":
-        return GaussianLaw(*params)
-    if name == "truncated_cauchy":
-        return TruncatedCauchyLaw(*params)
-    raise ValueError(f"unknown law {name!r}")
+    if name not in LAWS:
+        raise ValueError(f"unknown law {name!r}")
+    return LAWS[name](*params)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ def sample_potentials(model: DisorderModel, sparse: SparseSet, realizations) -> 
     ``realizations[i]`` in ``sparse.coords`` row order, bit for bit what
     ``sample_potential`` gives (counter-based draws batch exactly)."""
     realizations = np.asarray(realizations, dtype=np.int64).reshape(-1)
-    u = site_uniforms(model.seed, _TAG_POTENTIAL, realizations, sparse.coords)
+    u = key_uniforms(model.seed, _TAG_POTENTIAL, (realizations[:, None], *sparse.coords.T))
     values = np.asarray(model.law.inverse_cdf(u), dtype=float)
     return model.couplings(sparse) * values
 

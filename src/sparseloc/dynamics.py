@@ -420,7 +420,6 @@ def cook_integrand(
     phi = {tuple(n): complex(a) for n, a in phi.items() if a != 0}
     sites = sparse.coords
     sigma = math.sqrt(model.law.second_moment())
-    gamma = model.weight_gamma
     coupling_profile = model.couplings(sparse)
     potentials = sample_potentials(model, sparse, range(n_samples))  # reused at every t
     rows = []
@@ -428,9 +427,7 @@ def cook_integrand(
         psi = _site_amplitudes(spec, phi, sites, np.array([t], dtype=float))[0]
         bound = sigma * float(np.sqrt(np.sum((coupling_profile * np.abs(psi)) ** 2)))
         norms_arr = np.sqrt(np.sum((potentials * np.abs(psi)) ** 2, axis=1))
-        q10, q50, q90 = (
-            (np.quantile(norms_arr, q) if len(norms_arr) else 0.0) for q in (0.1, 0.5, 0.9)
-        )
+        q10, q50, q90 = (np.quantile(norms_arr, q) for q in (0.1, 0.5, 0.9))
         rows.append(
             CookRow(
                 float(t),
@@ -438,7 +435,7 @@ def cook_integrand(
                 float(q10),
                 float(q50),
                 float(q90),
-                float(np.mean(norms_arr ** 2)) if len(norms_arr) else 0.0,
+                float(np.mean(norms_arr ** 2)),
             )
         )
     return rows

@@ -21,6 +21,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +196,7 @@ def _run_decay_check(cfg, stage, threads):
     if o["spec"] is not None:
         spec = o["spec"]
         for axis in range(spec.dim):
-            h = lambda th, a=axis: float(spec.axis_values(a, np.array([th]))[0])
+            h = partial(spec.axis_values, axis)
             checks.append((axis, kernel_decay_check(h, spec.dim, o["offsets"], o["c_h"])))
     else:
         sampled = o["sampled"]

@@ -218,9 +218,8 @@ class DecayCheck:
 
 def _fourier_coefficients(h, n_nodes: int) -> np.ndarray:
     thetas = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    values = np.asarray([h(t) for t in thetas], dtype=float)
     # periodic trapezoid sum of (1/2pi) int e^{-i d theta} h(theta) dtheta
-    return np.fft.fft(values) / n_nodes
+    return np.fft.fft(np.asarray(h(thetas), dtype=float)) / n_nodes
 
 
 def _estimate_c_h(h, dim: int) -> float:
@@ -242,12 +241,12 @@ def _estimate_c_h(h, dim: int) -> float:
 
 
 def periodized_gaussian(width: float):
-    """Smooth periodic bump: wrapped Gaussian centered at pi."""
-    def h(theta: float) -> float:
-        total = 0.0
+    """Smooth periodic bump, wrapped Gaussian centered at pi; h takes an array of angles."""
+    def h(thetas: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(thetas, dtype=float)
         for k in range(-6, 7):
-            x = theta - math.pi + 2.0 * math.pi * k
-            total += math.exp(-0.5 * (x / width) ** 2)
+            x = thetas - math.pi + 2.0 * math.pi * k
+            total += np.exp(-0.5 * (x / width) ** 2)
         return total
     return h
 
@@ -256,9 +255,9 @@ def kernel_decay_check(h, dim: int, offsets, c_h: float | None = None) -> DecayC
     """Fourier coefficients of a smooth periodic axis symbol vs the
     integration-by-parts envelope C_h nu^(2nu+1) / |d|^(2nu+1).
 
-    h is a callable on [0, 2 pi); coefficients come from periodic
-    trapezoid sums at doubling node counts until two levels agree to
-    1e-10.
+    h takes an array of angles in [0, 2 pi) and returns h at each;
+    coefficients come from periodic trapezoid sums at doubling node
+    counts until two levels agree to 1e-10.
     """
     offsets = sorted({int(d) for d in offsets})
     max_d = max((abs(d) for d in offsets), default=1)

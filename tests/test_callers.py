@@ -1,5 +1,6 @@
 """Every function, class and method of the package has a caller in the package,
-and every field of its classes is read in the package."""
+every field of its classes is read in the package, and every name a function
+binds is read in that function."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,24 @@ def test_every_field_is_read_in_the_package():
                 read.add(node.arg)
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
     assert {u.rpartition(".")[0] for u in unread} == _UNREAD, ", ".join(unread)
+
+
+def test_every_bound_name_is_read_where_it_is_bound():
+    """A name assigned (or caught with ``except ... as``) in a function or
+    lambda is loaded somewhere in that function; names starting with ``_``
+    are the way to bind a value on purpose and not read it."""
+    unread = []
+    for stem, tree in _modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            bound, loaded = set(), set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+                elif isinstance(node, ast.ExceptHandler) and node.name:
+                    bound.add(node.name)
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{stem}.{name}:{fn.lineno} {v}" for v in sorted(bound - loaded)
+                       if not v.startswith("_")]
+    assert unread == []

@@ -636,6 +636,60 @@ def test_cli_oversized_full_cube_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"kind": "decay_check", "symbol": {"delta": 1}, "offsets": [0, 1, 1180591620717411303424]},
+     "offsets[2]"),
+    ({"kind": "propagator", "symbol": {"delta": 1}, "times": [1.0],
+      "offsets": [[2305843009213693952]]}, "offsets[0]"),
+    ({"kind": "propagator", "symbol": {"delta": 2}, "times": [1e300], "offsets": [[0, 0]]},
+     "times"),
+])
+def test_cli_oversized_quadrature_is_rejected_before_running(tmp_path, capsys, raw, field):
+    # each table would take far more than the 2,000,000-node guard
+    path = _write_config(tmp_path, raw)
+    code = main([raw["kind"], "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config rejected:" in err
+    assert f"  {field}: " in err
+    assert "quadrature nodes, over the guard 2000000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quadrature_guard_boundaries():
+    # decay_check's first comparison takes 16 max|d| nodes
+    raw = {"kind": "decay_check", "symbol": {"delta": 1}, "offsets": [-125_000, 3]}
+    validate_config(raw)
+    raw["offsets"][1] = 125_001
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [
+        ("offsets[1]", "|d| = 125001 needs 2000016 quadrature nodes, over the guard 2000000")]
+    # a propagator axis table takes about 2.2 (|t| sup|h'| + max|d|) nodes; sup|h'| = 2 for delta
+    raw = {"kind": "propagator", "symbol": {"delta": 1}, "times": [-454_545.0], "offsets": [[0]]}
+    validate_config(raw)
+    raw["times"].append(454_546.0)
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [
+        ("times", "axis 1 table needs about 2000002 quadrature nodes, over the guard 2000000")]
+
+
+def test_numbers_past_float_range_are_config_errors():
+    # JSON integers are unbounded; one that no float can hold is not a number here
+    huge = 10 ** 400
+    raw = {"kind": "propagator", "symbol": {"delta": 1}, "times": [huge], "offsets": [[0]]}
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [("times", "must be a nonempty list of numbers")]
+    raw = _moments_raw()
+    raw["disorder"]["lambda"] = huge
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [("disorder.lambda", "must be a number")]
+
+
 def test_cli_am_check_at_lambda_zero_is_rejected_before_running(tmp_path, capsys):
     # the AM bound diverges at lambda = 0: nothing to check, so nothing is run
     raw = _moments_raw(check_am_bound=True)
@@ -913,3 +967,13 @@ def test_decay_fit_zero_lambda_or_energy_where_k_s_does_not_read_it_is_valid():
         sparse_set=empty, disorder={"law": "uniform", "params": [-1.0, 1.0], "lambda": 0.0}))
     validate_config(_decay_fit_raw(
         query={"energy": 0.0, "epsilon": 1e-3, "s": 0.5, "source": [0], "realizations": 2}))
+
+
+@pytest.mark.parametrize("law", ["cauchy", ["uniform"], 3])
+def test_unknown_or_unhashable_law_is_a_config_error(law):
+    raw = _moments_raw()
+    raw["disorder"]["law"] = law
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [
+        ("disorder.law", "must be one of uniform, gaussian, truncated_cauchy")]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloc._rng import site_uniforms
+from sparseloc._rng import key_uniforms
 from sparseloc.disorder import (
     DisorderModel,
     GaussianLaw,
@@ -73,7 +73,7 @@ def test_uniform_law_of_large_numbers():
     ],
 )
 def test_empirical_second_moment_matches_law(law, second_moment):
-    u = site_uniforms(99, 1, 0, np.arange(1_000_000, dtype=np.int64)[:, None])
+    u = key_uniforms(99, 1, (0, np.arange(1_000_000, dtype=np.int64)))
     x = np.asarray(law.inverse_cdf(u))
     assert np.mean(x ** 2) == pytest.approx(second_moment, rel=0.01)
     assert law.second_moment() == pytest.approx(second_moment, rel=1e-12)
@@ -138,15 +138,15 @@ def test_gaussian_law_requires_positive_sd():
         make_law("gaussian", [0, 0])
 
 
-def test_site_uniforms_pinned_draws():
+def test_key_uniforms_pinned_draws():
     # the counter-based hash is part of the reproducibility contract:
     # these draws must never change, whether taken one realization at a
-    # time or batched
-    one = site_uniforms(7, 201, 3, np.array([[0], [5], [-2]]))
+    # time or batched; the key columns are the realization, then the coordinates
+    one = key_uniforms(7, 201, (3, [0, 5, -2]))
     assert [float(x).hex() for x in one] == [
         "0x1.d02d0a3f88408p-1", "0x1.86ae1df4d1c5ep-1", "0x1.2de671ce403d6p-1",
     ]
-    two = site_uniforms(2 ** 40 + 1, 201, [9, 123456], np.array([[1, -4], [0, 0]]))
+    two = key_uniforms(2 ** 40 + 1, 201, ([[9], [123456]], [1, 0], [-4, 0]))
     assert [float(x).hex() for x in two[1]] == ["0x1.0ba8c4c8084c2p-1", "0x1.baa96eda12348p-1"]
     cauchy = DisorderModel(TruncatedCauchyLaw(1.0, 5.0), coupling=0.7, seed=9)
     sparse = sparse_set_from_sites([(0,), (3,), (-8,)], 0.5, 1)
@@ -214,7 +214,8 @@ def test_sampling_bitwise_equals_per_site_coupling_reference(
         return
     per_site = np.array([coupling if gamma is None else weight_value(gamma, s)
                          for s in sparse.sites])
-    u = site_uniforms(seed, 201, realizations, np.asarray(sparse.sites, dtype=np.int64))
+    u = key_uniforms(seed, 201, (np.asarray(realizations)[:, None],
+                                *np.asarray(sparse.sites, dtype=np.int64).T))
     want = per_site * np.asarray(law.inverse_cdf(u), dtype=float)
     assert got.tobytes() == want.tobytes()
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseloc import lattice
-from sparseloc._rng import key_uniforms, site_uniforms
+from sparseloc._rng import key_uniforms
 from sparseloc.config import validate_config
 from sparseloc.lattice import (
     _CHUNK_ENTRIES,
@@ -236,7 +236,7 @@ def _ref_place(center, r, k, seed, dim):
     side = 2 * r + 1
     while len(chosen) < k and attempt < 512 * (k + 4):
         keys = np.array([[attempt + i, j] for i in range(256) for j in range(dim)], dtype=np.int64)
-        u = site_uniforms(seed, _TAG_SHELL_PLACE, r, keys).reshape(256, dim)
+        u = key_uniforms(seed, _TAG_SHELL_PLACE, (r, *keys.T)).reshape(256, dim)
         for row in np.floor(u * side).astype(np.int64) - r:
             if len(chosen) >= k:
                 break
@@ -269,10 +269,10 @@ def _ref_generate(alpha, cube, generator, seed):
         p = min(1.0, (2.0 * r) ** (dim * (alpha - 1.0)))
         if _shell_size(r, dim) <= 1024:
             shell = _ref_shell(cube.center, r)
-            u = site_uniforms(seed, _TAG_SITE_BERNOULLI, r, np.asarray(shell, dtype=np.int64))
+            u = key_uniforms(seed, _TAG_SITE_BERNOULLI, (r, *np.asarray(shell, dtype=np.int64).T))
             cand = sorted(s for s, ui in zip(shell, u) if ui < p)
         else:
-            u = site_uniforms(seed, _TAG_SHELL_COUNT, r, np.array([[0]], dtype=np.int64))
+            u = key_uniforms(seed, _TAG_SHELL_COUNT, (r, 0))
             k = min(binomial_icdf(float(u[0]), _shell_size(r, dim), p), allowed)
             cand = _ref_place(cube.center, r, k, seed, dim) if k > 0 else []
         sites.extend(cand[:allowed])
@@ -580,7 +580,7 @@ def test_one_ball_draw_equals_shell_by_shell_draws(center, r_max):
     got = key_uniforms(11, _TAG_SITE_BERNOULLI, (radius, *ball.T))
     for r in range(r_max + 1):
         shell = radius == r
-        want = site_uniforms(11, _TAG_SITE_BERNOULLI, r, ball[shell])
+        want = key_uniforms(11, _TAG_SITE_BERNOULLI, (r, *ball[shell].T))
         assert got[shell].tobytes() == want.tobytes()
 
 

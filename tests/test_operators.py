@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ def test_free_assembly_equals_coo_reference(spec, cube):
 
 
 def test_decay_check_pure_cosine():
-    h = lambda th: 2.0 * math.cos(th)
+    h = lambda th: 2.0 * np.cos(th)
     check = kernel_decay_check(h, 1, range(0, 6))
     coeff = {r.offset: r.coefficient for r in check.rows}
     assert coeff[1] == pytest.approx(1.0, abs=1e-12)
@@ -234,7 +235,7 @@ def test_decay_check_pure_cosine():
 
 
 def test_decay_check_two_harmonics_exact():
-    h = lambda th: 2.0 * math.cos(th) + 0.5 * math.cos(2 * th)
+    h = lambda th: 2.0 * np.cos(th) + 0.5 * np.cos(2 * th)
     check = kernel_decay_check(h, 1, range(0, 5))
     coeff = {r.offset: r.coefficient for r in check.rows}
     assert coeff[1] == pytest.approx(1.0, abs=1e-10)
@@ -258,8 +259,32 @@ def test_c_h_estimate_for_pure_cosine():
     from sparseloc.operators import _estimate_c_h
 
     # every derivative of 2 cos(theta) has sup exactly 2
-    assert _estimate_c_h(lambda th: 2.0 * math.cos(th), 1) == pytest.approx(2.0, rel=1e-9)
-    assert _estimate_c_h(lambda th: 2.0 * math.cos(th), 2) == pytest.approx(2.0, rel=1e-9)
+    assert _estimate_c_h(lambda th: 2.0 * np.cos(th), 1) == pytest.approx(2.0, rel=1e-9)
+    assert _estimate_c_h(lambda th: 2.0 * np.cos(th), 2) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_decay_check_on_axis_values_bitwise_equals_per_angle_evaluation():
+    # the array symbol gives the coefficients of one evaluation per angle, bit for bit
+    spec = SymbolSpec((((1, 1.0), (3, -0.25)), ((2, 0.5),)))
+    offsets = [0, 1, 2, 3, 5, -4]
+    for axis in range(spec.dim):
+        got = kernel_decay_check(partial(spec.axis_values, axis), spec.dim, offsets)
+
+        def per_angle(thetas, a=axis):
+            return np.array([spec.axis_values(a, np.array([th]))[0] for th in thetas])
+
+        want = kernel_decay_check(per_angle, spec.dim, offsets)
+        assert [r.coefficient.hex() for r in got.rows] == [r.coefficient.hex() for r in want.rows]
+        assert got.c_h.hex() == want.c_h.hex()
+        assert got.achieved_tol == want.achieved_tol
+
+
+def test_periodized_gaussian_matches_scalar_image_sum():
+    width = 0.6
+    thetas = 2.0 * math.pi * np.arange(4096) / 4096
+    want = np.array([sum(math.exp(-0.5 * ((th - math.pi + 2.0 * math.pi * k) / width) ** 2)
+                         for k in range(-6, 7)) for th in thetas])
+    np.testing.assert_allclose(periodized_gaussian(width)(thetas), want, rtol=1e-14, atol=0)
 
 
 def _derivatives_reference(series):
