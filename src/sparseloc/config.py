@@ -22,8 +22,9 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import (Cube, SparseSet, cap_violation, generate_sparse_set, max_norm,
                       sparse_set_from_sites)
-from .operators import ASSEMBLY_CAP, SymbolSpec, delta_symbol, s_norm
+from .operators import ASSEMBLY_CAP, DENSE_CAP, NODE_CAP, SymbolSpec, delta_symbol, s_norm
 from .disorder import LAWS, DisorderModel, make_law
+from .dynamics import _node_count, axis_reaches  # last: loaded earlier, peak RSS rose 0.15 MB
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ class ExperimentConfig:
 
 REQUIRED = object()  # the default of a key that must be given
 _FAILED = object()  # what a field that failed leaves behind
-_ENUMERATION_GUARD = 2_000_000  # most sites a full_cube set, or nodes a quadrature table, may hold
-_OVER_GUARD = f"quadrature nodes, over the guard {_ENUMERATION_GUARD}"
+_ENUMERATION_GUARD = 2_000_000  # most sites validation enumerates for a full_cube set
 _COORD_LIMIT = 2 ** 62  # |coordinate| bound: sites and their differences fit in int64
 
 
@@ -321,22 +321,41 @@ def _sparse_set(p, bad, volume: Cube | None = None) -> None:
         lambda f: _build_sparse_set(f, dim, volume), f, "sparse_set", bad, failed=None)
 
 
-def _cook(p, bad):
-    """S and phi in the symbol's dimension."""
+def _tables(p, bad, time_key: str, sites: np.ndarray, sources, blame) -> None:
+    """The run's axis tables within ``NODE_CAP``: one ``_node_count`` per axis series, at
+    the largest |t| of ``p[time_key]`` and the series' largest ``axis_reaches`` (the count
+    grows with both), blamed on the time field when |t| sup|h'| >= d_max, else ``blame``."""
+    times, spec = p.get(time_key), p["symbol"]
+    if times is None or not len(sites) or not sources:
+        return
+    t = max(map(abs, times)) if isinstance(times, list) else abs(times)
+    reaches = axis_reaches(sites, sources)
+    widest = {spec.axes[a]: a for a in sorted(range(spec.dim), key=reaches.__getitem__)}
+    for axis in widest.values():
+        slope, d_max = spec.axis_derivative_sup(axis), reaches[axis]
+        key = time_key if t * slope >= d_max else blame(axis)
+        _parse(lambda d: _node_count(t, slope, d), d_max, key, bad)
+
+
+def _cook(p, bad, time_key="t_grid"):
+    """S and phi in the symbol's dimension, and the tables of c(t) within the cap."""
     _sparse_set(p, bad)
-    terms, dim = p.get("phi"), _dim(p)
+    terms, dim, sparse = p.get("phi"), _dim(p), p["sparse_set"]
     if terms is not None and dim is not None:
         wrong = next((i for i, (site, _) in enumerate(terms) if len(site) != dim), None)
         if wrong is not None:
             bad.append((f"phi[{wrong}].site", f"dimension {len(terms[wrong][0])} != {dim}"))
         p["phi"] = dict(terms)
+        if wrong is None and sparse is not None:  # the runners keep the phi sites with a != 0
+            _tables(p, bad, time_key, sparse.coords, [n for n, a in p["phi"].items() if a != 0],
+                    lambda axis: "sparse_set")
 
 
 def _sparseness(p, bad):
     """As cook, with alpha inside the admissible window and a listed set
     (explicit_list, full_cube) under its caps: generated sets obey them by
     construction, a listed one that does not would fail mid-run."""
-    _cook(p, bad)
+    _cook(p, bad, "t_max")
     dim, sparse = _dim(p), p["sparse_set"]
     window = 2.0 * (1.0 / 3.0 - 1.0 / dim) if dim is not None else 0.0
     if dim is not None and window <= 0.0:
@@ -391,10 +410,6 @@ def _decay_fit(p, bad):
 
 
 def _edge_scan(p, bad):
-    # imported on use: a top-level import loads spectra and resolvent before dynamics,
-    # and that load order alone raised peak RSS by about 0.1 MB
-    from .spectra import DENSE_CAP
-
     _monte_carlo(p, bad)
     volume = p.get("volume")
     if volume is not None and volume.volume > DENSE_CAP:
@@ -410,22 +425,16 @@ def _echo_norms(p, bad):
 
 
 def _propagator(p, bad):
-    """Offsets in the symbol's dimension, and each axis table within the guard:
-    about 2.2 (|t| sup|h_i'| + max|d_i|) nodes, blamed on the larger term."""
-    spec, dim, offsets = p.get("symbol"), _dim(p), p.get("offsets") or ()
+    """Offsets in the symbol's dimension, and the tables of the unit source at
+    the origin within the cap, an oversized one blamed on its largest offset."""
+    dim, offsets = _dim(p), p.get("offsets") or ()
     wrong = next((i for i, o in enumerate(offsets) if dim is not None and len(o) != dim), None)
     if wrong is not None:
         bad.append((f"offsets[{wrong}]", "offset dimension mismatch"))
-        return
-    t_max, over = max(map(abs, p.get("times") or [0.0])), {}
-    for axis in range(dim or 0):
-        d = [abs(o[axis]) for o in offsets] or [0]
-        reach = t_max * spec.axis_derivative_sup(axis)
-        nodes = 2.2 * (reach + max(d))
-        if nodes > _ENUMERATION_GUARD:
-            key = "times" if reach >= max(d) else f"offsets[{d.index(max(d))}]"
-            over.setdefault(key, f"axis {axis + 1} table needs about {nodes:.7g} {_OVER_GUARD}")
-    bad.extend(over.items())
+    elif dim is not None and offsets:
+        sites = np.array(offsets, dtype=np.int64)
+        _tables(p, bad, "times", sites, [(0,) * dim],
+                lambda axis: f"offsets[{np.argmax(np.abs(sites[:, axis]))}]")
 
 
 def _decay_check(p, bad):
@@ -436,9 +445,9 @@ def _decay_check(p, bad):
     elif not any(given):
         bad.append(("symbol", "need a symbol or sampled_symbol block"))
     d = [abs(v) for v in p.get("offsets") or [0]]
-    if 16 * max(d) > _ENUMERATION_GUARD:
-        bad.append((f"offsets[{d.index(max(d))}]",
-                    f"|d| = {max(d)} needs {16 * max(d)} {_OVER_GUARD}"))
+    if 16 * max(d) > NODE_CAP:
+        bad.append((f"offsets[{d.index(max(d))}]", f"|d| = {max(d)} needs {16 * max(d)} "
+                                                   f"quadrature nodes, over the guard {NODE_CAP}"))
 
 
 def _theorem2(p, bad):

@@ -36,7 +36,7 @@ from scipy.special import jv
 from .disorder import sample_potentials
 from .errors import NumericalError
 from .lattice import SparseSet, Site, cap_violation, max_norm
-from .operators import SymbolSpec
+from .operators import NODE_CAP, SymbolSpec
 
 _CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of times
 
@@ -44,11 +44,20 @@ _CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of ti
 def _node_count(t: float, slope: float, d_max: int) -> int:
     """Full-period node count 2m of an axis table, at least the fast FFT
     length that keeps aliasing below 1e-10, with m a fast length: the
-    DCT-I over m + 1 nodes runs a real FFT of length 2m."""
+    DCT-I over m + 1 nodes runs a real FFT of length 2m.  ValueError over ``NODE_CAP``."""
     reach = abs(t) * slope
     pad = 64.0 + 12.0 * (reach + 1.0) ** (1.0 / 3.0)
-    n = next_fast_len(max(256, int(2.2 * (reach + d_max + pad))))
+    nodes = 2.2 * (reach + d_max + pad)
+    if nodes > NODE_CAP:
+        raise ValueError(f"axis table needs {nodes:.7g} quadrature nodes, over the guard {NODE_CAP}")
+    n = next_fast_len(max(256, int(nodes)))
     return 2 * next_fast_len((n + 1) // 2)
+
+
+def axis_reaches(sites: np.ndarray, sources) -> list[int]:
+    """Per axis, the largest |m_i - n_i| over rows m of ``sites`` and sources n: its table's d_max."""
+    lo, hi = sites.min(axis=0).tolist(), sites.max(axis=0).tolist()
+    return [max(abs(a - max(n)), abs(b - min(n))) for a, b, n in zip(lo, hi, zip(*sources))]
 
 
 def _axis_tables(spec: SymbolSpec, axis: int, ts: np.ndarray, d_max: int) -> np.ndarray:
@@ -231,20 +240,15 @@ def _site_amplitudes(
     psi = np.zeros((len(ts), sites.shape[0]), dtype=complex)
     if sites.shape[0] == 0 or not phi:
         return psi
-    sources = list(phi.items())
-    d_maxes = []
+    d_maxes = axis_reaches(sites, phi)
     tables = []
     shared = {}  # (axis series, d_max) -> tables: equal axes share one build
-    for axis in range(spec.dim):
-        lo = int(sites[:, axis].min()) - max(n[axis] for n, _ in sources)
-        hi = int(sites[:, axis].max()) - min(n[axis] for n, _ in sources)
-        d_max = max(abs(lo), abs(hi))
-        d_maxes.append(d_max)
+    for axis, d_max in enumerate(d_maxes):
         key = (spec.axes[axis], d_max)
         if key not in shared:
             shared[key] = _axis_tables(spec, axis, ts, d_max)
         tables.append(shared[key])
-    for n, amp in sources:
+    for n, amp in phi.items():
         factors = np.ones(psi.shape, dtype=complex)
         for axis in range(spec.dim):
             factors *= tables[axis][:, sites[:, axis] - n[axis] + d_maxes[axis]]
@@ -312,15 +316,15 @@ def _gauss_window(f, lo: float, hi: float) -> float:
     """Gauss-Legendre levels of 48..768 nodes on [lo, hi] until two agree
     to 1e-9, or to 1e-6 relative; ``f`` takes the array of a level's nodes
     and returns their values."""
-    prev = None
+    levels = []
     for n in (48, 96, 192, 384, 768):
         nodes, weights = _leggauss(n)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         val = 0.5 * (hi - lo) * float(np.dot(weights, f(ts)))
-        if prev is not None and abs(val - prev) <= max(1e-9, 1e-6 * abs(val)):
+        if levels and abs(val - levels[-1]) <= max(1e-9, 1e-6 * abs(val)):
             return val
-        prev = val
-    raise NumericalError("window quadrature did not settle", last_two=(prev, val))
+        levels.append(val)
+    raise NumericalError("window quadrature did not settle", last_two=tuple(levels[-2:]))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ from .errors import NumericalError
 from .lattice import Cube, Site
 
 _DERIV_GRID = 8192
-ASSEMBLY_CAP = 4_000_000  # sites; validation refuses a larger Monte-Carlo volume
+# size caps: validation refuses a config over one, and what builds the capped object checks it
+ASSEMBLY_CAP = 4_000_000  # sites of an assembled Monte-Carlo volume
+DENSE_CAP = 4096  # sites of a densely diagonalized volume
+NODE_CAP = 2_000_000  # quadrature nodes of one axis table or Fourier comparison
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class SymbolSpec:
 
     def axis_derivative_sup(self, axis: int) -> float:
         """sup |h_axis'| over the grid of ``axis_derivatives``."""
-        return float(np.max(np.abs(self.axis_derivatives(axis)[0])))
+        return _series_derivative_sup(self.axes[axis])
 
     def derivative_sup(self) -> float:
         return max(self.axis_derivative_sup(i) for i in range(self.dim))
@@ -94,6 +97,11 @@ def _series_derivatives(series: tuple[tuple[int, float], ...]):
     for d in (d1, d2, d3):
         d.flags.writeable = False
     return d1, d2, d3
+
+
+@cache
+def _series_derivative_sup(series: tuple[tuple[int, float], ...]) -> float:
+    return float(np.max(np.abs(_series_derivatives(series)[0])))
 
 
 def delta_symbol(dim: int) -> SymbolSpec:

@@ -20,10 +20,8 @@ from ._stats import run_indexed
 from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import SymbolSpec, band_storage, is_tridiagonal, s_norm
+from .operators import DENSE_CAP, SymbolSpec, band_storage, is_tridiagonal, s_norm
 from .resolvent import RealizationEngine
-
-DENSE_CAP = 4096
 
 
 def eigensystem(matrix: sp.spmatrix, realization: int = 0) -> tuple[np.ndarray, np.ndarray]:

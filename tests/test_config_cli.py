@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from sparseloc import experiments
+from sparseloc import dynamics, experiments
+from sparseloc.acceptance import sparseness_config
 from sparseloc.cli import main
 from sparseloc.config import validate_config
 from sparseloc.errors import ConfigError, NumericalError
@@ -636,6 +638,13 @@ def test_cli_oversized_full_cube_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _cook_raw(sites, t_grid):
+    return {"kind": "cook", "symbol": {"delta": 1},
+            "sparse_set": {"generator": "explicit_list", "alpha": 0.5, "sites": sites},
+            "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 1.0},
+            "phi": [{"site": [0], "re": 1.0}], "t_grid": t_grid}
+
+
 @pytest.mark.parametrize("raw, field", [
     ({"kind": "decay_check", "symbol": {"delta": 1}, "offsets": [0, 1, 1180591620717411303424]},
      "offsets[2]"),
@@ -643,6 +652,12 @@ def test_cli_oversized_full_cube_is_a_config_error(tmp_path, capsys):
       "offsets": [[2305843009213693952]]}, "offsets[0]"),
     ({"kind": "propagator", "symbol": {"delta": 2}, "times": [1e300], "offsets": [[0, 0]]},
      "times"),
+    (_cook_raw([[0], [3]], [1e300]), "t_grid"),
+    (_cook_raw([[0], [2305843009213693952]], [1]), "sparse_set"),
+    (sparseness_config(False, t_max=1e300), "t_max"),
+    (dict(sparseness_config(False), phi=[{"site": [0] * 5, "re": 1.0},
+                                         {"site": [2 ** 61, 0, 0, 0, 0], "re": 1.0}]),
+     "sparse_set"),
 ])
 def test_cli_oversized_quadrature_is_rejected_before_running(tmp_path, capsys, raw, field):
     # each table would take far more than the 2,000,000-node guard
@@ -666,14 +681,55 @@ def test_quadrature_guard_boundaries():
         validate_config(raw)
     assert err.value.violations == [
         ("offsets[1]", "|d| = 125001 needs 2000016 quadrature nodes, over the guard 2000000")]
-    # a propagator axis table takes about 2.2 (|t| sup|h'| + max|d|) nodes; sup|h'| = 2 for delta
-    raw = {"kind": "propagator", "symbol": {"delta": 1}, "times": [-454_545.0], "offsets": [[0]]}
+    # a propagator axis table takes dynamics._node_count's own count at the largest |t|:
+    # 2.2 (2|t| + 64 + 12 (2|t| + 1)^(1/3)) nodes for delta at d = 0, so 454545 (2,004,750
+    # nodes once rounded to fast lengths) is refused
+    raw = {"kind": "propagator", "symbol": {"delta": 1}, "times": [-453_932.0], "offsets": [[0]]}
     validate_config(raw)
-    raw["times"].append(454_546.0)
+    raw["times"].append(453_933.0)
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert err.value.violations == [
-        ("times", "axis 1 table needs about 2000002 quadrature nodes, over the guard 2000000")]
+        ("times", "axis table needs 2000002 quadrature nodes, over the guard 2000000")]
+    raw["times"] = [454_545]
+    with pytest.raises(ConfigError):
+        validate_config(raw)
+
+
+def _node_count_passes(t, d_max):
+    try:
+        dynamics._node_count(t, 2.0, d_max)  # sup|h'| = 2 on every delta axis
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind, time_key, make", [
+    ("propagator", "times",
+     lambda t: {"kind": "propagator", "symbol": {"delta": 2}, "times": [1.0, -t],
+                "offsets": [[0, 0], [7, -3]]}),
+    ("cook", "t_grid", lambda t: _cook_raw([[0], [3], [-5]], [t, 1.0])),
+    ("sparseness", "t_max", lambda t: sparseness_config(False, t_max=t)),
+])
+def test_validation_refuses_exactly_when_node_count_does(kind, time_key, make):
+    """On both sides of each kind's boundary in t, validation refuses the
+    config exactly when the run's node count at its largest table raises."""
+    cfg = validate_config(make(8.0))
+    sites = cfg.objects["offsets"] if kind == "propagator" else cfg.objects["sparse"].coords
+    d_max = max(abs(int(c)) for site in sites for c in site)  # every source sits at the origin
+    lo, hi = 8, 10 ** 6
+    assert _node_count_passes(lo, d_max) and not _node_count_passes(hi, d_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _node_count_passes(mid, d_max) else (lo, mid)
+    for t in (lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)):
+        raw = make(float(t))
+        if _node_count_passes(t, d_max):
+            validate_config(raw)
+        else:
+            with pytest.raises(ConfigError) as err:
+                validate_config(raw)
+            assert [field for field, _ in err.value.violations] == [time_key]
 
 
 def test_numbers_past_float_range_are_config_errors():

@@ -102,6 +102,46 @@ def test_mutation_corpus_returns_or_raises_config_error():
     assert count > 2000
 
 
+_TIME_FIELDS = {"propagator": "times", "sparseness": "t_max", "cook": "t_grid"}
+_SITE_FIELDS = ("offsets", "sites", "site")
+
+
+def size_mutants():
+    """(key path, config) for each time field at 1e300 and each site
+    coordinate at +/-2^61, in the bases of the kinds that build axis tables."""
+    for base in BASES:
+        if base["kind"] not in _TIME_FIELDS:
+            continue
+        for path in _paths(base):
+            leaf = _get(base, path)
+            timed = path[0] == _TIME_FIELDS[base["kind"]] and not isinstance(leaf, list)
+            in_site = any(key in _SITE_FIELDS for key in path[:-1]) and isinstance(leaf, int)
+            for value in [1e300] if timed else [2 ** 61, -2 ** 61] if in_site else []:
+                raw = copy.deepcopy(base)
+                _get(raw, path[:-1])[path[-1]] = value
+                yield path, raw
+
+
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def test_size_mutants_are_config_errors():
+    """A time past any table, or a site 2^61 from the others, asks for an axis
+    table over the node cap: validation refuses it rather than the run."""
+    count = 0
+    for path, raw in size_mutants():
+        count += 1
+        try:
+            validate_config(raw)
+        except ConfigError:
+            continue
+        raise AssertionError(f"{raw['kind']} {path} validated")
+    assert count == 31
+
+
 def test_lambda_zero_is_rejected_at_validation_or_runs_ok(tmp_path):
     """Every base with a disorder block at lambda = 0 either fails validation
     or runs to an ok manifest: nothing that validates fails mid-run."""

@@ -374,6 +374,37 @@ def test_node_count_is_even_and_never_below_the_fast_full_period_count():
             assert next_fast_len(n // 2) == n // 2
 
 
+def test_node_count_over_the_cap_raises_before_any_fast_length():
+    # 2.2 (2e300 + pad) nodes: the count is refused as a number, not handed to next_fast_len
+    with pytest.raises(ValueError, match=r"axis table needs 4\.4e\+300 quadrature nodes, "
+                                         r"over the guard 2000000"):
+        kernel_elements(delta_symbol(1), [[0]], [1e300])
+    with pytest.raises(ValueError, match="5.072855e[+]18 quadrature nodes"):
+        dynamics._node_count(1.0, 2.0, 2 ** 61)
+
+
+def test_axis_reaches_is_the_largest_offset_per_axis():
+    sites = np.array([[-3, 5], [4, -1], [0, 2]])
+    sources = [(1, 0), (-2, 7)]
+    want = [max(abs(m[i] - n[i]) for m in sites.tolist() for n in sources) for i in range(2)]
+    assert dynamics.axis_reaches(sites, sources) == want == [6, 8]
+
+
+def test_gauss_window_that_does_not_settle_reports_its_last_two_levels():
+    def f(ts):
+        return np.sin(1000.0 * ts)
+
+    with pytest.raises(NumericalError, match="did not settle") as info:
+        dynamics._gauss_window(f, 0.0, 100.0)
+    levels = []
+    for n in (384, 768):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        levels.append(50.0 * float(np.dot(weights, f(50.0 * nodes + 50.0))))
+    last_two = info.value.diagnostics["last_two"]
+    assert last_two == pytest.approx(tuple(levels), rel=1e-12, abs=1e-15)
+    assert last_two[0] != last_two[1]
+
+
 def test_axis_tables_non_finite_raises(monkeypatch):
     monkeypatch.setattr(SymbolSpec, "axis_values", lambda self, axis, thetas: thetas * np.nan)
     with pytest.raises(NumericalError, match="non-finite") as info:
