@@ -35,6 +35,7 @@ from .dynamics import (
     axis_factor_bessel,
     axis_factor_table,
     kernel_elements,
+    light_cone,
     verify_offdiagonal_decay,
     verify_time_decay,
 )
@@ -114,8 +115,7 @@ def criterion_03_propagator(workdir, threads=1) -> CriterionResult:
                 for axis in range(nu):
                     oracle *= axis_factor_bessel(1, 1.0, t, off[axis])
                 worst = max(worst, abs(value - oracle))
-            d_max = int(2 * t + 12 * (2 * t + 1) ** (1 / 3) + 64)
-            table = axis_factor_table(spec, 0, t, d_max)
+            table = axis_factor_table(spec, 0, t, int(light_cone(t, spec.axis_derivative_sup(0))))
             worst_unitarity = max(worst_unitarity, abs(np.sum(np.abs(table) ** 2) - 1.0))
     passed = worst < 1e-8 and worst_unitarity < 1e-8
     return CriterionResult(

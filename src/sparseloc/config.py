@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import (Cube, SparseSet, cap_violation, generate_sparse_set, max_norm,
                       sparse_set_from_sites)
-from .operators import ASSEMBLY_CAP, DENSE_CAP, NODE_CAP, SymbolSpec, delta_symbol, s_norm
+from .operators import (ASSEMBLY_CAP, DENSE_CAP, SymbolSpec, decay_first_level, delta_symbol,
+                        s_norm)
 from .disorder import LAWS, DisorderModel, make_law
 from .dynamics import _node_count, axis_reaches  # last: loaded earlier, peak RSS rose 0.15 MB
 
@@ -438,16 +439,14 @@ def _propagator(p, bad):
 
 
 def _decay_check(p, bad):
-    """One symbol block, and a first comparison of 16 max|d| nodes within the guard."""
+    """One symbol block, and a first level of the Fourier ladder within the guard."""
     given = [p.get(key, _FAILED) is not None for key in ("symbol", "sampled_symbol")]
     if all(given):  # a given block that failed its parser counts as given
         bad.append(("symbol", "give either symbol or sampled_symbol, not both"))
     elif not any(given):
         bad.append(("symbol", "need a symbol or sampled_symbol block"))
     d = [abs(v) for v in p.get("offsets") or [0]]
-    if 16 * max(d) > NODE_CAP:
-        bad.append((f"offsets[{d.index(max(d))}]", f"|d| = {max(d)} needs {16 * max(d)} "
-                                                   f"quadrature nodes, over the guard {NODE_CAP}"))
+    _parse(decay_first_level, max(d), f"offsets[{d.index(max(d))}]", bad)
 
 
 def _theorem2(p, bad):
@@ -521,9 +520,6 @@ _TOP = {
     "out": (_check(lambda v: v is None or isinstance(v, str), "must be a string path"), None),
     "threads": (_int(1), 1),
 }
-# the runners know some blocks by the name of what is built from them
-_OBJECT_NAMES = {"symbol": "spec", "disorder": "model", "sparse_set": "sparse",
-                 "sampled_symbol": "sampled", "weight_gamma": "gamma"}
 
 
 def validate_config(raw, kind: str | None = None) -> ExperimentConfig:
@@ -566,6 +562,6 @@ def validate_config(raw, kind: str | None = None) -> ExperimentConfig:
     derived = rules(p, bad) or {}
     if bad:
         raise ConfigError(bad)
-    objects = {_OBJECT_NAMES.get(k, k): v for k, v in p.items() if k not in _TOP}
+    objects = {k: v for k, v in p.items() if k not in _TOP}
     params = {k: raw[k] for k in raw if k not in _TOP}
     return ExperimentConfig(cfg_kind, p["seed"], p["out"], p["threads"], params, derived, objects)

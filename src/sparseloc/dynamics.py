@@ -41,13 +41,18 @@ from .operators import NODE_CAP, SymbolSpec
 _CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of times
 
 
+def light_cone(t: float, slope: float, d_max: int = 0) -> float:
+    """d_max + |t| sup|h'| + 64 + 12 (|t| sup|h'| + 1)^(1/3): with d_max = 0 the
+    offsets beyond which an axis factor at time t is negligible."""
+    reach = abs(t) * slope
+    return reach + d_max + (64.0 + 12.0 * (reach + 1.0) ** (1.0 / 3.0))
+
+
 def _node_count(t: float, slope: float, d_max: int) -> int:
     """Full-period node count 2m of an axis table, at least the fast FFT
     length that keeps aliasing below 1e-10, with m a fast length: the
     DCT-I over m + 1 nodes runs a real FFT of length 2m.  ValueError over ``NODE_CAP``."""
-    reach = abs(t) * slope
-    pad = 64.0 + 12.0 * (reach + 1.0) ** (1.0 / 3.0)
-    nodes = 2.2 * (reach + d_max + pad)
+    nodes = 2.2 * light_cone(t, slope, d_max)
     if nodes > NODE_CAP:
         raise ValueError(f"axis table needs {nodes:.7g} quadrature nodes, over the guard {NODE_CAP}")
     n = next_fast_len(max(256, int(nodes)))
@@ -210,8 +215,7 @@ def verify_time_decay(spec: SymbolSpec, t_grid) -> list[AxisDecayFit]:
         max_vals = []
         fixed_vals = []
         for t in t_grid:
-            d_max = int(t * slope_sup + 12 * (t * slope_sup + 1) ** (1 / 3) + 64)
-            table = axis_factor_table(spec, axis, t, d_max)
+            table = axis_factor_table(spec, axis, t, int(light_cone(t, slope_sup)))
             max_vals.append(float(np.max(np.abs(table))))
             window = t * (1.0 + np.linspace(-0.08, 0.08, 65))
             fixed_vals.append(float(np.max(np.abs(_axis_tables(spec, axis, window, 0)))))
@@ -313,11 +317,11 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_window(f, lo: float, hi: float) -> float:
-    """Gauss-Legendre levels of 48..768 nodes on [lo, hi] until two agree
+    """Gauss-Legendre levels of 48..3072 nodes on [lo, hi] until two agree
     to 1e-9, or to 1e-6 relative; ``f`` takes the array of a level's nodes
     and returns their values."""
     levels = []
-    for n in (48, 96, 192, 384, 768):
+    for n in (48, 96, 192, 384, 768, 1536, 3072):
         nodes, weights = _leggauss(n)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         val = 0.5 * (hi - lo) * float(np.dot(weights, f(ts)))

@@ -163,24 +163,23 @@ def run_experiment(
 
 def _run_norms(cfg, stage, threads):
     o = cfg.objects
-    rows = [(s, s_norm(o["spec"], s)) for s in o["s_grid"]]
+    rows = [(s, s_norm(o["symbol"], s)) for s in o["s_grid"]]
     write_csv(stage / "norms.csv", ["s", "norm"], rows)
-    return {}, {"dim": o["spec"].dim}
+    return {}, {"dim": o["symbol"].dim}
 
 
 def _run_kernel(cfg, stage, threads):
-    o = cfg.objects
-    spec = o["spec"]
+    spec = cfg.objects["symbol"]
     header = [f"d{i+1}" for i in range(spec.dim)] + ["amplitude"]
     write_csv(stage / "kernel.csv", header, [off + (amp,) for off, amp in spec.hopping])
-    if o.get("s_grid"):
-        write_csv(stage / "norms.csv", ["s", "norm"], [(s, s_norm(spec, s)) for s in o["s_grid"]])
+    if cfg.objects["s_grid"]:
+        _run_norms(cfg, stage, threads)
     return {}, {"offsets": len(spec.hopping)}
 
 
 def _run_propagator(cfg, stage, threads):
     o = cfg.objects
-    spec = o["spec"]
+    spec = o["symbol"]
     header = ["t"] + [f"d{i+1}" for i in range(spec.dim)] + ["re", "im", "abs"]
     kernel = kernel_elements(spec, o["offsets"], o["times"])
     rows = [(float(t),) + tuple(off) + (v.real, v.imag, abs(v))
@@ -191,46 +190,36 @@ def _run_propagator(cfg, stage, threads):
 
 def _run_decay_check(cfg, stage, threads):
     o = cfg.objects
-    rows_out = []
-    checks = []
-    if o["spec"] is not None:
-        spec = o["spec"]
-        for axis in range(spec.dim):
-            h = partial(spec.axis_values, axis)
-            checks.append((axis, kernel_decay_check(h, spec.dim, o["offsets"], o["c_h"])))
+    if o["symbol"] is not None:
+        spec = o["symbol"]
+        symbols = [(partial(spec.axis_values, axis), spec.dim) for axis in range(spec.dim)]
     else:
-        sampled = o["sampled"]
-        h = periodized_gaussian(sampled["width"])
-        checks.append((0, kernel_decay_check(h, sampled["dim"], o["offsets"], o["c_h"])))
-    all_pass = True
-    for axis, check in checks:
-        for row in check.rows:
-            rows_out.append((axis, row.offset, row.coefficient, row.bound, row.passed))
-            if row.offset != 0:
-                all_pass = all_pass and row.passed
-    write_csv(
-        stage / "decay_check.csv",
-        ["axis", "d", "coefficient", "bound", "passed"],
-        rows_out,
-    )
-    meta = {"c_h": {str(a): c.c_h for a, c in checks},
-            "achieved_tol": {str(a): c.achieved_tol for a, c in checks}}
-    return {"coefficient_bound": all_pass}, meta
+        sampled = o["sampled_symbol"]
+        symbols = [(periodized_gaussian(sampled["width"]), sampled["dim"])]
+    checks = [kernel_decay_check(h, dim, o["offsets"], o["c_h"]) for h, dim in symbols]
+    write_csv(stage / "decay_check.csv", ["axis", "d", "coefficient", "bound", "passed"],
+              [(axis, r.offset, r.coefficient, r.bound, r.passed)
+               for axis, check in enumerate(checks) for r in check.rows])
+    meta = {"c_h": {str(a): c.c_h for a, c in enumerate(checks)},
+            "achieved_tol": {str(a): c.achieved_tol for a, c in enumerate(checks)}}
+    # the d = 0 row always passes: it has no bound
+    return {"coefficient_bound": all(r.passed for c in checks for r in c.rows)}, meta
 
 
 def _run_sparseness(cfg, stage, threads):
     o = cfg.objects
-    res = sparseness_integral(o["spec"], o["sparse"], o["phi"], o["t_max"], o["gamma"])
+    res = sparseness_integral(o["symbol"], o["sparse_set"], o["phi"], o["t_max"],
+                              o["weight_gamma"])
     write_csv(stage / "sparseness.csv", ["t", "c_t"], zip(res.t_grid, res.c_values))
-    cube = o["sparse"].cube
+    cube = o["sparse_set"].cube
     if cube is not None:
-        rows = sparseness_profile(o["sparse"], centered_subcubes(cube, dyadic_only=True))
+        rows = sparseness_profile(o["sparse_set"], centered_subcubes(cube, dyadic_only=True))
         write_csv(
             stage / "profile.csv",
             ["volume", "count", "cap", "passed"],
             [(r.volume, r.count, r.cap, r.passed) for r in rows],
         )
-    (stage / "sparse_set.txt").write_text(sparse_set_to_text(o["sparse"]), encoding="utf-8")
+    (stage / "sparse_set.txt").write_text(sparse_set_to_text(o["sparse_set"]), encoding="utf-8")
     summary = {
         "windows": [list(w) for w in res.windows],
         "ratios": list(res.ratios),
@@ -243,7 +232,8 @@ def _run_sparseness(cfg, stage, threads):
 
 def _run_cook(cfg, stage, threads):
     o = cfg.objects
-    rows = cook_integrand(o["spec"], o["sparse"], o["model"], o["phi"], o["t_grid"], o["n_samples"])
+    rows = cook_integrand(o["symbol"], o["sparse_set"], o["disorder"], o["phi"], o["t_grid"],
+                          o["n_samples"])
     write_csv(
         stage / "cook.csv",
         ["t", "bound", "q10", "q50", "q90", "mc_mean_sq"],
@@ -253,27 +243,28 @@ def _run_cook(cfg, stage, threads):
     return {"median_below_bound": ok}, {}
 
 
-def _moments_csv(stage, est, model):
-    q = est.query
-    rows = []
-    for d, mean, err, _ in est.distance_profile():
-        rows.append((q.energy, q.epsilon, q.s, model.coupling, d, mean, err, est.count))
+def _moments(o: dict, stage, threads):
+    """The fractional-moment estimate of the config's query, written to moments.csv."""
+    q = GreenQuery(volume=o["volume"], **o["query"])
+    est = fractional_moment_estimate(q, o["symbol"], o["sparse_set"], o["disorder"],
+                                     threads=threads)
+    rows = [(q.energy, q.epsilon, q.s, o["disorder"].coupling, d, mean, err, est.count)
+            for d, mean, err, _ in est.distance_profile()]
     write_csv(
         stage / "moments.csv",
         ["E", "epsilon", "s", "lambda", "distance", "mean_absG_s", "stderr", "n_samples"],
         rows,
     )
+    return q, est
 
 
 def _run_moments(cfg, stage, threads):
     o = cfg.objects
-    q = GreenQuery(volume=o["volume"], **o["query"])
-    est = fractional_moment_estimate(q, o["spec"], o["sparse"], o["model"], threads=threads)
-    _moments_csv(stage, est, o["model"])
+    q, est = _moments(o, stage, threads)
     verdicts = {}
     summary = {"h0_norm_s": cfg.derived.get("h0_norm_s")}
     if o.get("check_am_bound"):
-        bound = am_uniform_bound(o["model"].coupling, q.s)
+        bound = am_uniform_bound(o["disorder"].coupling, q.s)
         on_set = est.set_index  # every site of S; the check holds trivially when S is empty
         ok = bool(np.all(est.mean[on_set] <= bound + 2.0 * est.stderr[on_set]))
         verdicts["am_bound"] = ok
@@ -281,20 +272,23 @@ def _run_moments(cfg, stage, threads):
     return verdicts, summary
 
 
+def _kappa_hat(o: dict, s: float) -> float:
+    """The config's kappa_hat, or the one estimated from its disorder law at s."""
+    if o["kappa_hat"] is not None:
+        return o["kappa_hat"]
+    return estimate_decoupling(o["disorder"].law, s).kappa_hat
+
+
 def _run_decay_fit(cfg, stage, threads):
     o = cfg.objects
-    q = GreenQuery(volume=o["volume"], **o["query"])
-    est = fractional_moment_estimate(q, o["spec"], o["sparse"], o["model"], threads=threads)
-    _moments_csv(stage, est, o["model"])
-    kappa = o["kappa_hat"]
-    if kappa is None:
-        kappa = estimate_decoupling(o["model"].law, q.s).kappa_hat
-    n_on = len(o["sparse"])
-    c_on, c_off = abs(o["model"].coupling) ** q.s * kappa, abs(q.energy) ** q.s
+    q, est = _moments(o, stage, threads)
+    kappa = _kappa_hat(o, q.s)
+    n_on = len(o["sparse_set"])
+    c_on, c_off = abs(o["disorder"].coupling) ** q.s * kappa, abs(q.energy) ** q.s
     c = [c_on] if n_on else []  # C of each kind of site the volume has
     if o["volume"].volume > n_on:
         c.append(c_off)
-    ks = max(k_s(o["spec"], q.s, c_site) for c_site in c)
+    ks = max(k_s(o["symbol"], q.s, c_site) for c_site in c)
     fit = decay_rate_fit(est, ks)
     summary = {
         "rate": fit.rate,
@@ -312,7 +306,8 @@ def _run_decay_fit(cfg, stage, threads):
 def _run_simon_wolff(cfg, stage, threads):
     o = cfg.objects
     q = GreenQuery(volume=o["volume"], **o["query"])
-    rows = simon_wolff_proxy(q, o["spec"], o["sparse"], o["model"], o["eps_ladder"], threads=threads)
+    rows = simon_wolff_proxy(q, o["symbol"], o["sparse_set"], o["disorder"], o["eps_ladder"],
+                             threads=threads)
     write_csv(
         stage / "simon_wolff.csv",
         ["E", "epsilon", "mean_sum_G2", "stderr", "trend_ratio"],
@@ -329,19 +324,19 @@ def _run_simon_wolff(cfg, stage, threads):
 
 def _run_thresholds(cfg, stage, threads):
     o = cfg.objects
-    model = o["model"]
+    model = o["disorder"]
     rows = []
     ks_rows = []
     interior_ok = True
     for s in o["s_grid"]:
         dec = estimate_decoupling(model.law, s)
         interior_ok = interior_ok and dec.interior
-        lam_s = lambda_threshold(o["spec"], s, dec.kappa_hat)
-        rows.append((s, s_norm(o["spec"], s), dec.kappa_hat, dec.d_eff, lam_s,
+        lam_s = lambda_threshold(o["symbol"], s, dec.kappa_hat)
+        rows.append((s, s_norm(o["symbol"], s), dec.kappa_hat, dec.d_eff, lam_s,
                      am_uniform_bound(model.coupling, s)))
         for energy in o["energies"] or []:
             c_on, c_off = abs(model.coupling) ** s * dec.kappa_hat, abs(energy) ** s
-            ks_on, ks_off = k_s(o["spec"], s, c_on), k_s(o["spec"], s, c_off)
+            ks_on, ks_off = k_s(o["symbol"], s, c_on), k_s(o["symbol"], s, c_off)
             ks_rows.append((s, energy, c_on, c_off, ks_on, ks_off, max(ks_on, ks_off)))
     write_csv(
         stage / "thresholds.csv",
@@ -360,7 +355,7 @@ def _run_thresholds(cfg, stage, threads):
 def _run_edge_scan(cfg, stage, threads):
     o = cfg.objects
     scan = mobility_edge_scan(
-        o["spec"], o["sparse"], o["model"], o["volume"], o["realizations"], o["s"],
+        o["symbol"], o["sparse_set"], o["disorder"], o["volume"], o["realizations"], o["s"],
         bin_width=o["bin_width"], threads=threads,
     )
     write_csv(
@@ -387,15 +382,13 @@ def _run_edge_scan(cfg, stage, threads):
 
 def _run_theorem2(cfg, stage, threads):
     o = cfg.objects
-    kappa = o["kappa_hat"]
-    if kappa is None:
-        kappa = estimate_decoupling(o["model"].law, o["s"]).kappa_hat
-    result = theorem2_cube(o["center"], o["s"], o["gamma"], o["spec"], kappa, o["sparse"])
+    kappa = _kappa_hat(o, o["s"])
+    result = theorem2_cube(o["center"], o["s"], o["gamma"], o["symbol"], kappa, o["sparse_set"])
     rows = [(*site, v, v > result.threshold)
-            for site, v in zip(o["sparse"].coords.tolist(), result.values.tolist())]
+            for site, v in zip(o["sparse_set"].coords.tolist(), result.values.tolist())]
     write_csv(
         stage / "theorem2_sites.csv",
-        [f"m{i+1}" for i in range(o["spec"].dim)] + ["weighted_value", "cleared"],
+        [f"m{i+1}" for i in range(o["symbol"].dim)] + ["weighted_value", "cleared"],
         rows,
     )
     summary = {

@@ -145,7 +145,6 @@ class SparseSet:
         coords = _lex_unique(coords)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_weights", {})
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -156,16 +155,11 @@ class SparseSet:
         return tuple(map(tuple, self.coords.tolist()))
 
     def weights(self, gamma: float) -> np.ndarray:
-        """(1 + |n|)^gamma for each site in order, max-norm |n|: read-only,
-        built once per gamma.  One Python power per distinct radius, so each
-        entry is bitwise ``(1.0 + max_norm(site)) ** gamma``."""
-        w = self._weights.get(gamma)
-        if w is None:
-            radii, inverse = np.unique(np.max(np.abs(self.coords), axis=1), return_inverse=True)
-            w = np.array([(1.0 + r) ** gamma for r in radii.tolist()])[inverse]
-            w.flags.writeable = False
-            w = self._weights.setdefault(gamma, w)  # atomic: racing threads share one array
-        return w
+        """(1 + |n|)^gamma for each site in order, max-norm |n|.  One Python
+        power per distinct radius, so each entry is bitwise
+        ``(1.0 + max_norm(site)) ** gamma``."""
+        radii, inverse = np.unique(np.max(np.abs(self.coords), axis=1), return_inverse=True)
+        return np.array([(1.0 + r) ** gamma for r in radii.tolist()])[inverse]
 
 
 def sparse_set_from_sites(sites, alpha: float, dim: int, seed: int = 0) -> SparseSet:

@@ -259,20 +259,27 @@ def periodized_gaussian(width: float):
     return h
 
 
+def decay_first_level(max_d: int) -> int:
+    """Nodes of the decay check's first level, max(256, 8 max|d|); ValueError
+    when its first comparison, at twice that, passes ``NODE_CAP``."""
+    n = max(256, 8 * max_d)
+    if 2 * n > NODE_CAP:
+        raise ValueError(f"|d| = {max_d} needs {2 * n} quadrature nodes, over the guard {NODE_CAP}")
+    return n
+
+
 def kernel_decay_check(h, dim: int, offsets, c_h: float | None = None) -> DecayCheck:
     """Fourier coefficients of a smooth periodic axis symbol vs the
     integration-by-parts envelope C_h nu^(2nu+1) / |d|^(2nu+1).
 
     h takes an array of angles in [0, 2 pi) and returns h at each;
     coefficients come from periodic trapezoid sums at doubling node
-    counts until two levels agree to 1e-10.
+    counts, up to ``NODE_CAP``, until two levels agree to 1e-10.
     """
     offsets = sorted({int(d) for d in offsets})
-    max_d = max((abs(d) for d in offsets), default=1)
-    n = max(256, 8 * max_d)
+    n = decay_first_level(max((abs(d) for d in offsets), default=1))
     prev = _fourier_coefficients(h, n)
-    achieved = math.inf
-    for _ in range(8):
+    while 2 * n <= NODE_CAP:
         cur = _fourier_coefficients(h, 2 * n)
         idx_prev = np.array([d % prev.shape[0] for d in offsets])
         idx_cur = np.array([d % cur.shape[0] for d in offsets])

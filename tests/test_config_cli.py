@@ -107,11 +107,11 @@ def test_validate_echoes_derived_quantities():
 def test_validate_injects_top_seed_into_blocks():
     raw = _moments_raw(seed=77)
     cfg = validate_config(raw)
-    assert cfg.objects["model"].seed == 77
+    assert cfg.objects["disorder"].seed == 77
     raw2 = _moments_raw(seed=77)
     raw2["disorder"]["seed"] = 5
     cfg2 = validate_config(raw2)
-    assert cfg2.objects["model"].seed == 5
+    assert cfg2.objects["disorder"].seed == 5
 
 
 def test_validate_kind_mismatch():
@@ -160,7 +160,7 @@ def test_failed_run_retains_artifacts(tmp_path):
     # such lists): sparseness refuses it at run time
     bad = validate_config(_explicit_sparseness_raw([[0] * 5], 0.01))
     dense = [(i, 0, 0, 0, 0) for i in range(-6, 7)]
-    bad.objects["sparse"] = sparse_set_from_sites(dense, 0.01, 5)
+    bad.objects["sparse_set"] = sparse_set_from_sites(dense, 0.01, 5)
     with pytest.raises(ValueError, match="too dense"):
         run_experiment(bad, out_dir=str(tmp_path / "bad"))
     manifest = json.loads((tmp_path / "bad" / "failed" / "manifest.json").read_text())
@@ -199,6 +199,14 @@ def _sparseness_cli_config(tmp_path):
         "phi": [{"site": [0] * 5, "re": 1.0}],
         "t_max": 16.0,
     })
+
+
+def test_cli_criterion_7_sparseness_runs_at_t_max_128(tmp_path):
+    """Windows [64, 128] settle at 1536 Gauss nodes."""
+    path, out = _write_config(tmp_path, sparseness_config(False, t_max=128.0)), tmp_path / "out"
+    assert main(["sparseness", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "converging" and summary["verdicts"] == {"converging": True}
 
 
 def _fail_mid_run(cfg, stage, threads):
@@ -715,7 +723,7 @@ def test_validation_refuses_exactly_when_node_count_does(kind, time_key, make):
     """On both sides of each kind's boundary in t, validation refuses the
     config exactly when the run's node count at its largest table raises."""
     cfg = validate_config(make(8.0))
-    sites = cfg.objects["offsets"] if kind == "propagator" else cfg.objects["sparse"].coords
+    sites = cfg.objects["offsets"] if kind == "propagator" else cfg.objects["sparse_set"].coords
     d_max = max(abs(int(c)) for site in sites for c in site)  # every source sits at the origin
     lo, hi = 8, 10 ** 6
     assert _node_count_passes(lo, d_max) and not _node_count_passes(hi, d_max)
@@ -916,7 +924,7 @@ def test_cli_coordinates_past_int64_exit_two(tmp_path, capsys, raw, violation):
 def test_validate_keeps_the_largest_cube_below_the_coordinate_limit():
     cfg = validate_config(_theorem2_raw({"generator": "full_cube", "alpha": 0.5,
                                          "center": [2 ** 62 - 4], "half_side": 3}))
-    assert cfg.objects["sparse"].coords.ravel().tolist() == list(range(2 ** 62 - 7, 2 ** 62))
+    assert cfg.objects["sparse_set"].coords.ravel().tolist() == list(range(2 ** 62 - 7, 2 ** 62))
 
 
 @pytest.mark.parametrize("criteria, named", [("14", "14"), ("7,14,0", "0, 14")])

@@ -236,16 +236,17 @@ def test_site_weights_bitwise_equal_weight_value(gamma, dim, raw_sites):
     assert got.tobytes() == want.tobytes()
 
 
-def test_site_weights_built_once_per_set_and_gamma():
+def test_site_weights_recomputed_per_call_and_gamma():
     sparse = sparse_set_from_sites([(i, j) for i in range(-100, 101) for j in range(-100, 101)],
                                    0.5, 2)
     model = DisorderModel(UniformLaw(-1, 1), weight_gamma=0.5, seed=3)
     weights = model.couplings(sparse)
     want = np.array([weight_value(0.5, site) for site in sparse.sites])
     assert weights.tobytes() == want.tobytes()
-    assert not weights.flags.writeable
-    assert model.couplings(sparse) is weights
-    assert DisorderModel(GaussianLaw(0.0, 1.0), weight_gamma=0.5).couplings(sparse) is weights
+    # a fresh array per call: changing one leaves the set's weights as they were
+    weights[0] = -1.0
+    assert model.couplings(sparse).tobytes() == want.tobytes()
+    assert DisorderModel(GaussianLaw(0.0, 1.0), weight_gamma=0.5).couplings(sparse).tobytes() \
+        == want.tobytes()
     other = DisorderModel(UniformLaw(-1, 1), weight_gamma=0.25).couplings(sparse)
-    assert other is not weights
     assert other.tobytes() == np.array([weight_value(0.25, s) for s in sparse.sites]).tobytes()

@@ -374,6 +374,22 @@ def test_node_count_is_even_and_never_below_the_fast_full_period_count():
             assert next_fast_len(n // 2) == n // 2
 
 
+def test_light_cone_gives_the_counts_and_reaches_of_the_inline_formulas():
+    slope = DELTA1.axis_derivative_sup(0)
+    assert slope == 2.0
+    for t in (0.5, 1.0, 5.0, 20.0):  # criterion 3's tables
+        assert int(dynamics.light_cone(t, slope)) == int(2 * t + 12 * (2 * t + 1) ** (1 / 3) + 64)
+    for t in np.geomspace(50.0, 800.0, 25):  # criterion 4's tables
+        want = int(t * slope + 12 * (t * slope + 1) ** (1 / 3) + 64)
+        assert int(dynamics.light_cone(t, slope)) == want
+    for t in np.geomspace(0.1, 1e6, 200):  # the node count keeps its float evaluation order
+        for d_max in (0, 30, 500):
+            reach = t * slope
+            pad = 64.0 + 12.0 * (reach + 1.0) ** (1.0 / 3.0)
+            assert (2.2 * dynamics.light_cone(-t, slope, d_max)).hex() == \
+                (2.2 * (reach + d_max + pad)).hex()
+
+
 def test_node_count_over_the_cap_raises_before_any_fast_length():
     # 2.2 (2e300 + pad) nodes: the count is refused as a number, not handed to next_fast_len
     with pytest.raises(ValueError, match=r"axis table needs 4\.4e\+300 quadrature nodes, "
@@ -397,7 +413,7 @@ def test_gauss_window_that_does_not_settle_reports_its_last_two_levels():
     with pytest.raises(NumericalError, match="did not settle") as info:
         dynamics._gauss_window(f, 0.0, 100.0)
     levels = []
-    for n in (384, 768):
+    for n in (1536, 3072):
         nodes, weights = np.polynomial.legendre.leggauss(n)
         levels.append(50.0 * float(np.dot(weights, f(50.0 * nodes + 50.0))))
     last_two = info.value.diagnostics["last_two"]
@@ -446,7 +462,7 @@ def test_sparseness_integral_calls_c_of_t_once_per_level(monkeypatch):
     spec, sparse, phi, _ = _level_case()
     res = sparseness_integral(spec, sparse, phi, 16.0)
     assert calls[-1] == len(res.t_grid) == 4 * 8 + 1  # the samples: one batch
-    assert set(calls[:-1]) <= {48, 96, 192, 384, 768}  # one batch per Gauss level
+    assert set(calls[:-1]) <= {48, 96, 192, 384, 768, 1536, 3072}  # one batch per Gauss level
 
 
 def test_leggauss_levels_are_cached_read_only():
@@ -455,7 +471,7 @@ def test_leggauss_levels_are_cached_read_only():
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
-@pytest.mark.parametrize("n", [15, 48, 96, 192, 384, 768])
+@pytest.mark.parametrize("n", [15, 48, 96, 192, 384, 768, 1536, 3072])
 def test_leggauss_bitwise_equal_numpy(n):
     """The ?sterf eigenvalues give numpy's nodes and weights bit for bit at
     the decoupling rule's 15 nodes and at every window level."""

@@ -564,7 +564,7 @@ def test_full_cube_set_is_the_cube_coords(center, half):
         "query": {"energy": 5.0, "epsilon": 1e-3, "s": 0.5, "source": list(center),
                   "realizations": 8},
     }
-    sparse = validate_config(raw).objects["sparse"]
+    sparse = validate_config(raw).objects["sparse_set"]
     coords = Cube(center, half).coords()
     assert sparse.coords.shape == coords.shape
     assert sparse.coords.tobytes() == coords.tobytes()

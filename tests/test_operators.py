@@ -255,6 +255,32 @@ def test_decay_check_smooth_bump_beats_power_law():
     assert all(r.passed for r in check.rows)
 
 
+def test_decay_ladder_stops_at_the_node_cap(monkeypatch):
+    """A one-node spike never converges: the ladder doubles up to NODE_CAP and
+    raises, and validation refuses a first level over the cap through the
+    same function."""
+    from sparseloc import operators
+    from sparseloc.config import validate_config
+    from sparseloc.errors import ConfigError, NumericalError
+
+    monkeypatch.setattr(operators, "NODE_CAP", 16_384)
+    sizes = []
+    fourier = operators._fourier_coefficients
+    monkeypatch.setattr(operators, "_fourier_coefficients",
+                        lambda h, n: sizes.append(n) or fourier(h, n))
+    with pytest.raises(NumericalError, match="did not converge"):
+        kernel_decay_check(periodized_gaussian(1e-9), 1, [0, 1, 1000])
+    assert sizes == [8000, 16000]  # the next level, 32,000 nodes, passes the cap
+    raw = {"kind": "decay_check", "sampled_symbol": {"name": "periodized_gaussian", "width": 1e-9},
+           "offsets": [0, 1, 1024]}
+    validate_config(raw)  # 2 * 8192 nodes: at the cap
+    raw["offsets"][0] = -1025
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [
+        ("offsets[0]", "|d| = 1025 needs 16400 quadrature nodes, over the guard 16384")]
+
+
 def test_c_h_estimate_for_pure_cosine():
     from sparseloc.operators import _estimate_c_h
 
