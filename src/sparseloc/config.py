@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import (Cube, SparseSet, cap_violation, generate_sparse_set, max_norm,
-                      sparse_set_from_sites)
-from .operators import (ASSEMBLY_CAP, DENSE_CAP, SymbolSpec, decay_first_level, delta_symbol,
-                        s_norm)
+from .lattice import Cube, cap_violation, generate_sparse_set, max_norm, sparse_set_from_sites
+from .operators import (SymbolSpec, check_assembly, check_bins, check_dense, decay_first_level,
+                        delta_symbol, s_norm)
 from .disorder import LAWS, DisorderModel, make_law
 from .dynamics import _node_count, axis_reaches  # last: loaded earlier, peak RSS rose 0.15 MB
 
@@ -46,7 +45,6 @@ class ExperimentConfig:
 
 REQUIRED = object()  # the default of a key that must be given
 _FAILED = object()  # what a field that failed leaves behind
-_ENUMERATION_GUARD = 2_000_000  # most sites validation enumerates for a full_cube set
 _COORD_LIMIT = 2 ** 62  # |coordinate| bound: sites and their differences fit in int64
 
 
@@ -298,14 +296,7 @@ def _build_sparse_set(f: dict, dim: int, volume: Cube | None):
     center = f["center"] or (volume.center if volume is not None else (0,) * dim)
     if len(center) != dim:
         raise _Bad(("center", "dimension mismatch"))
-    cube = _cube(center, half)
-    if gen == "full_cube":
-        if cube.volume > _ENUMERATION_GUARD:
-            raise _bad(f"refusing to enumerate {cube.volume} sites "
-                       f"(guard {_ENUMERATION_GUARD}); use arithmetic indexing instead")
-        sparse = SparseSet(cube.coords(), alpha, gen, seed, dim)
-    else:
-        sparse = generate_sparse_set(alpha, cube, gen, seed)
+    sparse = generate_sparse_set(alpha, _cube(center, half), gen, seed)
     # S lies in its cube, so only a cube reaching out of the volume needs the sites checked
     if volume is not None and max_norm(center, volume.center) + half > volume.half_side:
         far = np.max(np.abs(sparse.coords - volume.center), axis=1) > volume.half_side
@@ -386,8 +377,7 @@ def _monte_carlo(p, bad):
         volume = p["volume"] = None
     if volume is None:
         return {}
-    if volume.volume > ASSEMBLY_CAP:
-        bad.append(("volume", f"volume {volume.volume} exceeds the assembly cap {ASSEMBLY_CAP}"))
+    _parse(check_assembly, volume.volume, "volume", bad)
     _sparse_set(p, bad, volume)
     if query is not None and not volume.contains(query["source"]):
         bad.append(("query.source", "must lie inside the volume"))
@@ -411,11 +401,21 @@ def _decay_fit(p, bad):
 
 
 def _edge_scan(p, bad):
+    """As the Monte-Carlo kinds, with the volume within the dense cap and the bins
+    of [-B, B] within theirs: by Gershgorin every eigenvalue lies there, B =
+    ||H0||_1 + the largest coupling times the largest |x| of the law's support."""
     _monte_carlo(p, bad)
-    volume = p.get("volume")
-    if volume is not None and volume.volume > DENSE_CAP:
-        bad.append(("volume", f"volume {volume.volume} exceeds the dense-diagonalization cap "
-                              f"{DENSE_CAP}"))
+    volume, sparse, model, width = (p.get(k) for k in ("volume", "sparse_set", "disorder",
+                                                       "bin_width"))
+    if volume is not None:
+        _parse(check_dense, volume.volume, "volume", bad)
+    if None not in (volume, sparse, model, width):
+        try:
+            coupling = float(np.max(model.couplings(sparse), initial=0.0))
+        except OverflowError:  # a weight past the float range: no bin width is wide enough
+            coupling = float("inf")
+        reach = s_norm(p["symbol"], 1.0) + coupling * max(map(abs, model.law.support()))
+        _parse(lambda w: check_bins(2.0 * reach, w), width, "bin_width", bad)
 
 
 def _echo_norms(p, bad):

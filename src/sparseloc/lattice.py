@@ -28,6 +28,9 @@ _TAG_SHELL_PLACE = 102
 _TAG_SITE_BERNOULLI = 103
 
 _CHUNK_ENTRIES = 1 << 17  # (shell, attempt, axis) draws per placement chunk
+ENUMERATION_CAP = 2_000_000  # sites of a full_cube set
+THINNING_SITE_CAP = 100_000  # |cube|^alpha of a bernoulli_thinned set
+THINNING_WORK_CAP = 10_000_000  # its half-side x (|cube|^alpha + 200)
 
 
 def max_norm(site: Site, center: Site | None = None) -> int:
@@ -378,6 +381,26 @@ def _bernoulli_thinned(cube: Cube, alpha: float, seed: int) -> np.ndarray:
     return center + np.concatenate(offsets)
 
 
+def check_set_size(cube: Cube, alpha: float, generator: str) -> None:
+    """ValueError when a set is too large to build.  A full_cube set is its
+    whole cube: at most ``ENUMERATION_CAP`` sites.  A bernoulli_thinned set
+    holds at most |cube|^alpha sites (``THINNING_SITE_CAP``); its generator
+    walks the later shells again each time a shell comes up short, so
+    half-side x (|cube|^alpha + 200) bounds its work (``THINNING_WORK_CAP``).
+    |cube|^alpha is taken through logs, which no cube overflows."""
+    if generator == "full_cube" and cube.volume > ENUMERATION_CAP:
+        raise ValueError(f"refusing to enumerate {cube.volume} sites (cap {ENUMERATION_CAP})")
+    if generator != "bernoulli_thinned":
+        return
+    sites = math.exp(min(alpha * math.log(cube.volume), 64.0))  # e^64 is past both caps
+    what = f"a bernoulli_thinned set of half-side {cube.half_side} at alpha {alpha} in {cube.dim}D"
+    if sites > THINNING_SITE_CAP:
+        raise ValueError(f"{what} may hold {sites:.4g} sites, over the cap {THINNING_SITE_CAP}")
+    if cube.half_side * (sites + 200.0) > THINNING_WORK_CAP:
+        raise ValueError(f"{what} takes {cube.half_side * (sites + 200.0):.4g} generation steps "
+                         f"(half-side x (sites + 200)), over the cap {THINNING_WORK_CAP}")
+
+
 def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> SparseSet:
     """Generate a sparse set satisfying the cap on all centered sub-cubes.
 
@@ -385,10 +408,13 @@ def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> 
     spaced shells, spread over axis directions, never exceeding the
     running cap.  bernoulli_thinned includes shell sites independently
     with probability min(1, (2r)^(nu*(alpha-1))) and is then hard-capped
-    in radius order.
+    in radius order.  full_cube is the whole cube, with no cube to certify.
     """
     _check_alpha(alpha)
+    check_set_size(cube, alpha, generator)
     dim = cube.dim
+    if generator == "full_cube":
+        return SparseSet(cube.coords(), alpha, generator, seed, dim)
 
     def cap_at(r: int) -> int:
         return cap_for((2 * r + 1) ** dim, alpha)
@@ -402,9 +428,8 @@ def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> 
     elif generator == "bernoulli_thinned":
         shells = [_bernoulli_thinned(cube, alpha, seed)]
     else:
-        raise ValueError(
-            f"unknown generator {generator!r}; expected deterministic_powers or bernoulli_thinned"
-        )
+        raise ValueError(f"unknown generator {generator!r}; expected deterministic_powers, "
+                         "bernoulli_thinned or full_cube")
     coords = np.concatenate([np.array(sites, dtype=np.int64), *shells])
     return SparseSet(coords, alpha, generator, seed, dim, cube=cube)
 
@@ -454,17 +479,13 @@ def cap_violation(sparse: SparseSet) -> str | None:
 
 
 def centered_subcubes(cube: Cube, dyadic_only: bool = False) -> list[Cube]:
-    """Sub-cubes centered at cube.center, all radii or dyadic radii only."""
+    """Sub-cubes centered at cube.center, all radii or dyadic radii only:
+    0, the powers of 2 up to the half-side, and the half-side."""
+    half = cube.half_side
     if dyadic_only:
-        radii = [0]
-        r = 1
-        while r <= cube.half_side:
-            radii.append(r)
-            r *= 2
-        if radii[-1] != cube.half_side:
-            radii.append(cube.half_side)
+        radii = sorted({0, half, *(1 << k for k in range(half.bit_length()))})
     else:
-        radii = list(range(cube.half_side + 1))
+        radii = range(half + 1)
     return [Cube(cube.center, r) for r in radii]
 
 

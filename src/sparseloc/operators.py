@@ -24,10 +24,32 @@ from .errors import NumericalError
 from .lattice import Cube, Site
 
 _DERIV_GRID = 8192
-# size caps: validation refuses a config over one, and what builds the capped object checks it
+# size caps: each is compared in one function, which validation and the builder both call
 ASSEMBLY_CAP = 4_000_000  # sites of an assembled Monte-Carlo volume
 DENSE_CAP = 4096  # sites of a densely diagonalized volume
 NODE_CAP = 2_000_000  # quadrature nodes of one axis table or Fourier comparison
+BIN_CAP = 10_000  # energy bins of one edge scan
+
+
+def check_assembly(n: int) -> None:
+    if n > ASSEMBLY_CAP:
+        raise ValueError(f"volume {n} exceeds the assembly cap {ASSEMBLY_CAP}")
+
+
+def check_dense(n: int) -> None:
+    if n > DENSE_CAP:
+        raise ValueError(f"volume {n} exceeds the dense-diagonalization cap {DENSE_CAP}")
+
+
+def check_bins(span: float, width: float) -> float:
+    """The most bins an edge scan makes of energies spread over ``span``, fewer
+    than span / width + 3; ValueError over ``BIN_CAP``, compared as a float
+    (the ratio may be inf)."""
+    bins = span / width + 3.0
+    if bins > BIN_CAP:
+        raise ValueError(f"width {width:g} cuts the energy span {span:g} into {bins:.4g} bins, "
+                         f"over the cap {BIN_CAP}")
+    return bins
 
 
 @dataclass(frozen=True)
@@ -171,8 +193,7 @@ def assemble_finite_volume(spec: SymbolSpec, cube: Cube) -> AssembledOperator:
     if cube.dim != spec.dim:
         raise ValueError("symbol and cube dimensions differ")
     n = cube.volume
-    if n > ASSEMBLY_CAP:
-        raise ValueError(f"volume {n} too large to assemble")
+    check_assembly(n)
     coords = cube.coords()
     lo, hi = coords[0], coords[-1]
     rows, cols, vals = [], [], []

@@ -20,7 +20,8 @@ from ._stats import run_indexed
 from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import DENSE_CAP, SymbolSpec, band_storage, is_tridiagonal, s_norm
+from .operators import (DENSE_CAP, SymbolSpec, band_storage, check_bins, check_dense,
+                        is_tridiagonal, s_norm)
 from .resolvent import RealizationEngine
 
 
@@ -37,11 +38,7 @@ def eigensystem(matrix: sp.spmatrix, realization: int = 0) -> tuple[np.ndarray, 
     NumericalError tagged with its realization.
     """
     n = matrix.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(
-            f"volume {n} exceeds the dense-diagonalization cap {DENSE_CAP}; "
-            "reduce the volume (Green-function tools handle large ones)"
-        )
+    check_dense(n)
     try:
         if is_tridiagonal(matrix):
             ab = band_storage(matrix)
@@ -139,6 +136,7 @@ def mobility_edge_scan(
     r_energy = np.concatenate([e for e, _ in ratios])
     r_value = np.concatenate([r for _, r in ratios])
 
+    check_bins(float(energies.max() - energies.min()), bin_width)
     lo_edge = math.floor(float(energies.min()) / bin_width) * bin_width
     n_bins = int(math.ceil((float(energies.max()) - lo_edge) / bin_width)) + 1
     bins = []

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from sparseloc import dynamics, experiments
-from sparseloc.acceptance import sparseness_config
+from sparseloc import dynamics, experiments, lattice
+from sparseloc.acceptance import edge_scan_config, sparseness_config
 from sparseloc.cli import main
 from sparseloc.config import validate_config
 from sparseloc.errors import ConfigError, NumericalError
@@ -642,6 +642,55 @@ def test_cli_oversized_full_cube_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "sparse_set: refusing to enumerate 2803221 sites" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _oversized_bernoulli_configs():
+    cook = {"kind": "cook", "symbol": {"delta": 1},
+            "sparse_set": {"generator": "bernoulli_thinned", "alpha": 0.5,
+                           "half_side": 30_000_000, "center": [0]},
+            "disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 1.0},
+            "phi": [{"site": [0], "re": 1.0}], "t_grid": [0.5, 1.0]}
+    moments = _moments_raw(symbol={"delta": 3},
+                           volume={"center": [0, 0, 0], "half_side": 20_000},
+                           sparse_set={"generator": "bernoulli_thinned", "alpha": 0.5})
+    moments["query"]["source"] = [0, 0, 0]
+    return [cook, moments]
+
+
+@pytest.mark.parametrize("raw", _oversized_bernoulli_configs(), ids=["cook", "moments"])
+def test_cli_oversized_bernoulli_set_is_refused_without_building_it(tmp_path, capsys,
+                                                                    monkeypatch, raw):
+    def build(*args):
+        raise AssertionError("the thinning plan was built")
+
+    monkeypatch.setattr(lattice, "_thinning_plan", build)
+    path = _write_config(tmp_path, raw)
+    code = main([raw["kind"], "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config rejected:" in err
+    assert "sparse_set: a bernoulli_thinned set of half-side" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"bin_width": 1e-9}, "width 1e-09 cuts the energy span 17.8564 into 1.786e+10 bins"),
+    # a weight (1 + |n|)^200 past the float range leaves no bin width wide enough
+    ({"disorder": {"law": "uniform", "params": [-1.0, 1.0], "weight": {"gamma": 200.0}}},
+     "width 0.1 cuts the energy span inf into inf bins"),
+])
+def test_cli_edge_scan_bin_grid_over_the_cap_is_a_config_error(tmp_path, capsys, change,
+                                                               reason):
+    raw = edge_scan_config(half_side=50) | change
+    path = _write_config(tmp_path, raw)
+    code = main(["edge_scan", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config rejected:" in err
+    assert f"bin_width: {reason}, over the cap 10000" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

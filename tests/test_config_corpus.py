@@ -142,6 +142,32 @@ def test_size_mutants_are_config_errors():
     assert count == 31
 
 
+def cap_mutants():
+    """(key path, config) for each half_side in the bases, of a volume or of a
+    sparse set, at 2^40, and each bin_width at 1e-9 and at 5e-324."""
+    for base in BASES:
+        for path in _paths(base):
+            values = {"half_side": [2 ** 40], "bin_width": [1e-9, 5e-324]}.get(path[-1], [])
+            for value in values:
+                raw = copy.deepcopy(base)
+                _get(raw, path[:-1])[path[-1]] = value
+                yield path, raw
+
+
+def test_cap_mutants_are_config_errors():
+    """A cube, a sparse set or an energy-bin grid past its cap is refused at
+    validation, by the rule the code that builds it calls."""
+    count = 0
+    for path, raw in cap_mutants():
+        count += 1
+        try:
+            validate_config(raw)
+        except ConfigError:
+            continue
+        raise AssertionError(f"{raw['kind']} {path} validated")
+    assert count == 8
+
+
 def test_lambda_zero_is_rejected_at_validation_or_runs_ok(tmp_path):
     """Every base with a disorder block at lambda = 0 either fails validation
     or runs to an ok manifest: nothing that validates fails mid-run."""

@@ -509,6 +509,34 @@ def test_set_with_short_large_shells_is_pinned():
         "49342d945d6c8df6c3b48d8236508abc3a4d9c996386a4bdb5ab2bb5bccb14ce"
 
 
+@pytest.mark.parametrize("dim, alpha, half, binding", [
+    (1, 0.5, 23_889, "generation steps"),  # 23,889 x (218.6 + 200) = 9,999,555
+    (3, 0.95, 27, "sites, over the cap 100000"),  # 55^2.85 = 91,208 sites; 57^2.85 = 100,982
+])
+def test_set_size_rule_boundaries(monkeypatch, dim, alpha, half, binding):
+    """One rule sizes every set before generation allocates anything: the
+    largest accepted bernoulli_thinned cube is generated, the next one is
+    refused without a thinning plan, and so is a full_cube past 2,000,000 sites."""
+    assert len(generate_sparse_set(alpha, Cube((0,) * dim, half), "bernoulli_thinned", 0)) > 1
+
+    def build(*args):
+        raise AssertionError("the thinning plan was built")
+
+    monkeypatch.setattr(lattice, "_thinning_plan", build)
+    with pytest.raises(ValueError, match=binding):
+        generate_sparse_set(alpha, Cube((0,) * dim, half + 1), "bernoulli_thinned", 0)
+    lattice.check_set_size(Cube((0,), 999_999), 0.5, "full_cube")
+    with pytest.raises(ValueError, match="refusing to enumerate 2000001 sites"):
+        generate_sparse_set(0.5, Cube((0,), 1_000_000), "full_cube", 0)
+
+
+def test_full_cube_set_is_the_whole_cube_with_no_cube_to_certify():
+    cube = Cube((2, -1), 3)
+    sparse = generate_sparse_set(0.5, cube, "full_cube", 7)
+    assert sparse.coords.tolist() == cube.coords().tolist()
+    assert (sparse.generator, sparse.seed, sparse.cube) == ("full_cube", 7, None)
+
+
 def test_coords_array_is_built_once_and_read_only():
     sparse = sparse_set_from_sites([(2, 1), (-1, 0)], 0.5, 2)
     coords = sparse.coords

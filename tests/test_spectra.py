@@ -6,8 +6,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eig_banded
 
-from sparseloc import spectra
+from sparseloc import config, operators, spectra
 from sparseloc.cli import main
+from sparseloc.config import validate_config
 from sparseloc.disorder import DisorderModel, GaussianLaw, UniformLaw, sample_potential
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, sparse_set_from_sites, generate_sparse_set
@@ -100,6 +101,47 @@ def test_eigensystem_respects_cap():
     assert op.size == spectra.DENSE_CAP + 1
     with pytest.raises(ValueError, match="cap 4096"):
         eigensystem(op.matrix)
+
+
+@pytest.mark.parametrize("width", [0.05, 5.0])
+@pytest.mark.parametrize("weight", [None, {"gamma": 0.5}])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("law, params", [("uniform", [-1.0, 1.0]), ("gaussian", [0.5, 1.0]),
+                                         ("truncated_cauchy", [1.0, 5.0])])
+def test_edge_scan_bins_stay_within_the_validated_count(monkeypatch, law, params, dim, weight,
+                                                        width):
+    """Validation sizes the bin grid over [-B, B], B = ||H0||_1 + the largest
+    coupling times the largest |x| of the law's support; every eigenvalue lies
+    there (Gershgorin), so the run makes no more bins than validation allowed."""
+    spans = []
+
+    def check_bins(span, w):
+        spans.append(span)
+        return operators.check_bins(span, w)
+
+    monkeypatch.setattr(config, "check_bins", check_bins)
+    disorder = {"law": law, "params": params, "lambda": 3.0, "seed": 4}
+    if weight is not None:
+        disorder["weight"] = weight
+    cfg = validate_config({
+        "kind": "edge_scan", "symbol": {"delta": dim},
+        "volume": {"center": [0] * dim, "half_side": 10 if dim == 1 else 3},
+        "sparse_set": {"generator": "full_cube", "alpha": 0.5}, "disorder": disorder,
+        "realizations": 20, "s": 0.5, "bin_width": width,
+    })
+    o = cfg.objects
+    scan = mobility_edge_scan(o["symbol"], o["sparse_set"], o["disorder"], o["volume"], 20, 0.5,
+                              bin_width=width)
+    (span,) = spans
+    assert len(scan.bins) <= operators.check_bins(span, width)
+    assert all(-span / 2 < b.lo + width and b.lo <= span / 2 for b in scan.bins if b.count)
+
+
+def test_bin_rule_boundary():
+    assert operators.check_bins(operators.BIN_CAP - 3.0, 1.0) == operators.BIN_CAP
+    for span, width in [(operators.BIN_CAP - 2.0, 1.0), (1.0, 5e-324), (math.inf, 1.0)]:
+        with pytest.raises(ValueError, match="over the cap 10000"):
+            operators.check_bins(span, width)
 
 
 def test_spacing_ratios_poisson_reference():
