@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import Cube, cap_violation, generate_sparse_set, max_norm, sparse_set_from_sites
+from .lattice import (Cube, cap_violation, generate_sparse_set, max_norm, sparse_set_from_sites,
+                      weight)
 from .operators import (SymbolSpec, check_assembly, check_bins, check_dense, decay_first_level,
                         delta_symbol, s_norm)
 from .disorder import LAWS, DisorderModel, make_law
@@ -313,6 +314,16 @@ def _sparse_set(p, bad, volume: Cube | None = None) -> None:
         lambda f: _build_sparse_set(f, dim, volume), f, "sparse_set", bad, failed=None)
 
 
+def _weight(p, bad, key: str, gamma) -> bool:
+    """Whether the weights (1 + |n|)^gamma of S are floats: ``lattice.weight`` at
+    its farthest site, where they are largest; a violation goes under ``key``."""
+    sparse = p.get("sparse_set")
+    if sparse is None or gamma is None:
+        return True
+    far = int(np.max(np.abs(sparse.coords), initial=0))
+    return _parse(lambda g: weight(far, g), gamma, key, bad) is not _FAILED
+
+
 def _tables(p, bad, time_key: str, sites: np.ndarray, sources, blame) -> None:
     """The run's axis tables within ``NODE_CAP``: one ``_node_count`` per axis series, at
     the largest |t| of ``p[time_key]`` and the series' largest ``axis_reaches`` (the count
@@ -332,6 +343,8 @@ def _tables(p, bad, time_key: str, sites: np.ndarray, sources, blame) -> None:
 def _cook(p, bad, time_key="t_grid"):
     """S and phi in the symbol's dimension, and the tables of c(t) within the cap."""
     _sparse_set(p, bad)
+    _weight(p, bad, "disorder.weight.gamma", getattr(p.get("disorder"), "weight_gamma", None))
+    _weight(p, bad, "weight_gamma", p.get("weight_gamma"))
     terms, dim, sparse = p.get("phi"), _dim(p), p["sparse_set"]
     if terms is not None and dim is not None:
         wrong = next((i for i, (site, _) in enumerate(terms) if len(site) != dim), None)
@@ -379,6 +392,8 @@ def _monte_carlo(p, bad):
         return {}
     _parse(check_assembly, volume.volume, "volume", bad)
     _sparse_set(p, bad, volume)
+    if not _weight(p, bad, "disorder.weight.gamma", getattr(model, "weight_gamma", None)):
+        p["disorder"] = None  # failed: the rules after this one take no couplings of it
     if query is not None and not volume.contains(query["source"]):
         bad.append(("query.source", "must lie inside the volume"))
     elif query is not None and dim is not None:
@@ -410,10 +425,7 @@ def _edge_scan(p, bad):
     if volume is not None:
         _parse(check_dense, volume.volume, "volume", bad)
     if None not in (volume, sparse, model, width):
-        try:
-            coupling = float(np.max(model.couplings(sparse), initial=0.0))
-        except OverflowError:  # a weight past the float range: no bin width is wide enough
-            coupling = float("inf")
+        coupling = float(np.max(model.couplings(sparse), initial=0.0))
         reach = s_norm(p["symbol"], 1.0) + coupling * max(map(abs, model.law.support()))
         _parse(lambda w: check_bins(2.0 * reach, w), width, "bin_width", bad)
 
@@ -451,6 +463,8 @@ def _decay_check(p, bad):
 
 def _theorem2(p, bad):
     _sparse_set(p, bad)
+    gamma, s = p.get("gamma"), p.get("s")
+    _weight(p, bad, "gamma", None if None in (gamma, s) else gamma * s)
     center, dim = p.get("center"), _dim(p)
     if center is not None and dim is not None and len(center) != dim:
         bad.append(("center", "dimension mismatch"))

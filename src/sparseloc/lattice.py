@@ -162,7 +162,16 @@ class SparseSet:
         power per distinct radius, so each entry is bitwise
         ``(1.0 + max_norm(site)) ** gamma``."""
         radii, inverse = np.unique(np.max(np.abs(self.coords), axis=1), return_inverse=True)
-        return np.array([(1.0 + r) ** gamma for r in radii.tolist()])[inverse]
+        return np.array([weight(r, gamma) for r in radii.tolist()])[inverse]
+
+
+def weight(radius: int, gamma: float) -> float:
+    """(1 + radius)^gamma; ValueError past the float range."""
+    try:
+        return (1.0 + radius) ** gamma
+    except OverflowError:
+        raise ValueError(f"the weight (1 + |n|)^{gamma:g} is past the float range "
+                         f"at |n| = {radius}") from None
 
 
 def sparse_set_from_sites(sites, alpha: float, dim: int, seed: int = 0) -> SparseSet:

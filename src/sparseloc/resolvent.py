@@ -32,7 +32,7 @@ from .lattice import Cube, SparseSet, Site
 from .operators import SymbolSpec, assemble_finite_volume, band_storage, is_tridiagonal, s_norm
 
 _RESIDUAL_TOL = 1e-10
-_CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block; quadrature nodes per block
+_CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block
 # the graded decoupling rule: geometric ratio, panels per half piece less one, nodes per panel
 _RULE_RATIO, _RULE_LEVELS, _RULE_NODES = 0.15, 8, 15
 # the decoupling search: radius in units of the law's scale, Re x Im grid points, zoom rounds
@@ -279,7 +279,8 @@ def fractional_moment_estimate(
 
 @dataclass(frozen=True)
 class DecouplingEstimate:
-    """Grid infimum of int |x-eta|^s |x-beta|^s dmu / int |x-beta|^s dmu.
+    """Grid infimum of int |x-eta|^s |x-beta|^s dmu / int |x-beta|^s dmu,
+    each round's ratios integrated on that round's one shared rule.
 
     kappa_hat over a finite grid is an upper estimate of the true
     constant, so derived thresholds are optimistic; the refinement
@@ -305,54 +306,40 @@ def _graded_unit_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _frac_integral(law, s: float, eta: np.ndarray, beta: np.ndarray | None) -> np.ndarray:
-    """int |x - eta|^s |x - beta|^s dmu(x) for each entry of the arrays
-    ``eta`` and ``beta``; int |x - eta|^s dmu(x) when ``beta`` is None.
-
-    One fixed composite Gauss-Legendre rule serves every integral: the
-    support is cut at the breakpoints (the support ends, Re eta and
-    Re beta clipped to the support, the law's mode), and each half of
-    each piece is graded geometrically toward its outer end, where the
-    |x - eta|^s kinks and the peak of the density sit.  Coincident
-    breakpoints leave pieces of length zero, so every integral has the
-    same 8 x 135 nodes and a batch is one array pass, taken in blocks of
-    at most ``_CHUNK_ENTRIES`` nodes.  Each integral's value does not
-    depend on the batch it comes in.
-
-    The integrand is one real power per node, q^(s/2) with q =
-    |x - eta|^2 |x - beta|^2 from real parts, in units of the power of two
-    2^k <= law.scale < 2^(k+1) (exact; the integral is scaled back), so q
-    neither overflows nor underflows at law scales from 1e-300 to 1e300.
+def _frac_integral(law, s: float, points) -> tuple[np.ndarray, np.ndarray]:
+    """(den, num) with den[i] = int |x - p_i|^s dmu and num[i, j] =
+    int |x - p_i|^s |x - p_j|^s dmu for the complex ``points``, all on one
+    composite Gauss-Legendre rule: the support is cut at its ends, the
+    law's mode and each Re p_i clipped to it (no cut twice, so no piece is
+    empty), and each half piece is graded toward its outer end, where the
+    |x - p|^s kinks and a narrow density peaks.  With W the weights times
+    the density and F[i, k] = |x_k - p_i|^s, one power per (point, node),
+    den = F W and num = A A^T with A = F sqrt(W): one symmetric rank-k
+    product, so num is exactly symmetric.  F is taken in units of the
+    power of two 2^k <= law.scale < 2^(k+1) and scaled back by 2^(ks) per
+    factor, so nothing overflows or underflows at law scales from 1e-300
+    to 1e300.
     """
-    two_factors = beta is not None
-    eta = np.asarray(eta, dtype=complex).reshape(-1)
-    beta = np.asarray(beta, dtype=complex).reshape(-1) if two_factors else eta
+    points = np.asarray(points, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(points)):  # a non-finite cut would spoil every node
+        bad = complex(points[np.argmin(np.isfinite(points))])
+        raise NumericalError(f"decoupling quadrature failed at point {bad}", point=bad)
     lo, hi = law.support()
-    unit = math.ldexp(1.0, 1 - math.frexp(law.scale)[1])  # 2^-k
-    back = unit ** -(2 * s if two_factors else s)  # 2^(ks) per factor
+    cuts = np.unique(np.concatenate([[lo, hi, law.mode], np.clip(points.real, lo, hi)]))
+    left, right = cuts[:-1, None], cuts[1:, None]
+    half = 0.5 * (right - left)
     u, v = _graded_unit_rule()
-    out = np.empty(eta.size)
-    step = max(1, _CHUNK_ENTRIES // (8 * u.size))  # 8 x 135 nodes per integral
-    for i in range(0, eta.size, step):
-        e, b = eta[i:i + step, None], beta[i:i + step, None]
-        fixed = np.broadcast_to([lo, hi, law.mode], (e.shape[0], 3))
-        cuts = np.sort(np.hstack([fixed, np.clip(e.real, lo, hi), np.clip(b.real, lo, hi)]), axis=1)
-        left, right = cuts[:, :-1, None], cuts[:, 1:, None]
-        half = 0.5 * (right - left)
-        x = np.concatenate([left + half * u, right - half * u], axis=2).reshape(e.shape[0], -1)
-        y, e, b = x * unit, e * unit, b * unit
-        q = (y - e.real) ** 2 + e.imag ** 2
-        if two_factors:
-            q *= (y - b.real) ** 2 + b.imag ** 2  # a product: swapping eta and beta is exact
-        f = q ** (0.5 * s)
-        f *= law.pdf(x)
-        w = np.concatenate([half * v, half * v], axis=2).reshape(e.shape[0], -1)
-        out[i:i + step] = np.sum(w * f, axis=1) * back
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmin(np.isfinite(out)))
-        raise NumericalError("decoupling quadrature failed", eta=complex(eta[bad]),
-                             beta=complex(beta[bad]) if two_factors else None)
-    return out
+    x = np.concatenate([left + half * u, right - half * u], axis=1).ravel()
+    w = np.concatenate([half * v, half * v], axis=1).ravel() * law.pdf(x)
+    unit = math.ldexp(1.0, 1 - math.frexp(law.scale)[1])  # 2^-k
+    p = points * unit
+    f = np.subtract.outer(p.real, x * unit)
+    f *= f
+    f += (p.imag ** 2)[:, None]
+    f **= 0.5 * s
+    den = (f @ w) * unit ** -s
+    f *= np.sqrt(w)
+    return den, (f @ f.T) * unit ** (-2.0 * s)
 
 
 def estimate_decoupling(law, s: float) -> DecouplingEstimate:
@@ -361,9 +348,11 @@ def estimate_decoupling(law, s: float) -> DecouplingEstimate:
 
     The grid covers Re in [-R, R], Im in [0, R] for both arguments, with
     R = _SEARCH_RADIUS x the law's scale (conjugation symmetry makes
-    negative imaginary parts redundant).
-    Each round (the coarse grid, then each zoom) integrates what it still
-    needs in two batched calls: the denominators, then the numerators.
+    negative imaginary parts redundant).  Each round (the coarse grid,
+    then each zoom) is one ``_frac_integral`` call on the round's distinct
+    points; its ratio table num[eta, beta] / den[beta] (inf where
+    den <= 0) is scanned eta outer, beta inner, and its first minimum
+    replaces the carried one when strictly below it.
     """
     if not (0.0 < s < 1.0):
         raise ValueError("s must lie in (0, 1)")
@@ -376,33 +365,14 @@ def estimate_decoupling(law, s: float) -> DecouplingEstimate:
         # zoom reaches from both eta0 and beta0 is then one complex number
         return complex(-radius + units[0] * step_re, units[1] * step_im)
 
-    # one integral per distinct key: denominators keyed on beta, numerators
-    # on {eta, beta} (symmetric: both orders give bitwise the same value)
-    integrals: dict = {}
-
-    def integrate(keys, etas, betas=None) -> None:
-        if keys:
-            values = _frac_integral(law, s, np.array(etas),
-                                    None if betas is None else np.array(betas))
-            integrals.update(zip(keys, values.tolist()))
-
     def search(etas, betas, best):
-        """Integrate what the round's pairs need, then scan them in order."""
-        pairs = [(point(e), point(b), e, b) for e in etas for b in betas]
-        dens = list(dict.fromkeys(b for _, b, _, _ in pairs if b not in integrals))
-        integrate(dens, dens)
-        nums = {}
-        for eta, beta, _, _ in pairs:
-            key = frozenset((eta, beta))
-            if integrals[beta] > 0 and key not in integrals:
-                nums.setdefault(key, (eta, beta))
-        integrate(nums, [e for e, _ in nums.values()], [b for _, b in nums.values()])
-        for eta, beta, e, b in pairs:
-            den = integrals[beta]
-            r = integrals[frozenset((eta, beta))] / den if den > 0 else math.inf
-            if r < best[0]:
-                best = (r, e, b)
-        return best
+        index = {p: i for i, p in enumerate(dict.fromkeys(map(point, etas + betas)))}
+        den, num = _frac_integral(law, s, np.array(list(index)))
+        e, b = [index[point(u)] for u in etas], [index[point(u)] for u in betas]
+        table = np.divide(num[np.ix_(e, b)], den[b], out=np.full((len(e), len(b)), np.inf),
+                          where=den[b] > 0)
+        i, j = np.unravel_index(np.argmin(table), table.shape)
+        return (float(table[i, j]), etas[i], betas[j]) if table[i, j] < best[0] else best
 
     coarse = [(float(a), float(b)) for a in range(_GRID_RE) for b in range(_GRID_IM)]
     kappa, eta0, beta0 = search(coarse, coarse, (math.inf, coarse[0], coarse[0]))
@@ -417,8 +387,7 @@ def estimate_decoupling(law, s: float) -> DecouplingEstimate:
                  for u in shifts for v in (-0.5, 0.0, 0.5)]
         kappa, eta0, beta0 = search(etas, betas, (kappa, eta0, beta0))
         zoom *= 0.5
-    d_eff = kappa / (1.0 - s) ** s
-    return DecouplingEstimate(float(kappa), float(d_eff), interior)
+    return DecouplingEstimate(kappa, kappa / (1.0 - s) ** s, interior)
 
 
 def k_s(spec: SymbolSpec, s: float, c: float) -> float:

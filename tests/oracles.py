@@ -5,9 +5,10 @@ shipped beside its fast path: the hopping list of a symbol as a separate
 kernel object built it, a Green row by one default sparse LU per row, the
 1D Green rows of a block of realizations by one banded solve per
 realization, propagator elements one offset at a time, an axis table by
-one full-period FFT, a decoupling integral with two complex moduli and
-two powers per node, a growing weight one site at a time, the IPR of one
-vector, and a Binomial inverse CDF by one scalar pmf walk per draw.
+one full-period FFT, the decoupling integrals of a shared rule with two
+complex moduli and two powers per node, a growing weight one site at a
+time, the IPR of one vector, and a Binomial inverse CDF by one scalar pmf
+walk per draw.
 """
 
 from __future__ import annotations
@@ -136,27 +137,25 @@ def fft_axis_factor_table(spec: SymbolSpec, axis: int, t: float, d_max: int) -> 
     return coeffs[np.mod(np.arange(-d_max, d_max + 1), n)]
 
 
-def two_power_frac_integral(law, s: float, eta, beta) -> np.ndarray:
-    """int |x - eta|^s |x - beta|^s dmu(x) per entry (one factor when
-    ``beta`` is None) on the package's composite rule, with the integrand
-    taken as |x - eta|^s times |x - beta|^s: two complex moduli and two
-    powers per node."""
-    two_factors = beta is not None
-    eta = np.asarray(eta, dtype=complex).reshape(-1, 1)
-    beta = np.asarray(beta, dtype=complex).reshape(-1, 1) if two_factors else eta
+def two_power_frac_integral(law, s: float, points) -> tuple[np.ndarray, np.ndarray]:
+    """(den, num) for the complex ``points`` on the package's shared rule
+    (the support cut at its ends, the mode and every Re p clipped to it):
+    den[i] = int |x - p_i|^s dmu(x) and num[i, j] = int |x - p_i|^s
+    |x - p_j|^s dmu(x), with the integrand taken as |x - p_i|^s times
+    |x - p_j|^s: two complex moduli and two powers per node, and one
+    weighted sum per integral."""
+    points = np.asarray(points, dtype=complex).reshape(-1)
     lo, hi = law.support()
     u, v = _graded_unit_rule()
-    fixed = np.broadcast_to([lo, hi, law.mode], (eta.shape[0], 3))
-    cuts = np.sort(np.hstack([fixed, np.clip(eta.real, lo, hi), np.clip(beta.real, lo, hi)]), axis=1)
-    left, right = cuts[:, :-1, None], cuts[:, 1:, None]
+    cuts = np.unique(np.concatenate([[lo, hi, law.mode], np.clip(points.real, lo, hi)]))
+    left, right = cuts[:-1, None], cuts[1:, None]
     half = 0.5 * (right - left)
-    x = np.concatenate([left + half * u, right - half * u], axis=2).reshape(eta.shape[0], -1)
-    f = np.abs(x - eta) ** s
-    if two_factors:
-        f *= np.abs(x - beta) ** s
-    f *= law.pdf(x)
-    w = np.concatenate([half * v, half * v], axis=2).reshape(eta.shape[0], -1)
-    return np.sum(w * f, axis=1)
+    x = np.concatenate([left + half * u, right - half * u], axis=1).ravel()
+    w = np.concatenate([half * v, half * v], axis=1).ravel() * law.pdf(x)
+    den = np.array([np.sum(w * np.abs(x - p) ** s) for p in points])
+    num = np.array([[np.sum(w * (np.abs(x - p) ** s * np.abs(x - q) ** s)) for q in points]
+                    for p in points])
+    return den, num
 
 
 def weight_value(gamma: float, site: Site) -> float:

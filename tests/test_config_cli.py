@@ -678,8 +678,8 @@ def test_cli_oversized_bernoulli_set_is_refused_without_building_it(tmp_path, ca
 
 @pytest.mark.parametrize("change, reason", [
     ({"bin_width": 1e-9}, "width 1e-09 cuts the energy span 17.8564 into 1.786e+10 bins"),
-    # a weight (1 + |n|)^200 past the float range leaves no bin width wide enough
-    ({"disorder": {"law": "uniform", "params": [-1.0, 1.0], "weight": {"gamma": 200.0}}},
+    # a coupling so strong that the Gershgorin span overflows: no bin width is wide enough
+    ({"disorder": {"law": "uniform", "params": [-1.0, 1.0], "lambda": 1e308}},
      "width 0.1 cuts the energy span inf into inf bins"),
 ])
 def test_cli_edge_scan_bin_grid_over_the_cap_is_a_config_error(tmp_path, capsys, change,
@@ -1090,3 +1090,59 @@ def test_unknown_or_unhashable_law_is_a_config_error(law):
         validate_config(raw)
     assert err.value.violations == [
         ("disorder.law", "must be one of uniform, gaussian, truncated_cauchy")]
+
+
+def _weighted_moments_raw(gamma):
+    # 1D, a full_cube set of half-side 300: its farthest weight is 301^gamma
+    return _moments_raw(volume={"center": [0], "half_side": 300},
+                        disorder={"law": "uniform", "params": [-1.0, 1.0], "lambda": 20.0,
+                                  "weight": {"gamma": gamma}})
+
+
+def test_cli_weight_past_the_float_range_exits_two_naming_the_weight(tmp_path, capsys):
+    path = _write_config(tmp_path, _weighted_moments_raw(200.0))
+    code = main(["moments", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config rejected:" in err
+    assert ("disorder.weight.gamma: the weight (1 + |n|)^200 is past the float range "
+            "at |n| = 300") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_takes_a_weight_just_under_the_float_range():
+    # 301^124.368 = 1.796e308 is a float; 301^124.3682 is not
+    assert validate_config(_weighted_moments_raw(124.368)).objects["disorder"].weight_gamma == 124.368
+    with pytest.raises(ConfigError) as err:
+        validate_config(_weighted_moments_raw(124.3682))
+    assert [f for f, _ in err.value.violations] == ["disorder.weight.gamma"]
+
+
+def _heavy_weight_configs():
+    """(config, field): every kind that takes a weight of its set, each past the float range."""
+    cook = _cook_raw([[0], [3]], [1.0])
+    cook["disorder"]["weight"] = {"gamma": 600.0}  # 4^600
+    theorem2 = _theorem2_raw({"generator": "explicit_list", "alpha": 0.5, "sites": [[5]]})
+    theorem2["gamma"] = 1000.0  # 6^(gamma s) = 6^500
+    heavy = {"law": "uniform", "params": [-1.0, 1.0], "weight": {"gamma": 200.0}}
+    return [
+        (_weighted_moments_raw(200.0) | {"kind": "decay_fit", "kappa_hat": 0.61},
+         "disorder.weight.gamma"),
+        (_weighted_moments_raw(200.0) | {"kind": "simon_wolff", "eps_ladder": [0.1, 0.01]},
+         "disorder.weight.gamma"),
+        (edge_scan_config(half_side=50) | {"disorder": heavy}, "disorder.weight.gamma"),
+        (cook, "disorder.weight.gamma"),
+        (sparseness_config(True) | {"weight_gamma": 1000.0}, "weight_gamma"),
+        (theorem2, "gamma"),
+    ]
+
+
+@pytest.mark.parametrize("raw, field", _heavy_weight_configs(),
+                         ids=["decay_fit", "simon_wolff", "edge_scan", "cook", "sparseness",
+                              "theorem2_cube"])
+def test_validate_rejects_a_weight_past_the_float_range_in_every_kind(raw, field):
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    [(got, reason)] = err.value.violations
+    assert got == field and "is past the float range" in reason

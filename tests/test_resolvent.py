@@ -814,13 +814,13 @@ def test_splu_path_non_finite_solve_raises_tagged_numerical_error(monkeypatch, k
     assert math.isnan(info.value.diagnostics["residual"])
 
 
-# --- the batched decoupling rule against quad --------------------------------
+# --- the shared decoupling rule against quad ----------------------------------
 
 
 def _quad_frac_integral(law, s, eta, beta):
     """Reference for one decoupling integral: adaptive QUADPACK, with Re eta,
     Re beta and the mode as breakpoints and a tolerance far below the 1e-8
-    the batched rule is held to."""
+    the shared rule is held to."""
     lo, hi = law.support()
 
     def f(x):
@@ -834,10 +834,15 @@ def _quad_frac_integral(law, s, eta, beta):
         return quad(f, lo, hi, points=points or None, epsabs=0.0, epsrel=1e-11, limit=500)[0]
 
 
-def _quad_batch(law, s, eta, beta):
-    """``_frac_integral`` driven by the quad reference, integral by integral."""
-    betas = [None] * eta.size if beta is None else beta.tolist()
-    return np.array([_quad_frac_integral(law, s, e, b) for e, b in zip(eta.tolist(), betas)])
+def _quad_batch(law, s, points):
+    """``_frac_integral`` driven by the quad reference: (den, num), integral
+    by integral, num[i, j] = num[j, i] from one quad call per pair i <= j."""
+    points = points.tolist()
+    den = np.array([_quad_frac_integral(law, s, p, None) for p in points])
+    num = np.empty((len(points), len(points)))
+    for i, j in itertools.combinations_with_replacement(range(len(points)), 2):
+        num[i, j] = num[j, i] = _quad_frac_integral(law, s, points[i], points[j])
+    return den, num
 
 
 _RULE_LAWS = {
@@ -864,73 +869,67 @@ def _rule_points(law):
 def test_frac_integral_matches_quad(name, s):
     law = _RULE_LAWS[name]
     points = _rule_points(law)
-    pairs = list(itertools.combinations_with_replacement(points, 2))  # coincident included
-    eta = np.array([e for e, _ in pairs])
-    beta = np.array([b for _, b in pairs])
-    numerators = resolvent._frac_integral(law, s, eta, beta)
-    denominators = resolvent._frac_integral(law, s, np.array(points), None)
-    for (e, b), got in zip(pairs, numerators):
-        assert got == pytest.approx(_quad_frac_integral(law, s, e, b), rel=1e-8, abs=0.0)
-    for e, got in zip(points, denominators):
+    den, num = resolvent._frac_integral(law, s, np.array(points))
+    for i, j in itertools.combinations_with_replacement(range(len(points)), 2):  # coincident too
+        want = _quad_frac_integral(law, s, points[i], points[j])
+        assert num[i, j] == pytest.approx(want, rel=1e-8, abs=0.0)
+    for e, got in zip(points, den):
         assert got == pytest.approx(_quad_frac_integral(law, s, e, None), rel=1e-8, abs=0.0)
 
 
-def test_frac_integral_does_not_depend_on_batch_or_block(monkeypatch):
-    law = GaussianLaw(0.0, 1.0)
-    points = np.array(_rule_points(law))
-    eta, beta = np.repeat(points, points.size), np.tile(points, points.size)
-    whole = resolvent._frac_integral(law, 0.5, eta, beta)
-    single = [resolvent._frac_integral(law, 0.5, eta[i:i + 1], beta[i:i + 1])[0]
-              for i in range(eta.size)]
-    swapped = resolvent._frac_integral(law, 0.5, beta, eta)
-    monkeypatch.setattr(resolvent, "_CHUNK_ENTRIES", 3000)  # blocks of 2 integrals
-    blocked = resolvent._frac_integral(law, 0.5, eta, beta)
-    assert whole.tobytes() == np.array(single).tobytes() == swapped.tobytes() == blocked.tobytes()
+@pytest.mark.parametrize("name", sorted(_RULE_LAWS))
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_frac_integral_numerators_are_bitwise_symmetric(name, s):
+    """num[i, j] and num[j, i] are one integral: the symmetric rank-k product
+    gives them the same bits."""
+    law = _RULE_LAWS[name]
+    _, num = resolvent._frac_integral(law, s, np.array(_rule_points(law)))
+    assert num.tobytes() == np.ascontiguousarray(num.T).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_RULE_LAWS))
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 def test_frac_integral_matches_two_power_form(name, s):
-    """One power of the squared moduli against |x - eta|^s |x - beta|^s on
-    the same nodes; swapping eta and beta gives the same bits."""
+    """One power per (point, node) of the squared modulus, then a weighted
+    product, against |x - eta|^s |x - beta|^s summed integral by integral
+    on the same shared rule."""
     law = _RULE_LAWS[name]
     points = np.array(_rule_points(law))
-    eta, beta = np.repeat(points, points.size), np.tile(points, points.size)
-    got = resolvent._frac_integral(law, s, eta, beta)
-    np.testing.assert_allclose(got, two_power_frac_integral(law, s, eta, beta), rtol=1e-14, atol=0)
-    assert resolvent._frac_integral(law, s, beta, eta).tobytes() == got.tobytes()
-    np.testing.assert_allclose(resolvent._frac_integral(law, s, points, None),
-                               two_power_frac_integral(law, s, points, None), rtol=1e-14, atol=0)
+    den, num = resolvent._frac_integral(law, s, points)
+    want_den, want_num = two_power_frac_integral(law, s, points)
+    np.testing.assert_allclose(num, want_num, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(den, want_den, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e100, 1e300])
 def test_frac_integral_finite_at_extreme_law_scales(scale):
     """Validation admits any finite law parameters.  The squared moduli are
-    taken in units of a power of two near the law's scale, so their
-    product neither overflows nor underflows at the widest support the
+    taken in units of a power of two near the law's scale, so their powers
+    and products neither overflow nor underflow at the widest support the
     two-power form integrates (1e300) or at the narrowest; both forms
     agree there as at scale 1."""
     for law in (UniformLaw(-scale, scale), GaussianLaw(0.0, scale), TruncatedCauchyLaw(scale, scale)):
         radius = 10.0 * law.scale  # the search radius of estimate_decoupling
         points = np.array([complex(-radius, radius), complex(0.3 * scale, 0.0),
                            complex(radius, 0.01 * radius)])
-        eta, beta = np.repeat(points, points.size), np.tile(points, points.size)
-        got = resolvent._frac_integral(law, 0.3, eta, beta)
-        assert np.all(np.isfinite(got)) and np.all(got > 0)
-        np.testing.assert_allclose(got, two_power_frac_integral(law, 0.3, eta, beta),
-                                   rtol=1e-14, atol=0)
-        den = resolvent._frac_integral(law, 0.3, points, None)
-        assert np.all(np.isfinite(den)) and np.all(den > 0)
+        den, num = resolvent._frac_integral(law, 0.3, points)
+        for got in (den, num):
+            assert np.all(np.isfinite(got)) and np.all(got > 0)
+        want_den, want_num = two_power_frac_integral(law, 0.3, points)
+        np.testing.assert_allclose(num, want_num, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(den, want_den, rtol=1e-14, atol=0)
 
 
 def test_frac_integral_non_finite_raises():
-    with pytest.raises(NumericalError, match="decoupling quadrature failed"):
-        resolvent._frac_integral(UniformLaw(-1.0, 1.0), 0.5, np.array([complex(np.nan, 0.0)]), None)
+    points = np.array([0.5, complex(np.nan, 0.0), 0.25])
+    with pytest.raises(NumericalError, match=r"decoupling quadrature failed at point \(nan") as info:
+        resolvent._frac_integral(UniformLaw(-1.0, 1.0), 0.5, points)
+    assert np.isnan(info.value.diagnostics["point"].real)
 
 
 # Quad-driven searches (estimate_decoupling with _frac_integral replaced by
 # _quad_batch, default grid): kappa_hat per (law, s).  The uniform s = 0.5
-# entry is recomputed below; the others take 2-7 s each.
+# entry is recomputed below; the others take several seconds each.
 _QUAD_SEARCHES = {
     ("uniform", 0.3): 0.7451367382936345,
     ("uniform", 0.5): 0.6105876095901545,
@@ -952,49 +951,50 @@ def test_decoupling_search_matches_quad_driven_search(case):
 
 
 def test_decoupling_quad_driven_search_reproduces_pinned_entry(monkeypatch):
-    monkeypatch.setattr(resolvent, "_frac_integral", _quad_batch)
+    calls = []
+
+    def quad_rounds(law, s, points):
+        calls.append(points.size)
+        return _quad_batch(law, s, points)
+
+    monkeypatch.setattr(resolvent, "_frac_integral", quad_rounds)
     dec = estimate_decoupling(_RULE_LAWS["uniform"], 0.5)
+    assert len(calls) == 1 + resolvent._ZOOMS  # every round's integrals came from quad
     assert dec.kappa_hat == pytest.approx(_QUAD_SEARCHES[("uniform", 0.5)], rel=1e-12, abs=0.0)
 
 
-# --- one integral per distinct decoupling key ----------------------------------
+# --- the round's ratio table against a pair-by-pair search ------------------
 
 
 def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
-    """Grid + zoom search that integrates every (eta, beta) numerator and
-    every denominator afresh, one integral per call.  Points are (Re, Im)
-    grid units, as in estimate_decoupling.  Returns the estimate's fields
-    and the keys of every integral it needed (beta for a denominator,
-    {eta, beta} for a numerator)."""
+    """Grid + zoom search that integrates every (eta, beta) pair of a round
+    afresh, one ``_frac_integral`` call per pair on the round's shared rule
+    (all of the round's distinct points), and scans the pairs one at a time,
+    eta outer, beta inner.  Points are (Re, Im) grid units, as in
+    estimate_decoupling.  Returns the estimate's fields and each round's
+    points."""
     radius = 10.0 * law.scale
     step_re = 2.0 * radius / (n_real - 1)
     step_im = radius / (n_imag - 1)
-    needed = set()
+    rounds = []
 
     def point(units):
         return complex(-radius + units[0] * step_re, units[1] * step_im)
 
-    def integral(eta, beta):
-        return resolvent._frac_integral(
-            law, s, np.array([eta]), None if beta is None else np.array([beta]))[0]
-
-    def ratio(eta_units, beta_units):
-        eta, beta = point(eta_units), point(beta_units)
-        needed.add(beta)
-        den = integral(beta, None)
-        if den <= 0:
-            return math.inf
-        needed.add(frozenset((eta, beta)))
-        return integral(eta, beta) / den
+    def scan(etas, betas, best):
+        points = list(dict.fromkeys(point(u) for u in etas + betas))
+        rounds.append(points)
+        for eta in etas:
+            for beta in betas:
+                i, j = points.index(point(eta)), points.index(point(beta))
+                den, num = resolvent._frac_integral(law, s, np.array(points))
+                r = num[i, j] / den[j] if den[j] > 0 else math.inf
+                if r < best[0]:
+                    best = (r, eta, beta)
+        return best
 
     coarse = [(float(a), float(b)) for a in range(n_real) for b in range(n_imag)]
-    best = (math.inf, coarse[0], coarse[0])
-    for eta in coarse:
-        for beta in coarse:
-            r = ratio(eta, beta)
-            if r < best[0]:
-                best = (r, eta, beta)
-    kappa, eta0, beta0 = best
+    kappa, eta0, beta0 = scan(coarse, coarse, (math.inf, coarse[0], coarse[0]))
     interior = all(abs(abs(point(p).real) - radius) > 1e-12
                    and abs(point(p).imag - radius) > 1e-12 for p in (eta0, beta0))
     shifts = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
@@ -1004,12 +1004,8 @@ def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
                 for u in shifts for v in (-0.5, 0.0, 0.5)]
         betas = [(beta0[0] + u * zoom, max(0.0, beta0[1] + v * zoom))
                  for u in shifts for v in (-0.5, 0.0, 0.5)]
-        for eta in etas:
-            for beta in betas:
-                r = ratio(eta, beta)
-                if r < kappa:
-                    kappa, eta0, beta0 = r, eta, beta
-    return (float(kappa), float(kappa / (1.0 - s) ** s), interior), needed
+        kappa, eta0, beta0 = scan(etas, betas, (kappa, eta0, beta0))
+    return (float(kappa), float(kappa / (1.0 - s) ** s), interior), rounds
 
 
 @pytest.mark.parametrize(
@@ -1022,25 +1018,24 @@ def _decoupling_reference(law, s, n_real=9, n_imag=4, refine_rounds=5):
     ],
 )
 def test_decoupling_reuse_matches_brute_force(monkeypatch, law, s, grid):
-    want, needed = _decoupling_reference(law, s, *grid)
+    """The search reuses one table per round for all of its pairs: the same
+    bits as integrating every pair afresh, from one call per round on the
+    round's points."""
+    want, rounds = _decoupling_reference(law, s, *grid)
 
     original = resolvent._frac_integral
-    keys = []
     calls = []
 
-    def spy(law_, s_, eta, beta):
-        calls.append(eta.size)
-        betas = [None] * eta.size if beta is None else beta.tolist()
-        keys.extend(e if b is None else frozenset((e, b)) for e, b in zip(eta.tolist(), betas))
-        return original(law_, s_, eta, beta)
+    def spy(law_, s_, points):
+        calls.append(points.tolist())
+        return original(law_, s_, points)
 
     monkeypatch.setattr(resolvent, "_frac_integral", spy)
     _search_grid(monkeypatch, *grid)
     dec = estimate_decoupling(law, s)
     assert (dec.kappa_hat, dec.d_eff, dec.interior) == want
-    assert len(keys) == len(set(keys))  # one integral per distinct key
-    assert set(keys) == needed
-    assert len(calls) <= 2 * (1 + grid[2])  # denominators, numerators: per round
+    assert calls == rounds  # one call per round, on the round's distinct points
+    assert len(calls) == 1 + grid[2]
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
