@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -27,10 +28,9 @@ _TAG_SHELL_COUNT = 101
 _TAG_SHELL_PLACE = 102
 _TAG_SITE_BERNOULLI = 103
 
-_CHUNK_ENTRIES = 1 << 17  # (shell, attempt, axis) draws per placement chunk
 ENUMERATION_CAP = 2_000_000  # sites of a full_cube set
 THINNING_SITE_CAP = 100_000  # |cube|^alpha of a bernoulli_thinned set
-THINNING_WORK_CAP = 10_000_000  # its half-side x (|cube|^alpha + 200)
+THINNING_WORK_CAP = 10_000_000  # its half-side x (|cube|^alpha + 200): the plan's walk
 
 
 def max_norm(site: Site, center: Site | None = None) -> int:
@@ -285,71 +285,56 @@ def _thinning_plan(dim: int, half_side: int, alpha: float) -> _ThinningPlan:
     return plan
 
 
-def _place_on_shells(radii, ks, seed: int, dim: int) -> list[np.ndarray]:
-    """Per shell, the offsets of the first ``k`` distinct shell sites hit by
-    uniform draws from its enclosing cube, in attempt order; fewer when its
-    512(k+4) attempts hit fewer.  A shell first draws 1.25 k / f + 16
-    attempts, f its exact hit fraction, and doubles its attempts while it
-    is short; no call draws more than ``_CHUNK_ENTRIES`` entries (one
-    attempt, if that has more).  Draws are keyed on (radius, attempt,
-    axis), so no chunking changes a draw, and one sort keyed on (shell,
-    site) finds the first hits of every shell."""
-    radii = np.asarray(radii, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
-    limits = 512 * (ks + 4)
-    target = np.minimum([math.ceil(1.25 * k / (1.0 - ((2 * r - 1) / (2 * r + 1)) ** dim)) + 16
-                         for r, k in zip(radii.tolist(), ks.tolist())], limits)
-    drawn = np.zeros(len(radii), dtype=np.int64)
-    side = 2 * int(radii.max(initial=0)) + 1
-    fits = len(radii) * side ** dim < 2 ** 63  # key: shell, then index in the largest cube
-    axes = np.arange(dim, dtype=np.int64)
-    per_call = max(1, _CHUNK_ENTRIES // dim)  # attempts
-    shell = np.zeros(0, dtype=np.int64)  # the distinct hits so far, by shell, then attempt
-    offs = np.zeros((0, dim), dtype=np.int64)
-    active = np.arange(len(radii))
-    while len(active):
-        # this round: each active shell's window, at most per_call attempts, first shells first
-        ends = np.minimum(np.cumsum(target[active] - drawn[active]), per_call)
-        take = ends - np.concatenate(([0], ends[:-1]))
-        which = np.repeat(active, take)
-        attempts = drawn[which] + np.arange(len(which)) - np.repeat(ends - take, take)
-        r = radii[which, None]
-        u = key_uniforms(seed, _TAG_SHELL_PLACE, (r, attempts[:, None], axes))
-        new = np.floor(u * (2 * r + 1)).astype(np.int64) - r
-        size = np.abs(new[:, 0])  # max-norm, one axis at a time: faster than a max over axis 1
-        for j in range(1, dim):
-            size = np.maximum(size, np.abs(new[:, j]))
-        hit = size == r[:, 0]
-        shell = np.concatenate((shell, which[hit]))
-        offs = np.concatenate((offs, new[hit]))
-        if fits:
-            key = shell * side ** dim + (offs + side // 2) @ side ** np.arange(dim - 1, -1, -1)
-            _, first = np.unique(key, return_index=True)
-        else:  # that key overflows int64: compare whole (shell, site) rows
-            _, first = np.unique(np.column_stack((shell, offs)), axis=0, return_index=True)
-        first = first[np.lexsort((first, shell[first]))]
-        shell, offs = shell[first], offs[first]
-        drawn[active] += take
-        found = np.bincount(shell, minlength=len(radii))
-        active = active[(found[active] < ks[active]) & (drawn[active] < limits[active])]
-        grow = active[drawn[active] == target[active]]
-        target[grow] = np.minimum(2 * target[grow], limits[grow])
-    found = np.bincount(shell, minlength=len(radii))
-    offs = offs[np.arange(len(shell)) - (np.cumsum(found) - found)[shell] < ks[shell]]
-    ends = np.cumsum(np.minimum(found, ks)).tolist()
-    return [offs[a:b] for a, b in zip([0] + ends, ends)]
+def _shell_sites(radius: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
+    """The offsets of shell sites, row by row: site ``index`` of the shell of
+    max-norm ``radius``, 0 <= index < _shell_size(radius, dim).  The shell is
+    split by the first axis i with |x_i| = r: the axes before i lie in
+    [-(r-1), r-1], x_i = +-r, the axes after i in [-r, r]; blocks follow i,
+    and each block is in lexicographic order, a mixed-radix code."""
+    r = np.asarray(radius, dtype=np.int64)
+    rest = np.asarray(index, dtype=np.int64)
+    inner, outer = 2 * r - 1, 2 * r + 1
+    axis = np.zeros(len(rest), dtype=np.int64)
+    for i in range(dim - 1):  # find each row's block, i
+        block = 2 * inner ** i * outer ** (dim - 1 - i)
+        past = (axis == i) & (rest >= block)
+        rest = rest - past * block
+        axis += past
+    out = np.empty((len(rest), dim), dtype=np.int64)
+    for i in range(dim - 1, -1, -1):  # digits from the last axis on
+        on = axis == i
+        rest, digit = np.divmod(rest, np.where(axis < i, outer, np.where(on, 2, inner)))
+        out[:, i] = np.where(on, (2 * digit - 1) * r, digit - r + (axis > i))
+    return out
+
+
+def _distinct_indices(seed: int, radii: list[int], sizes: list[int],
+                      ks: list[int]) -> np.ndarray:
+    """Per shell, k distinct indices of [0, n) by Floyd's algorithm, all
+    shells' draws in one call: draw j = n - k .. n - 1, keyed on (radius, j),
+    picks t = floor(u (j + 1)) and keeps j if t is taken, else t.  Exact
+    while n <= 2^53."""
+    j = np.concatenate([np.arange(n - k, n, dtype=np.int64) for n, k in zip(sizes, ks)])
+    u = key_uniforms(seed, _TAG_SHELL_PLACE, (np.repeat(radii, ks), j))
+    draws = zip(j.tolist(), np.minimum(np.floor(u * (j + 1)), j).astype(np.int64).tolist())
+    out: list[int] = []
+    for k in ks:
+        taken: set[int] = set()
+        for jj, t in islice(draws, k):
+            taken.add(jj if t in taken else t)
+        out.extend(taken)
+    return np.array(out, dtype=np.int64)
 
 
 def _bernoulli_thinned(cube: Cube, alpha: float, seed: int) -> np.ndarray:
     """Shell by shell from the center out: each site of a shell with at most
     1024 sites is kept with probability p; a larger shell draws its count
-    from Binomial(shell size, p) and places that many sites uniformly on it.
-    Every shell is then hard-capped to the running cap.  The small shells
-    form a ball around the center, drawn in one call with the radius as
-    each row's counter and cut by one rank mask.  The large shells' counts
-    are set on the assumption that each finds its sites, and all are placed
-    in one batch; from the first shell that comes up short, counts and
-    places are redone.  Returns the sites other than the center."""
+    from Binomial(shell size, p), cut to the cap left, and takes that many
+    distinct sites of the shell uniformly (``_distinct_indices`` through
+    ``_shell_sites``).  Every shell is hard-capped to the running cap.  The
+    small shells form a ball around the center, drawn in one call with the
+    radius as each row's counter and cut by one rank mask.  Returns the
+    sites other than the center."""
     plan = _thinning_plan(cube.dim, cube.half_side, alpha)
     center = np.asarray(cube.center, dtype=np.int64)
     kept = np.flatnonzero(key_uniforms(seed, _TAG_SITE_BERNOULLI,
@@ -363,40 +348,31 @@ def _bernoulli_thinned(cube: Cube, alpha: float, seed: int) -> np.ndarray:
     radius = plan.radius[kept]
     rank = np.arange(len(kept)) - before[radius]  # of each kept site within its shell
     offsets = [plan.ball[kept[rank < np.array(take)[radius]]]]
-    large, binomial = plan.large.tolist(), []
-    if large:
+    if len(plan.large):
         binomial = plan.binomial_counts(key_uniforms(seed, _TAG_SHELL_COUNT, (plan.large, 0)))
-    placed = {}  # (r, k) -> offsets, kept across redos
-    first = 0
-    while first < len(large):
-        todo, planned = [], count
-        for r, n in zip(large[first:], binomial[first:]):
-            k = min(n, plan.caps[r] - planned)
+        radii, sizes, ks = [], [], []
+        for r, n in zip(plan.large.tolist(), binomial):
+            k = min(n, plan.caps[r] - count)
             if k > 0:
-                todo.append((r, k))
-                planned += k
-        new = [rk for rk in todo if rk not in placed]
-        if new:
-            radii, ks = zip(*new)
-            placed.update(zip(new, _place_on_shells(radii, ks, seed, cube.dim)))
-        for r, k in todo:
-            offsets.append(placed[r, k])
-            count += len(offsets[-1])
-            if len(offsets[-1]) < k:  # short: recount the shells after it
-                first = r + 1 - large[0]
-                break
-        else:
-            break
+                radii.append(r)
+                sizes.append(_shell_size(r, cube.dim))
+                ks.append(k)
+                count += k
+        if ks:
+            index = _distinct_indices(seed, radii, sizes, ks)
+            offsets.append(_shell_sites(np.repeat(radii, ks), index, cube.dim))
     return center + np.concatenate(offsets)
 
 
 def check_set_size(cube: Cube, alpha: float, generator: str) -> None:
     """ValueError when a set is too large to build.  A full_cube set is its
     whole cube: at most ``ENUMERATION_CAP`` sites.  A bernoulli_thinned set
-    holds at most |cube|^alpha sites (``THINNING_SITE_CAP``); its generator
-    walks the later shells again each time a shell comes up short, so
-    half-side x (|cube|^alpha + 200) bounds its work (``THINNING_WORK_CAP``).
-    |cube|^alpha is taken through logs, which no cube overflows."""
+    holds at most |cube|^alpha sites (``THINNING_SITE_CAP``); its plan walks
+    every radius and keeps a Binomial CDF row per large shell (in 1D a ball
+    that is the whole cube), so half-side x (|cube|^alpha + 200) bounds its
+    work (``THINNING_WORK_CAP``); and its cube holds at most 2^53 sites, so
+    every shell index is exact in float64 and int64.  |cube|^alpha is taken
+    through logs, which no cube overflows."""
     if generator == "full_cube" and cube.volume > ENUMERATION_CAP:
         raise ValueError(f"refusing to enumerate {cube.volume} sites (cap {ENUMERATION_CAP})")
     if generator != "bernoulli_thinned":
@@ -408,6 +384,9 @@ def check_set_size(cube: Cube, alpha: float, generator: str) -> None:
     if cube.half_side * (sites + 200.0) > THINNING_WORK_CAP:
         raise ValueError(f"{what} takes {cube.half_side * (sites + 200.0):.4g} generation steps "
                          f"(half-side x (sites + 200)), over the cap {THINNING_WORK_CAP}")
+    if cube.volume > 2 ** 53:
+        raise ValueError(f"{what} spans {cube.side}^{cube.dim} sites, over 2^53, "
+                         "past which its shell indices are not exact")
 
 
 def generate_sparse_set(alpha: float, cube: Cube, generator: str, seed: int) -> SparseSet:

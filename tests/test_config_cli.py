@@ -656,10 +656,14 @@ def _oversized_bernoulli_configs():
                            volume={"center": [0, 0, 0], "half_side": 20_000},
                            sparse_set={"generator": "bernoulli_thinned", "alpha": 0.5})
     moments["query"]["source"] = [0, 0, 0]
-    return [cook, moments]
+    # a 5D cube of 1553^5 sites, past 2^53: its shell indices would not be exact
+    wide = {**cook, "symbol": {"delta": 5}, "phi": [{"site": [0] * 5, "re": 1.0}],
+            "sparse_set": {"generator": "bernoulli_thinned", "alpha": 0.05, "half_side": 776,
+                           "center": [0] * 5}}
+    return [cook, moments, wide]
 
 
-@pytest.mark.parametrize("raw", _oversized_bernoulli_configs(), ids=["cook", "moments"])
+@pytest.mark.parametrize("raw", _oversized_bernoulli_configs(), ids=["cook", "moments", "5d"])
 def test_cli_oversized_bernoulli_set_is_refused_without_building_it(tmp_path, capsys,
                                                                     monkeypatch, raw):
     def build(*args):

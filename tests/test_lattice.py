@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sparseloc import lattice
 from sparseloc._rng import key_uniforms
 from sparseloc.config import validate_config
 from sparseloc.lattice import (
-    _CHUNK_ENTRIES,
     _TAG_SHELL_COUNT,
     _TAG_SHELL_PLACE,
     _TAG_SITE_BERNOULLI,
@@ -20,8 +20,9 @@ from sparseloc.lattice import (
     SparseSet,
     _axis_shell_sites,
     _binomial_cdf,
-    _place_on_shells,
+    _distinct_indices,
     _shell_radii,
+    _shell_sites,
     _shell_size,
     _thinning_plan,
     cap_for,
@@ -230,20 +231,45 @@ def _ref_shell(center, r):
     return [s for s in _product_sites(Cube(center, r)) if max_norm(s, center) > r - 1]
 
 
-def _ref_place(center, r, k, seed, dim):
+def _shell_axes(r, dim):
+    """Per block i of the shell (|x_i| = r first at axis i), its axis values:
+    [-(r-1), r-1] before i, -r and r at i, [-r, r] after i."""
+    return [[range(1 - r, r)] * i + [(-r, r)] + [range(-r, r + 1)] * (dim - 1 - i)
+            for i in range(dim)]
+
+
+def _ref_shell_order(r, dim):
+    """The shell's offsets in the documented order, listed block by block."""
+    return [s for axes in _shell_axes(r, dim) for s in itertools.product(*axes)]
+
+
+def _ref_shell_site(r, dim, x):
+    """Offset ``x`` of ``_ref_shell_order`` without listing the shell: the
+    block that holds x, then its entry of the block's axis lists, so that
+    shells of 10^8 sites are within reach."""
+    for axes in _shell_axes(r, dim):
+        size = math.prod(map(len, axes))
+        if x < size:
+            return tuple(axis[(x // math.prod(map(len, axes[a + 1:]))) % len(axis)]
+                         for a, axis in enumerate(axes))
+        x -= size
+    raise IndexError(x)
+
+
+def _ref_floyd(seed, r, n, k):
+    """Floyd's k distinct indices of [0, n), one key_uniforms call per draw."""
     chosen = set()
-    attempt = 0
-    side = 2 * r + 1
-    while len(chosen) < k and attempt < 512 * (k + 4):
-        keys = np.array([[attempt + i, j] for i in range(256) for j in range(dim)], dtype=np.int64)
-        u = key_uniforms(seed, _TAG_SHELL_PLACE, (r, *keys.T)).reshape(256, dim)
-        for row in np.floor(u * side).astype(np.int64) - r:
-            if len(chosen) >= k:
-                break
-            if np.max(np.abs(row)) == r:
-                chosen.add(tuple(int(c) + cc for c, cc in zip(row, center)))
-        attempt += 256
-    return sorted(chosen)
+    for j in range(n - k, n):
+        u = float(key_uniforms(seed, _TAG_SHELL_PLACE, (r, j))[0])
+        t = min(math.floor(u * (j + 1)), j)
+        chosen.add(j if t in chosen else t)
+    return chosen
+
+
+def _ref_place(center, r, k, seed, dim):
+    n = _shell_size(r, dim)
+    return sorted(tuple(c + x for c, x in zip(center, _ref_shell_site(r, dim, i)))
+                  for i in _ref_floyd(seed, r, n, k))
 
 
 def _ref_generate(alpha, cube, generator, seed):
@@ -394,52 +420,25 @@ def test_plan_counts_equal_capped_scalar_inverse_cdf(dim, half, alpha):
 
 
 def _assert_placement(center, radii, ks, seed):
-    got = _place_on_shells(radii, ks, seed, len(center))
-    assert len(got) == len(radii)
-    for r, k, offs in zip(radii, ks, got):
-        want = _ref_place(center, r, k, seed, len(center))
-        assert len(offs) == len(want)
-        assert sorted(map(tuple, (offs + np.asarray(center)).tolist())) == want
+    # one batch for every shell, as the generator places them
+    dim = len(center)
+    index = _distinct_indices(seed, radii, [_shell_size(r, dim) for r in radii], ks)
+    sites = _shell_sites(np.repeat(radii, ks), index, dim) + np.asarray(center, dtype=np.int64)
+    ends = np.cumsum(ks).tolist()
+    for r, k, a, b in zip(radii, ks, [0] + ends, ends):
+        assert sorted(map(tuple, sites[a:b].tolist())) == _ref_place(center, r, k, seed, dim)
 
 
-@pytest.mark.parametrize("center,r,k,seed", [
-    ((0, 0, 0), 5, 300, 4),      # more hits needed than 256 attempts can give (k at 826)
-    ((2, -1, 7), 5, 170, 11),    # k reached at attempt 408
-    ((0,), 3, 5, 1),             # two shell sites: k never reached, attempt limit
-    ((4, 4), 1, 20, 2),          # eight shell sites, k never reached
-    ((4, 4), 1, 8, 9),           # every shell site, after many duplicate draws
-    ((0,) * 5, 2, 40, 6),        # k reached at attempt 43, in the first chunk
-    ((1,) * 40, 1, 5, 3),        # 3**40 sites: the cube index overflows int64
-    ((0,), 3000, 2, 12),         # both shell sites, the second at attempt 2587
-    ((0,), 3000, 2, 43),         # one site hit at attempt 3063, just inside the
-                                 # limit of 3072, the other only at 3921
-    ((0,), 3000, 2, 29),         # one site at 2954, the other at 3531, past the limit
-], ids=["beyond-256", "second-chunk", "limit-1d", "limit-2d", "duplicates", "first-chunk",
-        "dim40", "third-chunk", "limit-edge-inside", "limit-edge-past"])
-def test_shell_placement_equals_scalar_reference(center, r, k, seed):
-    # each named shell is placed in one call with two more shells of its dimension
-    _assert_placement(center, [r, r + 1, r + 2], [k, 1, k], seed)
-
-
-def test_one_placement_call_mixes_chunks_and_limits():
-    # 1D, seed 43: shell r has sites +r and -r; attempts are drawn in chunks
-    # 0-63, 64-255, 256-1023 and then up to the largest limit, 512 (k + 4)
-    shells = [
-        (2017, 1),  # +r at attempt 62: the first chunk
-        (2040, 1),  # +r at 158: the second chunk
-        (2076, 2),  # +r at 290, -r at 1023, the last attempt of the third chunk
-        (2001, 2),  # -r at 458, +r at 2483: the fourth chunk
-        (2087, 2),  # +r at 1766, -r at 3062, just inside the limit of 3072
-        (2075, 2),  # +r at 2352, -r at 3093, past the limit: one site
-        (2012, 2),  # -r first at 4183: no site at all
-        (2100, 3),  # only -r (at 50) before 3584: this limit keeps the call
-                    # drawing past the 3072 of the k = 2 shells
-    ]
-    _assert_placement((0,), *zip(*shells), 43)
-    # 3D, seed 4: the k-th distinct site at attempts 826, 489, 7 and 161
-    _assert_placement((0, 0, 0), [5, 6, 7, 9], [300, 170, 2, 40], 4)
-    # 40D: (2r + 1)**40 overflows int64, so hits are compared as whole rows
-    _assert_placement((1,) * 40, [1, 2, 3], [5, 9, 1], 3)
+@pytest.mark.parametrize("center,radii,ks,seed", [
+    ((0, 0, 0), [5, 6, 7], [300, 1, 300], 4),          # half of a 602-site shell: many taken picks
+    ((2, -1, 7), [7, 8], [1178, 5], 11),               # the whole shell, k = n
+    ((0,), [3, 3000], [2, 1], 1),                      # a whole 1D shell, then one of two sites
+    ((4, 4), [1, 2, 3], [8, 1, 8], 9),                 # every site of r = 1: many picks taken
+    ((0,) * 5, [2, 3], [40, 1], 6),
+    ((1,) * 33, [1], [5], 3),                          # 3^33 - 1 sites: indices near 2^52
+], ids=["half-shell", "whole-3d-shell", "whole-1d-shell", "duplicates", "5d", "dim33"])
+def test_shell_placement_equals_scalar_reference(center, radii, ks, seed):
+    _assert_placement(center, radii, ks, seed)
 
 
 @given(dim=st.integers(1, 4), seed=st.integers(0, 2 ** 40), data=st.data())
@@ -448,48 +447,57 @@ def test_batched_placement_equals_scalar_reference(dim, seed, data):
     radii = data.draw(st.lists(st.integers(1, {1: 3000, 2: 60, 3: 12, 4: 5}[dim]),
                                min_size=1, max_size=6, unique=True))
     ks = data.draw(st.lists(st.integers(1, 8), min_size=len(radii), max_size=len(radii)))
-    _assert_placement((0,) * dim, sorted(radii), ks, seed)
+    radii = sorted(radii)
+    _assert_placement((0,) * dim, radii, [min(k, _shell_size(r, dim)) for r, k in zip(radii, ks)],
+                      seed)
 
 
-@pytest.mark.parametrize("center,radii,ks", [
-    ((0, 0, 0), list(range(5, 41)), [300] * 36),  # about 330,000 draws in all
-    ((1,) * 40, [1, 2, 3], [2000, 2000, 2000]),   # 40 draws per attempt, an overflowing key
-], ids=["3d-many-shells", "dim40"])
-def test_placement_draws_stay_within_the_chunk_bound(monkeypatch, center, radii, ks):
-    sizes = []
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_shell_sites_list_each_shell_in_the_documented_order(dim, r):
+    # a bijection from [0, n) onto the shell, in the order itertools lists it
+    n = _shell_size(r, dim)
+    want = _ref_shell_order(r, dim)
+    assert len(want) == n == len(set(want))
+    assert all(max(map(abs, s)) == r for s in want)
+    assert _shell_sites(np.full(n, r), np.arange(n), dim).tolist() == [list(s) for s in want]
+    assert [_ref_shell_site(r, dim, x) for x in range(0, n, 7)] == want[::7]
+    # rows of another radius in the same call decode as they do alone
+    index = np.column_stack((np.arange(n), np.arange(n) % _shell_size(1, dim))).ravel()
+    assert _shell_sites(np.tile([r, 1], n), index, dim)[::2].tolist() == [list(s) for s in want]
 
-    def counted(seed, tag, columns):
-        u = key_uniforms(seed, tag, columns)
-        sizes.append(u.size)
-        return u
 
-    monkeypatch.setattr(lattice, "key_uniforms", counted)
-    got = _place_on_shells(radii, ks, 8, len(center))
-    assert len(sizes) > 1 and max(sizes) <= _CHUNK_ENTRIES
-    assert sum(sizes) > 2 * _CHUNK_ENTRIES
-    # no chunking changes a draw: without the bound, the same sites come out
-    monkeypatch.setattr(lattice, "_CHUNK_ENTRIES", 1 << 40)
-    whole = _place_on_shells(radii, ks, 8, len(center))
-    assert len(got) == len(whole) == len(radii)
-    for a, b in zip(got, whole):
-        assert a.tobytes() == b.tobytes()
-    assert [len(a) for a in got] == list(ks)
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 4)])
+def test_floyd_draws_every_subset_equally_often(n, k):
+    # 20,000 shells (one radius key each) of n sites: each k-subset about as
+    # often as the others, by a chi-square test at the 0.1% level (fixed keys,
+    # so a fixed outcome: 5.36 and 8.69 against 27.9 and 36.1)
+    shells = 20_000
+    index = _distinct_indices(17, list(range(1, shells + 1)), [n] * shells, [k] * shells)
+    assert index.min() == 0 and index.max() == n - 1
+    subsets = [frozenset(row) for row in index.reshape(shells, k).tolist()]
+    assert all(len(sub) == k for sub in subsets)
+    counts = np.array([subsets.count(frozenset(c)) for c in itertools.combinations(range(n), k)])
+    expected = shells / math.comb(n, k)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    assert counts.sum() == shells
+    assert chi2 < stats.chi2.isf(1e-3, len(counts) - 1), (counts, chi2)
 
 
 # SHA-256 of the concatenated sparse_set_to_text of the criterion-6 sets
 # (nu, half-side, alphas below) for one generator and seed.  Recorded from
-# the scalar generator; any drift in a set, even one that keeps every site
-# count, changes a digest.
+# the generator, which the scalar reference matches; any drift in a set,
+# even one that keeps every site count, changes a digest.
 _C06_PLAN = [(1, 31, (0.3, 0.6)), (2, 15, (0.3, 0.6)), (3, 7, (0.3, 0.6)),
              (4, 16, (0.25, 0.3)), (5, 30, (0.25, 0.3))]
 
 
 @pytest.mark.parametrize("generator,seed,digest", [
     ("deterministic_powers", 0, "93caecba9122012686153ebba251cbef812e7b55b9e9a37b4592fc85e0808f0a"),
-    ("bernoulli_thinned", 0, "21b9f61d27d8657ddfcdf9336c2b5351250bc195e0101515627838c343495f8d"),
-    ("bernoulli_thinned", 7, "16940416bafcf2d3c62312b79a8a58503f309d5b799cceca872dfa5e0c466217"),
-    ("bernoulli_thinned", 42, "481c5360f4d759418bd739078ada511485bce91490c42ed9cc97763782ec0a57"),
-    ("bernoulli_thinned", 99, "3663fff9d5aaca58b3d28929dc5ebab041c04741e3faadd200914b0f36044158"),
+    ("bernoulli_thinned", 0, "3c985a624841e6843ed243f691e6ca22599032917bd3514ad5c700b5a13e31bd"),
+    ("bernoulli_thinned", 7, "3ea5b119a599e988dee699fb6fd12481e5ccb188d640c098468d7160580c63a4"),
+    ("bernoulli_thinned", 42, "fa886f3c3f5537d1d9cdd07cbbaf2c1a2a7f15dae8a577918c995e1960f5a7b8"),
+    ("bernoulli_thinned", 99, "858b8f1c7dae348afa2bb338cbe94662905ace0f0d3014815bf2d81a2061550c"),
 ])
 def test_criterion_6_sets_are_pinned(generator, seed, digest):
     text = "".join(
@@ -499,19 +507,19 @@ def test_criterion_6_sets_are_pinned(generator, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_set_with_short_large_shells_is_pinned():
-    # 22 large shells find fewer sites than their count, the first at r = 1133
-    # (k = 3, 2 found); each one changes the cap left for every later shell.
-    # Recorded from the generator that placed one shell at a time.
+def test_2d_set_of_half_side_1500_is_pinned():
+    # 1,341 large shells (r >= 129 in 2D) place sites, each exactly its count:
+    # 3,001 sites, the cap at r = 1500
     sparse = generate_sparse_set(0.5, Cube((0, 0), 1500), "bernoulli_thinned", 0)
     assert len(sparse) == 3001
     assert hashlib.sha256(sparse_set_to_text(sparse).encode()).hexdigest() == \
-        "49342d945d6c8df6c3b48d8236508abc3a4d9c996386a4bdb5ab2bb5bccb14ce"
+        "d399bdd34846db4b476527f16171d269c8ff11dfd94e7db6d18e4f96784d6302"
 
 
 @pytest.mark.parametrize("dim, alpha, half, binding", [
     (1, 0.5, 23_889, "generation steps"),  # 23,889 x (218.6 + 200) = 9,999,555
     (3, 0.95, 27, "sites, over the cap 100000"),  # 55^2.85 = 91,208 sites; 57^2.85 = 100,982
+    (5, 0.05, 775, "shell indices are not exact"),  # 1551^5 = 8.975e15; 1553^5 = 9.033e15
 ])
 def test_set_size_rule_boundaries(monkeypatch, dim, alpha, half, binding):
     """One rule sizes every set before generation allocates anything: the
@@ -528,6 +536,17 @@ def test_set_size_rule_boundaries(monkeypatch, dim, alpha, half, binding):
     lattice.check_set_size(Cube((0,), 999_999), 0.5, "full_cube")
     with pytest.raises(ValueError, match="refusing to enumerate 2000001 sites"):
         generate_sparse_set(0.5, Cube((0,), 1_000_000), "full_cube", 0)
+
+
+def test_shell_indices_stay_exact_up_to_2_53_sites():
+    # 3^33 = 5.6e15 sites: the one large shell's indices run to 3^33 - 2, and
+    # each lands on a distinct site of the shell; 3^34 = 1.7e16 is refused
+    sparse = generate_sparse_set(0.05, Cube((0,) * 33, 1), "bernoulli_thinned", 2)
+    radius = np.max(np.abs(sparse.coords), axis=1)
+    assert len(sparse) == 7 and radius.tolist().count(1) == 6
+    assert list(sparse.sites) == _ref_generate(0.05, Cube((0,) * 33, 1), "bernoulli_thinned", 2)
+    with pytest.raises(ValueError, match=r"3\^34 sites, over 2\^53"):
+        generate_sparse_set(0.05, Cube((0,) * 34, 1), "bernoulli_thinned", 2)
 
 
 def test_full_cube_set_is_the_whole_cube_with_no_cube_to_certify():
@@ -613,19 +632,21 @@ def test_one_ball_draw_equals_shell_by_shell_draws(center, r_max):
 
 
 # SHA-256 of the concatenated sparse_set_to_text of every criterion-6 set of
-# one (nu, alpha): the deterministic set, then Bernoulli seeds 0..99.
-# Recorded from the tuple-sorting constructor with one draw per shell.
+# one (nu, alpha): the deterministic set, then Bernoulli seeds 0..99.  The
+# 1D and 2D sets have no large shell; their digests date from the
+# tuple-sorting constructor.  The 3D-5D rows are recorded from the placement
+# by shell index.
 @pytest.mark.parametrize("nu,half,alpha,digest", [
     (1, 31, 0.3, "c706ad7b50e8ecef37b3a8c1ee28836a306465a4cebfba7fb74aaa620dc031b6"),
     (1, 31, 0.6, "743cc09c49ebbccb5f41864776a9ec864cee8e26878c66af291bf7344770027a"),
     (2, 15, 0.3, "48a89a26aca791a6c09df34f0362dd1aa951d44c4a91ef02989d11d039615220"),
     (2, 15, 0.6, "a20514fab8e272affe81baf0cf556a7ec554d9be32d5905f64ddd6a5c39e2477"),
-    (3, 7, 0.3, "884adda4c02c3cd83d5d1c31b1f3cd27dd2217a17dde4c2c6e2719f8121c0f0d"),
-    (3, 7, 0.6, "8c16e55a55af70f2fb834b6599f35e30271ed077547bd32b25fb277615b428e5"),
-    (4, 16, 0.25, "00ab2dd1015bc6087d78b898de0867afde585679f033304c7b88d53be113b7c0"),
-    (4, 16, 0.3, "7f7ca06be059eef67a424a9273945bd2454bda28842fd364b86abdef3d93e35b"),
-    (5, 30, 0.25, "a5d0d74321e0fc0e7e849dc4e10de7e2ec173d2afac43e23fce9cfcafe8a8402"),
-    (5, 30, 0.3, "e14ec82eb38bfe0adf13d94832e1b34f761d22fbf8be884e365528be121c6e85"),
+    (3, 7, 0.3, "61d12e82f4564582f5e55a5cdaa35e63c9fa89afb075680d5fa3b6e73e6c6705"),
+    (3, 7, 0.6, "19726a00d8bc8506ce6622f71cd5d350fe72fe1f29085a15b93b336d57546e88"),
+    (4, 16, 0.25, "1a5224e7f90ea5f839ec4c6ecdac5774bb0ee4750338b80943c7c8c8cb6eb35c"),
+    (4, 16, 0.3, "f66eae4c50d2839a61fe5abc7bef29bbf1f220f661a9abd02f6802459804fdca"),
+    (5, 30, 0.25, "e256abca8098ffeb913e515a3accdc415df3d9fc90d5a5806d8b6c1cf350761c"),
+    (5, 30, 0.3, "abc5cb0a54910da015e500366b5b8cdd02d57293e2a0556aac15bff49e526b5b"),
 ])
 def test_every_criterion_6_set_is_pinned(nu, half, alpha, digest):
     cube = Cube((0,) * nu, half)
@@ -633,6 +654,21 @@ def test_every_criterion_6_set_is_pinned(nu, half, alpha, digest):
     text = "".join(sparse_set_to_text(generate_sparse_set(alpha, cube, generator, seed))
                    for generator, seed in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_criterion_6_radius_counts_are_pinned():
+    # SHA-256 of the per-radius site counts of every criterion-6 Bernoulli set
+    # at seeds 0..99.  Placement within a shell moves no count: this digest
+    # was recorded from the rejection sampler that the shell indexing replaced.
+    text = ""
+    for nu, half, alphas in _C06_PLAN:
+        for alpha in alphas:
+            for seed in range(100):
+                sparse = generate_sparse_set(alpha, Cube((0,) * nu, half), "bernoulli_thinned", seed)
+                counts = np.bincount(np.max(np.abs(sparse.coords), axis=1), minlength=half + 1)
+                text += " ".join(map(str, counts.tolist())) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "dac92ea5869b0464858eac42cf3436a589a793865d149832c36ea4ce3d696104"
 
 
 def test_interleaved_keys_evict_the_plan_and_keep_every_set():
