@@ -23,14 +23,11 @@ as the reference it is checked against, and the full-period FFT rule
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
 from scipy.fft import dct, next_fast_len
-from scipy.linalg.lapack import dsterf
 from scipy.special import jv
 
 from .disorder import sample_potentials
@@ -39,6 +36,8 @@ from .lattice import SparseSet, Site, cap_violation, max_norm
 from .operators import NODE_CAP, SymbolSpec
 
 _CHUNK_ENTRIES = 1 << 16  # complex entries per temporary block of a batch of times
+# the c(t) windows: first and last Clenshaw-Curtis level, longest panel, settling relative step
+_CC_FIRST, _CC_LAST, _CC_PANEL, _CC_RTOL = 32, 4096, 32.0, 1e-8
 
 
 def light_cone(t: float, slope: float, d_max: int = 0) -> float:
@@ -281,54 +280,62 @@ def projected_norm(
 
 
 def _dyadic_windows(t_max: float) -> list[tuple[float, float]]:
-    windows = []
-    lo = 1.0
-    while lo < t_max:
-        hi = min(2.0 * lo, t_max)
-        windows.append((lo, hi))
-        lo = hi
-    return windows
+    edges = [1.0]
+    while edges[-1] < t_max:
+        edges.append(min(2.0 * edges[-1], t_max))
+    return list(zip(edges[:-1], edges[1:]))
 
 
-@functools.cache
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``leggauss(n)`` for n >= 2, read-only, once per n.  The
-    symmetric companion matrix is tridiagonal (Golub & Welsch, Math. Comp.
-    23, 1969), so LAPACK ?sterf takes the first guess at the nodes from
-    its two diagonals rather than a dense eigvalsh; the Newton step,
-    weights and symmetrization are numpy's, and so are the bits."""
-    c = np.array([0] * n + [1])
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    x, info = dsterf(np.zeros(n), np.arange(1, n) * scl[:n - 1] * scl[1:n])
-    if info != 0:
-        raise NumericalError("Gauss-Legendre eigenvalues did not converge", nodes=n, info=info)
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df  # one Newton step
-    fm = legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def _clenshaw_curtis(values: np.ndarray) -> np.ndarray:
+    """Per row, the integral over [-1, 1] of the interpolant through the
+    values at cos(pi j / n), j = 0..n, n even: one DCT-I gives the Chebyshev
+    coefficients y_k / n, and T_k integrates to 2 / (1 - k^2) for even k."""
+    k = np.arange(0, values.shape[1], 2, dtype=float)
+    w = 2.0 / ((1.0 - k * k) * (values.shape[1] - 1))
+    w[[0, -1]] *= 0.5  # the end terms of the Chebyshev sum
+    return dct(values, type=1, axis=1)[:, ::2] @ w
 
 
-def _gauss_window(f, lo: float, hi: float) -> float:
-    """Gauss-Legendre levels of 48..3072 nodes on [lo, hi] until two agree
-    to 1e-9, or to 1e-6 relative; ``f`` takes the array of a level's nodes
-    and returns their values."""
-    levels = []
-    for n in (48, 96, 192, 384, 768, 1536, 3072):
-        nodes, weights = _leggauss(n)
-        ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        val = 0.5 * (hi - lo) * float(np.dot(weights, f(ts)))
-        if levels and abs(val - levels[-1]) <= max(1e-9, 1e-6 * abs(val)):
-            return val
-        levels.append(val)
-    raise NumericalError("window quadrature did not settle", last_two=tuple(levels[-2:]))
+def _window_integrals(f, windows) -> tuple[np.ndarray, ...]:
+    """(integrals, nodes, relative steps, panels), one entry per window (lo, hi).
+
+    Windows are cut into equal panels no longer than ``_CC_PANEL``.  Each
+    panel doubles its Clenshaw-Curtis level n from ``_CC_FIRST`` (Trefethen,
+    SIAM Rev. 50, 2008): level 2n keeps the n + 1 values of level n, and
+    ``f`` takes the n new odd nodes of every live panel as one array.  A
+    panel stops once |I_2n - I_n| <= ``_CC_RTOL`` |I_2n|; a window's step is
+    its panels' largest, which bounds its own since c(t) >= 0."""
+    starts, cuts = [], []
+    for lo, hi in windows:
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) / _CC_PANEL) + 1)
+        starts.append(len(cuts))
+        cuts += zip(edges[:-1], edges[1:])
+    a, b = np.array(cuts).T
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    n, live = _CC_FIRST, np.arange(a.size)
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    values = f((mid[:, None] + half[:, None] * x).ravel()).reshape(a.size, n + 1)
+    est = half * _clenshaw_curtis(values)
+    total, nodes, steps = np.zeros((3, a.size))
+    while live.size:
+        n *= 2
+        x = np.cos(np.pi * np.arange(1, n, 2) / n)  # the odd nodes, new at level n
+        fresh = f((mid[live, None] + half[live, None] * x).ravel()).reshape(live.size, n // 2)
+        merged = np.empty((live.size, n + 1))
+        merged[:, ::2], merged[:, 1::2] = values, fresh
+        new = half[live] * _clenshaw_curtis(merged)
+        step = np.abs(new - est)
+        ok = step <= _CC_RTOL * np.abs(new)
+        if n == _CC_LAST and not ok.all():
+            k = int(np.argmin(ok))
+            raise NumericalError("window quadrature did not settle", levels=(n // 2, n),
+                                 panel=(float(a[live[k]]), float(b[live[k]])),
+                                 last_two=(float(est[k]), float(new[k])))
+        total[live[ok]], nodes[live[ok]] = new[ok], n + 1
+        steps[live[ok]] = step[ok] / np.maximum(np.abs(new[ok]), np.finfo(float).tiny)  # 0 / 0 is 0
+        values, est, live = merged[~ok], new[~ok], live[~ok]
+    return (np.add.reduceat(total, starts), np.add.reduceat(nodes, starts).astype(int),
+            np.maximum.reduceat(steps, starts), np.diff(starts + [a.size]))
 
 
 @dataclass(frozen=True)
@@ -336,6 +343,7 @@ class SparsenessResult:
     t_grid: tuple[float, ...]
     c_values: tuple[float, ...]
     windows: tuple[tuple[float, float, float], ...]
+    window_steps: tuple[tuple[int, float, int], ...]  # nodes, relative step, panels
     ratios: tuple[float, ...]
     verdict: str
     head_bound: float
@@ -368,31 +376,20 @@ def sparseness_integral(
     def c_of_t(ts: np.ndarray) -> np.ndarray:
         return projected_norm(spec, sparse, phi, ts, weight_gamma)
 
-    windows = []
-    t_samples = []
-    for lo, hi in _dyadic_windows(t_max):
-        windows.append((lo, hi, _gauss_window(c_of_t, lo, hi)))
-        t_samples.extend(np.linspace(lo, hi, 9)[:-1].tolist())
+    bounds = _dyadic_windows(t_max)
+    integrals, nodes, steps, panels = (v.tolist() for v in _window_integrals(c_of_t, bounds))
+    t_samples = [t for lo, hi in bounds for t in np.linspace(lo, hi, 9)[:-1].tolist()]
     t_samples.append(float(t_max))
     c_samples = c_of_t(np.array(t_samples)).tolist()
-    integrals = [wdw[2] for wdw in windows]
-    ratios = []
-    for i in range(1, len(integrals)):
-        prev = integrals[i - 1]
-        ratios.append(integrals[i] / prev if prev > 0 else math.inf)
-    tail = ratios[-2:]
-    if len(sparse) == 0:
-        verdict = "converging"
-    elif len(tail) == 2 and all(r < 0.9 for r in tail):
-        verdict = "converging"
-    else:
-        verdict = "inconclusive"
+    ratios = [b / a if a > 0 else math.inf for a, b in zip(integrals, integrals[1:])]
+    converging = len(sparse) == 0 or all(r < 0.9 for r in ratios[-2:])
     return SparsenessResult(
         tuple(t_samples),
         tuple(c_samples),
-        tuple(windows),
+        tuple((lo, hi, v) for (lo, hi), v in zip(bounds, integrals)),
+        tuple(zip(nodes, steps, panels)),
         tuple(ratios),
-        verdict,
+        "converging" if converging else "inconclusive",
         head_bound,
         float(sum(integrals)),
     )

@@ -222,6 +222,7 @@ def _run_sparseness(cfg, stage, threads):
     (stage / "sparse_set.txt").write_text(sparse_set_to_text(o["sparse_set"]), encoding="utf-8")
     summary = {
         "windows": [list(w) for w in res.windows],
+        "window_steps": [{"nodes": n, "rel_step": r, "panels": p} for n, r, p in res.window_steps],
         "ratios": list(res.ratios),
         "verdict": res.verdict,
         "head_bound": res.head_bound,

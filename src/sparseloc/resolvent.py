@@ -26,7 +26,6 @@ from scipy.linalg import get_lapack_funcs
 
 from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
-from .dynamics import _leggauss
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
 from .operators import SymbolSpec, assemble_finite_volume, band_storage, is_tridiagonal, s_norm
@@ -297,7 +296,7 @@ def _graded_unit_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1], graded geometrically toward 0: panels
     [r^(j+1), r^j] for j < _RULE_LEVELS and [0, r^_RULE_LEVELS], each with
     _RULE_NODES Gauss-Legendre nodes."""
-    g, w = _leggauss(_RULE_NODES)
+    g, w = np.polynomial.legendre.leggauss(_RULE_NODES)
     edges = np.append(0.0, _RULE_RATIO ** np.arange(_RULE_LEVELS, -1, -1.0))
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (half * g + (edges[:-1, None] + half)).ravel()

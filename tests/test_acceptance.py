@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` or via the CLI as
 ``sparseloc verify``.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -116,6 +117,14 @@ def test_criterion_07_sparseness_integral(workdir):
     assert result.passed
     assert result.details == "unweighted: converging=True; weighted: converging=True"
     assert _written(workdir / "c07") == ["sparseness_u", "sparseness_w"]
+    for tag in ("u", "w"):  # each window's quadrature record: what it took, how far it settled
+        summary = json.loads((workdir / "c07" / f"sparseness_{tag}" / "summary.json").read_text())
+        steps = summary["window_steps"]
+        assert len(steps) == len(summary["windows"]) == 6
+        for step in steps:
+            assert sorted(step) == ["nodes", "panels", "rel_step"]
+            assert isinstance(step["nodes"], int) and step["panels"] == 1
+            assert step["nodes"] >= 65 and 0.0 <= step["rel_step"] <= 1e-8
 
 
 def test_criterion_08_am_uniform_bound(workdir):

@@ -202,7 +202,7 @@ def _sparseness_cli_config(tmp_path):
 
 
 def test_cli_criterion_7_sparseness_runs_at_t_max_128(tmp_path):
-    """Windows [64, 128] settle at 1536 Gauss nodes."""
+    """Window [64, 128] settles on two Clenshaw-Curtis panels of length 32."""
     path, out = _write_config(tmp_path, sparseness_config(False, t_max=128.0)), tmp_path / "out"
     assert main(["sparseness", "--config", path, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())

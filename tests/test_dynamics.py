@@ -1,11 +1,15 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.fft import dct, next_fast_len
 
-from sparseloc import dynamics
+from sparseloc import dynamics, resolvent
+from sparseloc.acceptance import sparseness_config
+from sparseloc.cli import main
+from sparseloc.config import validate_config
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.dynamics import (
     _axis_tables,
@@ -175,6 +179,7 @@ def test_sparseness_empty_set():
     res = sparseness_integral(DELTA1, sparse, {(0,): 1.0}, 16.0)
     assert res.total == 0.0
     assert res.verdict == "converging"
+    assert res.window_steps == ((65, 0.0, 1),) * 4  # c(t) = 0 settles at once, with step 0
 
 
 def test_sparseness_refuses_dense_set():
@@ -343,12 +348,13 @@ def test_axis_factor_table_bitwise_equal_reference():
 
 
 def _bench_times(t_max=64.0):
-    """Every time c(t) is taken at by sparseness_integral: the nodes of each
-    Gauss level on each dyadic window, and the sample times."""
+    """Every time c(t) is taken at by sparseness_integral: on each dyadic
+    window (one panel each up to t_max = 64), the 1,025 Clenshaw-Curtis
+    nodes of level 1,024, which hold those of every lower level, and the
+    sample times."""
     ts = []
     for lo, hi in dynamics._dyadic_windows(t_max):
-        for n in (48, 96, 192, 384, 768):
-            ts += (0.5 * (hi - lo) * dynamics._leggauss(n)[0] + 0.5 * (hi + lo)).tolist()
+        ts += (0.5 * (hi - lo) * np.cos(np.pi * np.arange(1025) / 1024) + 0.5 * (hi + lo)).tolist()
         ts += np.linspace(lo, hi, 9)[:-1].tolist()
     return np.array(ts + [t_max])
 
@@ -356,7 +362,7 @@ def _bench_times(t_max=64.0):
 @pytest.mark.parametrize("series", [((1, 1.0),), ((1, 1.0), (2, 0.3)), ((2, -0.75),)])
 def test_axis_tables_match_full_period_fft(series):
     """The half-period DCT-I against the full-period FFT rule on every time
-    of a t_max = 64 sparseness run (8,977 times, reach 30): at most
+    of a t_max = 64 sparseness run (6,199 times, reach 30): at most
     3.7e-15 apart."""
     spec, ts = SymbolSpec((series,)), _bench_times()
     want = np.array([fft_axis_factor_table(spec, 0, t, 30) for t in ts])
@@ -406,19 +412,76 @@ def test_axis_reaches_is_the_largest_offset_per_axis():
     assert dynamics.axis_reaches(sites, sources) == want == [6, 8]
 
 
-def test_gauss_window_that_does_not_settle_reports_its_last_two_levels():
+def _clenshaw_curtis_reference(f, lo, hi, n):
+    """Clenshaw-Curtis on [lo, hi] at n + 1 nodes, n even, by the closed-form
+    weights w_j = (c_j / n) (1 - sum_{k=1}^{n/2} b_k cos(2 pi j k / n) / (4 k^2 - 1)),
+    c_j = 1 at the ends and 2 inside, b_k = 1 at k = n/2 and 2 below it."""
+    j = np.arange(n + 1)
+    w = np.ones(n + 1)
+    for k in range(1, n // 2 + 1):
+        w -= (1.0 if 2 * k == n else 2.0) * np.cos(2.0 * np.pi * j * k / n) / (4.0 * k * k - 1.0)
+    w *= np.where((j == 0) | (j == n), 1.0, 2.0) / n
+    x = 0.5 * (hi - lo) * np.cos(np.pi * j / n) + 0.5 * (hi + lo)
+    return 0.5 * (hi - lo) * float(np.dot(w, f(x)))
+
+
+def test_window_integrals_match_closed_form_clenshaw_curtis_weights():
+    """Smooth integrands settle within a hair of their exact integrals, and
+    each panel's level sum is the closed-form Clenshaw-Curtis sum."""
+    integrals, nodes, steps, panels = dynamics._window_integrals(np.exp, [(1.0, 2.0), (2.0, 100.0)])
+    assert panels.tolist() == [1, 4]  # [2, 100] in four panels of 24.5
+    np.testing.assert_allclose(integrals, [np.e ** 2 - np.e, np.exp(100.0) - np.e ** 2], rtol=1e-13)
+    assert np.all(steps <= 1e-8)
+    first = _clenshaw_curtis_reference(np.exp, 1.0, 2.0, nodes[0] - 1)
+    assert integrals[0] == pytest.approx(first, rel=1e-14)
+    poly = dynamics._window_integrals(lambda t: t ** 5, [(0.0, 3.0)])[0]  # exact at any level
+    assert poly[0] == pytest.approx(3.0 ** 6 / 6.0, rel=1e-14)
+
+
+def test_window_panels_are_equal_and_no_longer_than_32():
+    """t_max = 100: the windows up to [32, 64] are one panel each, [64, 100]
+    two of 18; the first batch holds the 33 nodes of level 32 of every
+    panel, ends included."""
+    batches = []
+
+    def f(ts):
+        batches.append(ts)
+        return np.ones_like(ts)
+
+    windows = dynamics._dyadic_windows(100.0)
+    integrals, nodes, steps, panels = dynamics._window_integrals(f, windows)
+    assert panels.tolist() == [1, 1, 1, 1, 1, 1, 2]
+    ends = [(1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, 32.0), (32.0, 64.0),
+            (64.0, 82.0), (82.0, 100.0)]
+    first = batches[0].reshape(len(ends), 33)
+    assert [(row.min(), row.max()) for row in first] == pytest.approx(ends, rel=1e-15)
+    # a constant settles at level 64, the first comparison, to round-off
+    assert len(batches) == 2 and nodes.tolist() == [65] * 6 + [130]
+    np.testing.assert_allclose(integrals, [hi - lo for lo, hi in windows], rtol=1e-14)
+    assert np.all(steps <= 1e-14)
+
+
+def test_window_quadrature_that_does_not_settle_names_its_panel_and_levels(
+        tmp_path, monkeypatch, capsys):
     def f(ts):
         return np.sin(1000.0 * ts)
 
     with pytest.raises(NumericalError, match="did not settle") as info:
-        dynamics._gauss_window(f, 0.0, 100.0)
-    levels = []
-    for n in (1536, 3072):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        levels.append(50.0 * float(np.dot(weights, f(50.0 * nodes + 50.0))))
-    last_two = info.value.diagnostics["last_two"]
-    assert last_two == pytest.approx(tuple(levels), rel=1e-12, abs=1e-15)
-    assert last_two[0] != last_two[1]
+        dynamics._window_integrals(f, [(0.0, 100.0)])
+    diagnostics = info.value.diagnostics
+    assert diagnostics["panel"] == (0.0, 25.0)  # the first of four panels of 25
+    assert diagnostics["levels"] == (2048, 4096)
+    want = tuple(_clenshaw_curtis_reference(f, 0.0, 25.0, n) for n in (2048, 4096))
+    assert diagnostics["last_two"] == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert want[0] != pytest.approx(want[1], rel=1e-8)
+    # through the CLI: exit 3 naming the panel and the levels, no traceback
+    monkeypatch.setattr(dynamics, "projected_norm", lambda spec, sparse, phi, ts, gamma=None: f(ts))
+    config = tmp_path / "sparseness.json"
+    config.write_text(json.dumps(sparseness_config(False, t_max=16.0)))
+    assert main(["sparseness", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "window quadrature did not settle" in err and "'levels': (2048, 4096)" in err
+    assert "'panel': (" in err and "Traceback" not in err
 
 
 def test_axis_tables_non_finite_raises(monkeypatch):
@@ -431,9 +494,9 @@ def test_axis_tables_non_finite_raises(monkeypatch):
 
 def _level_case():
     """The bench sparseness set (5D, deterministic_powers, alpha 0.25,
-    half side 30) and the 192 nodes of a Gauss level on [32, 64]."""
+    half side 30) and the 257 nodes of Clenshaw-Curtis level 256 on [32, 64]."""
     sparse = generate_sparse_set(0.25, Cube((0,) * 5, 30), "deterministic_powers", 0)
-    nodes, _ = dynamics._leggauss(192)
+    nodes = np.cos(np.pi * np.arange(257) / 256)
     return delta_symbol(5), sparse, {(0,) * 5: 1.0}, 16.0 * nodes + 48.0
 
 
@@ -462,23 +525,49 @@ def test_sparseness_integral_calls_c_of_t_once_per_level(monkeypatch):
     spec, sparse, phi, _ = _level_case()
     res = sparseness_integral(spec, sparse, phi, 16.0)
     assert calls[-1] == len(res.t_grid) == 4 * 8 + 1  # the samples: one batch
-    assert set(calls[:-1]) <= {48, 96, 192, 384, 768, 1536, 3072}  # one batch per Gauss level
+    nodes = [n for n, _, panels in res.window_steps if panels == 1]
+    assert len(nodes) == 4  # [1, 2] .. [8, 16]: one panel each
+    # one batch per level over all live panels: all 33 nodes of level 32, then the
+    # n / 2 new nodes of level n on each panel still live there
+    levels = [32 << i for i in range(len(calls) - 1)]
+    assert calls[:-1] == [4 * 33] + [n // 2 * sum(k > n for k in nodes) for n in levels[1:]]
+    assert max(nodes) == levels[-1] + 1 and sum(calls[:-1]) == sum(nodes)
 
 
-def test_leggauss_levels_are_cached_read_only():
-    nodes, weights = dynamics._leggauss(96)
-    assert dynamics._leggauss(96)[0] is nodes
-    assert not nodes.flags.writeable and not weights.flags.writeable
-
-
-@pytest.mark.parametrize("n", [15, 48, 96, 192, 384, 768, 1536, 3072])
+@pytest.mark.parametrize("n", [resolvent._RULE_NODES])
 def test_leggauss_bitwise_equal_numpy(n):
-    """The ?sterf eigenvalues give numpy's nodes and weights bit for bit at
-    the decoupling rule's 15 nodes and at every window level."""
-    nodes, weights = dynamics._leggauss(n)
-    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
-    assert nodes.tobytes() == want_nodes.tobytes()
-    assert weights.tobytes() == want_weights.tobytes()
+    """The decoupling rule's panels carry numpy's 15 Gauss-Legendre nodes
+    and weights bit for bit: each panel of the graded unit rule is their
+    affine image, so kappa_hat keeps its bits."""
+    g, w = np.polynomial.legendre.leggauss(n)
+    edges = np.append(0.0, resolvent._RULE_RATIO ** np.arange(resolvent._RULE_LEVELS, -1, -1.0))
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = resolvent._graded_unit_rule()
+    assert nodes.tobytes() == (half * g + (edges[:-1, None] + half)).ravel().tobytes()
+    assert weights.tobytes() == (half * w).ravel().tobytes()
+
+
+def test_sparseness_window_256_512_at_t_max_512_is_the_converged_value():
+    """Criterion 7's unweighted config at t_max 512: window [256, 512]
+    against Gauss-Legendre at 16,384 nodes (scipy.special.roots_legendre
+    on [256, 512], c(t) by projected_norm), 7.015107078443125e-06, which
+    the 12,288-node rule matches to 1.5e-13.  A stopping rule with an
+    absolute floor of 1e-9 settled at 6.974334e-06, 0.58% low."""
+    o = validate_config(sparseness_config(False, t_max=512.0), "sparseness").objects
+    res = sparseness_integral(o["symbol"], o["sparse_set"], o["phi"], o["t_max"])
+    assert res.windows[-1][:2] == (256.0, 512.0)
+    assert res.windows[-1][2] == pytest.approx(7.015107078443125e-06, rel=1e-9)
+    assert res.window_steps[-1][2] == 8 and res.verdict == "converging"
+
+
+def test_sparseness_weighted_config_at_t_max_512_settles_and_converges():
+    """Criterion 7's weighted config at t_max 512, which the Gauss levels
+    could not settle by 3,072 nodes: every window within the relative step."""
+    o = validate_config(sparseness_config(True, t_max=512.0), "sparseness").objects
+    res = sparseness_integral(o["symbol"], o["sparse_set"], o["phi"], o["t_max"], o["weight_gamma"])
+    assert res.verdict == "converging" and len(res.windows) == 9
+    assert [p for _, _, p in res.window_steps] == [1] * 6 + [2, 4, 8]
+    assert all(step <= 1e-8 for _, step, _ in res.window_steps)
 
 
 # --- the array propagator against the Bessel closed form and the dict path ---

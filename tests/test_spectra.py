@@ -302,6 +302,31 @@ def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
         assert err.value.diagnostics["residual"] > 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 7, 401, 1000])
+def test_band_residual_equals_the_sparse_product_residual(monkeypatch, n):
+    """On random chains (random diagonal and couplings; one block at n = 2
+    and 7, blocks of 81 and 32 eigenvectors at n = 401 and 1,000) the band
+    stencil gives max_i ||A v_i - e_i v_i|| of the CSR product to
+    round-off; one perturbed eigenvector lifts it past 1e-8 and
+    eigensystem raises with its realization."""
+    rng = np.random.default_rng(n)
+    off = rng.uniform(0.5, 1.5, n - 1)
+    matrix = sp.diags([off, rng.uniform(-5.0, 5.0, n), off], [-1, 0, 1], format="csr")
+    ab = operators.band_storage(matrix)
+    values, vectors, _ = spectra.dstevd(ab[1], ab[2, :max(n - 1, 1)], compute_v=1)
+    csr = np.max(np.linalg.norm(matrix @ vectors - vectors * values, axis=0))
+    assert spectra._band_residual(ab, values, vectors) == pytest.approx(csr, rel=0, abs=1e-14)
+    vectors[:, n // 2] += 1e-6 * rng.standard_normal(n)
+    csr = np.max(np.linalg.norm(matrix @ vectors - vectors * values, axis=0))
+    assert spectra._band_residual(ab, values, vectors) == pytest.approx(csr, rel=1e-12)
+
+    monkeypatch.setattr(spectra, "dstevd", lambda *args, **kwargs: (values, vectors, 0))
+    with pytest.raises(NumericalError, match="residual above 1e-8") as err:
+        eigensystem(matrix, realization=11)
+    assert err.value.diagnostics["realization"] == 11
+    assert err.value.diagnostics["residual"] == pytest.approx(csr, rel=1e-12)
+
+
 def _edge_scan_config(tmp_path, dim):
     raw = {
         "kind": "edge_scan",
