@@ -341,9 +341,11 @@ def edge_scan_config(half_side: int = 200, realizations: int = 20) -> dict:
 def criterion_12_mobility_edge_contrast(workdir, threads=1) -> CriterionResult:
     summary = _run_preset(workdir, "edge_scan", edge_scan_config(), threads)
     ok = summary["verdicts"].get("ipr_contrast", False)
-    details = (f"outer median {summary.get('outer_median', float('nan')):.4f} vs center "
-               f"{summary.get('center_median', float('nan')):.5f}: contrast "
-               f"{summary.get('contrast', float('nan')):.1f}x >= 10x: {ok}")
+    outer, center, ratio = map(summary.get, ("outer_median", "center_median", "contrast"))
+    outer = "none (no populated bin at |E| >= ||H0||_1 + 0.5)" if outer is None else f"{outer:.4f}"
+    center = "none (no populated bin holds E = 0)" if center is None else f"{center:.5f}"
+    ratio = "none" if ratio is None else f"{ratio:.1f}x"  # None exactly when a median is
+    details = f"outer median {outer} vs center {center}: contrast {ratio} >= 10x: {ok}"
     return CriterionResult(12, "mobility-edge IPR contrast (weighted sparse model)", ok, details)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,6 +180,22 @@ class AssembledOperator:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def band(self) -> np.ndarray | None:
+        """LAPACK band storage of ``matrix``, read-only: row 1 - d holds
+        diagonal d, so rows 1 and 2 are the lower band storage of a
+        symmetric tridiagonal matrix.  None when a stored entry lies off
+        the three central diagonals."""
+        coo = self.matrix.tocoo()
+        if np.any(np.abs(coo.row - coo.col) > 1):
+            return None
+        n = self.size
+        band = np.zeros((3, n))
+        for d in (-1, 0, 1):
+            band[1 - d, max(d, 0):n + min(d, 0)] = self.matrix.diagonal(d)
+        band.flags.writeable = False
+        return band
+
     def index_of(self, site: Site) -> int:
         return int(self.cube.indices_of([site])[0])
 
@@ -211,23 +227,6 @@ def assemble_finite_volume(spec: SymbolSpec, cube: Cube) -> AssembledOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsr()
     return AssembledOperator(cube, matrix)
-
-
-def is_tridiagonal(matrix: sp.spmatrix) -> bool:
-    """True when every stored entry has |row - col| <= 1."""
-    coo = matrix.tocoo()
-    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
-
-
-def band_storage(matrix: sp.spmatrix, dtype=float) -> np.ndarray:
-    """LAPACK band storage of the three central diagonals: row 1 - d holds
-    diagonal d, so rows 1 and 2 are the lower band storage of a symmetric
-    tridiagonal matrix."""
-    n = matrix.shape[0]
-    ab = np.zeros((3, n), dtype=dtype)
-    for d in (-1, 0, 1):
-        ab[1 - d, max(d, 0):n + min(d, 0)] = matrix.diagonal(d)
-    return ab
 
 
 @dataclass(frozen=True)

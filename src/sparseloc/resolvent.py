@@ -28,7 +28,7 @@ from ._stats import RunningMoments, run_indexed
 from .disorder import DisorderModel, sample_potentials
 from .errors import NumericalError
 from .lattice import Cube, SparseSet, Site
-from .operators import SymbolSpec, assemble_finite_volume, band_storage, is_tridiagonal, s_norm
+from .operators import SymbolSpec, assemble_finite_volume, s_norm
 
 _RESIDUAL_TOL = 1e-10
 _CHUNK_ENTRIES = 1 << 15  # realizations x volume sites per engine block
@@ -177,10 +177,7 @@ class RealizationEngine:
         self.sparse, self.model = sparse, model
         n = self.op.size
         self.chunk = max(1, _CHUNK_ENTRIES // n)
-        self.ab = None  # the free band, on the tridiagonal path
-        if is_tridiagonal(self.op.matrix):
-            self.ab = band_storage(self.op.matrix, dtype=complex)
-            self.gtsv, = get_lapack_funcs(("gtsv",), (self.ab,))
+        self.gtsv, = get_lapack_funcs(("gtsv",), dtype=complex)  # on the tridiagonal path
 
     def diagonals(self, realizations) -> np.ndarray:
         """Potentials of a block of realizations on the volume diagonal."""
@@ -191,7 +188,7 @@ class RealizationEngine:
     def green_rows(self, z: complex, diags: np.ndarray, first: int = 0):
         """(Green rows, residuals) for realizations first, first + 1, ..."""
         with _flush_subnormals():
-            if self.ab is not None:
+            if self.op.band is not None:
                 rows = self._gtsv_rows(z, diags, first)
             else:
                 rows = self._splu_rows(z, diags, first)
@@ -207,7 +204,9 @@ class RealizationEngine:
     def _gtsv_rows(self, z: complex, diags: np.ndarray, first: int) -> np.ndarray:
         """One ?gtsv call on the block-diagonal band of a block of realizations."""
         count, n = diags.shape
-        ab = np.tile(self.ab, count)
+        ab = np.empty((3, count, n), dtype=complex)
+        ab[:] = self.op.band[:, None]  # the free band once per realization
+        ab = ab.reshape(3, count * n)
         ab[1] += (diags - z).ravel()
         rhs = np.zeros(count * n, dtype=complex)
         rhs[self.source::n] = 1.0

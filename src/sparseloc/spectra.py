@@ -20,36 +20,37 @@ from ._stats import run_indexed
 from .disorder import DisorderModel
 from .errors import NumericalError
 from .lattice import Cube, SparseSet
-from .operators import (DENSE_CAP, SymbolSpec, band_storage, check_bins, check_dense,
-                        is_tridiagonal, s_norm)
+from .operators import AssembledOperator, SymbolSpec, check_bins, check_dense, s_norm
 from .resolvent import RealizationEngine
 
 _BLOCK_ENTRIES = 1 << 15  # residual entries per block: a block stays in cache
 
 
-def eigensystem(matrix: sp.spmatrix, realization: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, IPRs) of a real symmetric matrix, one IPR per state.
+def eigensystem(op: AssembledOperator, diag: np.ndarray,
+                realization: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, IPRs) of op.matrix + diag(diag), one IPR per state.
 
-    A tridiagonal matrix (the nearest-neighbour chain) goes to LAPACK's
-    ?stevd, divide and conquer on the band; ?sbevd would run the same
-    ?stedc and then multiply by an identity Q, so ?stevd gives its
-    eigenvalues bit for bit without that product.  Every other matrix
+    On a tridiagonal operator (the nearest-neighbour chain, ``op.band``)
+    LAPACK's ?stevd runs divide and conquer on the band; ?sbevd would run
+    the same ?stedc and then multiply by an identity Q, so ?stevd gives its
+    eigenvalues bit for bit without that product.  Every other operator
     goes to the dense ?syevd of ``np.linalg.eigh``.  Every decomposition
     must have residual max_i ||A v_i - e_i v_i|| <= 1e-8, taken on the band
     or with the sparse matrix; a solver failure or a larger residual raises
     NumericalError tagged with its realization.
     """
-    n = matrix.shape[0]
+    n = op.size
     check_dense(n)
     try:
-        if is_tridiagonal(matrix):
-            ab = band_storage(matrix)
-            # ?stevd wants max(n - 1, 1) off-diagonal entries; the last entry of ab[2] is 0
-            values, vectors, info = dstevd(ab[1], ab[2, :max(n - 1, 1)], compute_v=1)
+        if op.band is not None:
+            diagonal = op.band[1] + diag
+            # ?stevd wants max(n - 1, 1) off-diagonal entries; the last entry of band[2] is 0
+            values, vectors, info = dstevd(diagonal, op.band[2, :max(n - 1, 1)], compute_v=1)
             if info:
                 raise np.linalg.LinAlgError(f"?stevd returned info {info}")
-            residual = _band_residual(ab, values, vectors)
+            residual = _band_residual(diagonal, op.band[2, :-1], values, vectors)
         else:
+            matrix = op.matrix + sp.diags(diag)
             values, vectors = np.linalg.eigh(matrix.toarray())
             residual = np.max(np.linalg.norm(matrix @ vectors - vectors * values, axis=0))
     except np.linalg.LinAlgError as exc:
@@ -60,15 +61,15 @@ def eigensystem(matrix: sp.spmatrix, realization: int = 0) -> tuple[np.ndarray, 
     return values, np.sum(np.square(np.square(vectors)), axis=0)
 
 
-def _band_residual(ab: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
-    """max_i ||A v_i - e_i v_i|| for the symmetric tridiagonal A with diagonal
-    ab[1] and off-diagonal ab[2, :-1]: three array operations per block of
-    ``_BLOCK_ENTRIES`` entries, one eigenvector per row."""
-    rows, off, step = vectors.T, ab[2, :-1], max(1, _BLOCK_ENTRIES // len(values))
+def _band_residual(diagonal, off, values, vectors) -> float:
+    """max_i ||A v_i - e_i v_i|| for the symmetric tridiagonal A with
+    ``diagonal`` and off-diagonal ``off``: three array operations per block
+    of ``_BLOCK_ENTRIES`` entries, one eigenvector per row."""
+    rows, step = vectors.T, max(1, _BLOCK_ENTRIES // len(values))
     squares = np.empty(len(values))
     for i in range(0, len(values), step):
         v = rows[i:i + step]
-        r = v * (ab[1] - values[i:i + step, None])
+        r = v * (diagonal - values[i:i + step, None])
         r[:, 1:] += v[:, :-1] * off
         r[:, :-1] += v[:, 1:] * off
         squares[i:i + step] = np.einsum("ij,ij->i", r, r)
@@ -144,33 +145,30 @@ def mobility_edge_scan(
     engine = RealizationEngine(spec, volume, sparse, model, volume.center)
     diags = engine.diagonals(range(realizations))
 
-    def one(r: int) -> tuple[np.ndarray, np.ndarray]:
-        return eigensystem(engine.op.matrix + sp.diags(diags[r]), realization=r)
-
-    reports = run_indexed(one, realizations, threads)
-    energies = np.concatenate([values for values, _ in reports])
-    iprs = np.concatenate([ipr for _, ipr in reports])
-    ratios = [spacing_ratios(values) for values, _ in reports]
-    r_energy = np.concatenate([e for e, _ in ratios])
-    r_value = np.concatenate([r for _, r in ratios])
+    reports = run_indexed(lambda r: eigensystem(engine.op, diags[r], r), realizations, threads)
+    energies, iprs = map(np.concatenate, zip(*reports))
+    r_energy, r_value = map(np.concatenate, zip(*(spacing_ratios(e) for e, _ in reports)))
+    finite = np.isfinite(r_value)
 
     check_bins(float(energies.max() - energies.min()), bin_width)
     lo_edge = math.floor(float(energies.min()) / bin_width) * bin_width
+    if lo_edge > energies.min():  # the floor multiple rounded up past the lowest state
+        lo_edge -= bin_width
     n_bins = int(math.ceil((float(energies.max()) - lo_edge) / bin_width)) + 1
-    bins = []
-    for i in range(n_bins):
-        lo = lo_edge + i * bin_width
-        hi = lo + bin_width
-        # the next bin's lo, not hi (an ulp away at most), closes the bin: a
-        # state on the edge then lands in exactly one bin
-        top = lo_edge + (i + 1) * bin_width
-        mask = (energies >= lo) & (energies < top)
-        count = int(mask.sum())
-        med = float(np.median(iprs[mask])) if count else math.nan
-        rmask = (r_energy >= lo) & (r_energy < top) & np.isfinite(r_value)
-        rstat = float(np.mean(r_value[rmask])) if rmask.any() else math.nan
-        bins.append(EdgeBin(lo, hi, count, med, rstat))
-    total = sum(b.count for b in bins)
-    if total != energies.size:
-        raise RuntimeError(f"bin counts {total} != pooled states {energies.size}")
-    return EdgeScan(tuple(bins), s_norm(spec, 1.0), s_norm(spec, s), s)
+    # bin i is [edges[i], edges[i + 1]): the next bin's lo, not lo + width (an ulp
+    # away at most), closes it, so a state on an edge lands in exactly one bin
+    edges = lo_edge + np.arange(n_bins + 1) * bin_width
+    groups = zip(edges[:-1].tolist(), _by_bin(edges, energies, iprs),
+                 _by_bin(edges, r_energy[finite], r_value[finite]))
+    bins = tuple(EdgeBin(lo, lo + bin_width, ipr.size,
+                         float(np.median(ipr)) if ipr.size else math.nan,
+                         float(np.mean(r)) if r.size else math.nan) for lo, ipr, r in groups)
+    return EdgeScan(bins, s_norm(spec, 1.0), s_norm(spec, s), s)
+
+
+def _by_bin(edges: np.ndarray, keys: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """``values`` split by the bin [edges[i], edges[i + 1]) of their keys,
+    each bin's values in input order."""
+    index = np.searchsorted(edges, keys, "right") - 1
+    counts = np.bincount(index, minlength=len(edges) - 1)
+    return np.split(values[np.argsort(index, kind="stable")], np.cumsum(counts)[:-1])

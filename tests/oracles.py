@@ -24,7 +24,7 @@ from scipy.linalg import solve_banded
 from sparseloc.dynamics import _node_count, axis_factor_table
 from sparseloc.errors import NumericalError
 from sparseloc.lattice import Cube, Site, max_norm
-from sparseloc.operators import AssembledOperator, SymbolSpec, band_storage
+from sparseloc.operators import AssembledOperator, SymbolSpec
 from sparseloc.resolvent import _graded_unit_rule
 
 _RESIDUAL_TOL = 1e-10
@@ -92,7 +92,7 @@ def banded_green_rows(op: AssembledOperator, z: complex, diags: np.ndarray,
     """Green rows of the tridiagonal op + diag(d) - z for each row d of
     ``diags``: one ``solve_banded((1, 1))`` call (?gtsv, a division for
     one site) per realization on a copy of the free band."""
-    free = band_storage(op.matrix, dtype=complex)
+    free = op.band.astype(complex)
     rhs = np.zeros(op.size, dtype=complex)
     rhs[op.index_of(source)] = 1.0
     rows = np.empty(diags.shape, dtype=complex)

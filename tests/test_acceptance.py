@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` or via the CLI as
 ``sparseloc verify``.
 """
 
+import hashlib
 import json
 import shutil
 import tempfile
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from sparseloc import acceptance, experiments
+from sparseloc.cli import main
 from sparseloc.disorder import DisorderModel, UniformLaw
 from sparseloc.lattice import Cube, sparse_set_from_sites
 from sparseloc.operators import assemble_finite_volume, delta_symbol
@@ -172,6 +174,47 @@ def test_criterion_12_mobility_edge_contrast(workdir):
     assert result.details == ("outer median 0.8978 vs center 0.02145: "
                               "contrast 41.9x >= 10x: True")
     assert _written(workdir / "c12") == ["edge_scan"]
+
+
+def test_criterion_12_artifacts_are_pinned(tmp_path):
+    # SHA-256 of criterion 12's artifacts, recorded when eigensystem still
+    # read the band of each realization's folded sparse matrix
+    acceptance.criterion_12_mobility_edge_contrast(workdir=tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / "edge_scan" / name).read_bytes()).hexdigest()
+               for name in ("edge_scan.csv", "markers.json", "summary.json")}
+    assert digests == {
+        "edge_scan.csv": "0690a0d2840d8cc50305459847dec49a5e44188348a3c733399188b6bac65c99",
+        "markers.json": "30a0a01de96c28734b81a98530a4cbe7703a6b8680f7696d0829168d363077fd",
+        "summary.json": "dcc65bee6d9726c5287df6c91b6d75688c2ffaf0c7b64248a36705ee70875733",
+    }
+
+
+def _patch_in_the_c12_twin(monkeypatch):
+    """Criterion 12's negative twin: the preset with the weight dropped, so
+    every site draws from one law and no bin lies beyond ||H0||_1 + 0.5."""
+    twin = acceptance.edge_scan_config()
+    twin["disorder"] = {key: value for key, value in twin["disorder"].items() if key != "weight"}
+    monkeypatch.setattr(acceptance, "edge_scan_config", lambda: twin)
+
+
+def test_criterion_12_twin_without_the_weight_fails(monkeypatch, tmp_path):
+    _patch_in_the_c12_twin(monkeypatch)
+    result = _run(acceptance.criterion_12_mobility_edge_contrast, tmp_path)
+    assert not result.passed
+    summary = json.loads((tmp_path / "edge_scan" / "summary.json").read_text())
+    assert summary["outer_median"] is None and summary["contrast"] is None
+    assert summary["center_median"] == pytest.approx(0.00524, abs=5e-6)
+    assert result.details == ("outer median none (no populated bin at |E| >= ||H0||_1 + 0.5) "
+                              "vs center 0.00524: contrast none >= 10x: False")
+
+
+def test_criterion_12_twin_fails_through_verify_with_exit_1(monkeypatch, tmp_path, capsys):
+    _patch_in_the_c12_twin(monkeypatch)
+    code = main(["verify", "--criteria", "12", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.startswith("FAIL criterion 12: ") and "no populated bin at |E| >=" in out
+    assert "Traceback" not in out + err
 
 
 def test_criterion_13_reproducibility(workdir):

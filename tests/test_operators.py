@@ -13,9 +13,7 @@ from sparseloc.operators import (
     AssembledOperator,
     SymbolSpec,
     assemble_finite_volume,
-    band_storage,
     delta_symbol,
-    is_tridiagonal,
     kernel_decay_check,
     neumann_fractional_bound,
     periodized_gaussian,
@@ -365,18 +363,48 @@ def test_axis_derivative_sup_matches_grid_formula(axes):
 
 @pytest.mark.parametrize("k,n", [(0, 1), (1, 7), (3, 10), (2, 2)])
 def test_band_storage_holds_each_diagonal_in_its_row(k, n):
-    # a symmetric matrix with k diagonals each side; it is tridiagonal when every
-    # stored entry has |i - j| <= 1, and band storage holds its three central diagonals
+    # a symmetric matrix with k diagonals each side; its band is None when a stored
+    # entry has |i - j| > 1, else the LAPACK storage of its three central diagonals
     rng = np.random.default_rng(k * 10 + n)
     dense = np.triu(np.tril(rng.standard_normal((n, n)), k), -k)
     dense = dense + dense.T
-    assert is_tridiagonal(sp.csr_matrix(dense)) == (min(k, n - 1) <= 1)
-    ab = band_storage(sp.csr_matrix(dense), dtype=complex)
-    assert ab.shape == (3, n) and ab.dtype == complex
+    band = AssembledOperator(None, sp.csr_matrix(dense)).band  # the band reads the matrix only
+    if min(k, n - 1) > 1:
+        assert band is None
+        return
+    assert band.shape == (3, n) and band.dtype == float
     for i, j in itertools.product(range(n), repeat=2):  # LAPACK: ab[1 + i - j, j] = A[i, j]
         if abs(i - j) <= 1:
-            assert ab[1 + i - j, j] == dense[i, j]
-    lower = band_storage(sp.csr_matrix(dense))[1:]  # row d: the d-th subdiagonal
+            assert band[1 + i - j, j] == dense[i, j]
+    lower = band[1:]  # row d: the d-th subdiagonal
     for d in (0, 1):
         assert lower[d, :n - d].tolist() == np.diagonal(dense, -d).tolist()
         assert not lower[d, n - d:].any()
+
+
+def test_band_is_none_exactly_when_a_stored_entry_lies_off_the_three_diagonals():
+    # stored entries decide, not values: an explicit zero two off the diagonal
+    # has no band, a tridiagonal matrix missing some entries has one
+    n = 6
+    chain = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr")
+    assert AssembledOperator(None, chain).band is not None
+    gappy = sp.csr_matrix(([1.0, 1.0], ([0, 4], [1, 3])), shape=(n, n))
+    assert AssembledOperator(None, gappy).band[0].tolist() == [0, 1, 0, 0, 0, 0]
+    stored_zero = sp.csr_matrix(([1.0, 0.0], ([0, 2], [1, 0])), shape=(n, n))
+    assert stored_zero.nnz == 2 and not stored_zero.toarray()[2, 0]
+    assert AssembledOperator(None, stored_zero).band is None
+    assert AssembledOperator(None, sp.csr_matrix((n, n))).band.tolist() == [[0.0] * n] * 3
+    for dim, banded in [(1, True), (2, False)]:
+        op = assemble_finite_volume(delta_symbol(dim), Cube((0,) * dim, 3))
+        assert (op.band is not None) == banded
+
+
+def test_band_is_read_only_and_computed_once():
+    op = assemble_finite_volume(delta_symbol(1), Cube((0,), 4))
+    band = op.band
+    assert op.band is band
+    with pytest.raises(ValueError, match="read-only"):
+        band[1, 0] = 1.0
+    with pytest.raises(AttributeError):
+        op.band = np.zeros((3, op.size))
+    assert op.band is band and not band[1].any()

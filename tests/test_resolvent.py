@@ -22,7 +22,6 @@ from sparseloc.operators import (
     SymbolSpec,
     assemble_finite_volume,
     delta_symbol,
-    is_tridiagonal,
     s_norm,
 )
 from sparseloc.disorder import (
@@ -531,7 +530,7 @@ def test_banded_rows_match_splu_reference(kernel, energy, eps, coupling):
     sparse = sparse_set_from_sites([(i,) for i in range(-60, 61, 2)], 0.5, 1)
     model = DisorderModel(UniformLaw(-1, 1), coupling=coupling, seed=4)
     engine = RealizationEngine(kernel, volume, sparse, model, (3,))
-    assert is_tridiagonal(engine.op.matrix) == (engine.ab is not None) == (kernel is DELTA1)
+    assert (engine.op.band is not None) == (kernel is DELTA1)
     z = complex(energy, eps)
     rows, residuals = engine.green_rows(z, engine.diagonals(range(5, 17)), 5)
     ref_rows = _green_row_reference(kernel, volume, sparse, model, (3,), z, range(5, 17))
@@ -557,7 +556,7 @@ def test_stacked_banded_rows_match_solve_banded_reference(monkeypatch, kernel, h
     source = (3 + half // 2,)
     engine = RealizationEngine(kernel, volume, sparse, model, source)
     tridiagonal = kernel is not DELTA1_RANGE2 or half == 0
-    assert is_tridiagonal(engine.op.matrix) == (engine.ab is not None) == tridiagonal
+    assert (engine.op.band is not None) == tridiagonal
     assert engine.chunk == 3
     for z in (complex(0.4, 1e-3), complex(2.9, 1e-2), complex(6.0, 1e-4)):
         blocks = {}
@@ -634,7 +633,7 @@ def _check_engine_against_splu(kernel, half, sets, law, model_kw, energy, eps,
     model = DisorderModel(law, seed=7, **model_kw)
     source = (1,) + (0,) * (nu - 1)
     engine = RealizationEngine(kernel, volume, sparse, model, source)
-    assert not is_tridiagonal(engine.op.matrix) and engine.ab is None
+    assert engine.op.band is None
     z = complex(energy, eps)
     rows, residuals = engine.green_rows(z, engine.diagonals(realizations), realizations[0])
     ref = _green_row_reference(kernel, volume, sparse, model, source, z, realizations)
@@ -721,8 +720,8 @@ def _banded_fault(realization, sites, fault, calls=(0,)):
     ``realization`` of a ``sites``-site volume."""
     counter = itertools.count()
 
-    def fetch(names, arrays):
-        routine, = get_lapack_funcs(names, arrays)
+    def fetch(names, arrays=(), dtype=None):
+        routine, = get_lapack_funcs(names, arrays, dtype)
 
         def solve(*args, **kwargs):
             out = routine(*args, **kwargs)

@@ -27,6 +27,8 @@ from sparseloc.spectra import (
 from oracles import ipr
 
 DELTA1 = delta_symbol(1)
+RANGE2 = SymbolSpec((((1, 1.0), (2, 0.35)),))
+ZERO = SymbolSpec(((),))
 
 
 def _assemble(kernel, potential, cube):
@@ -61,7 +63,7 @@ def test_ipr_requires_normalization():
 def test_eigensystem_zero_operator():
     zero = SymbolSpec(((),))
     op = assemble_finite_volume(zero, Cube((0,), 4))
-    eigenvalues, iprs = eigensystem(op.matrix)
+    eigenvalues, iprs = eigensystem(op, np.zeros(op.size))
     assert np.max(np.abs(eigenvalues)) == 0.0
     assert np.all(iprs >= 1.0 / op.size - 1e-12)
     assert np.all(iprs <= 1.0 + 1e-12)
@@ -70,7 +72,7 @@ def test_eigensystem_zero_operator():
 def test_eigensystem_dirichlet_spectrum():
     n_half = 10
     op = assemble_finite_volume(DELTA1, Cube((0,), n_half))
-    eigenvalues, _ = eigensystem(op.matrix)
+    eigenvalues, _ = eigensystem(op, np.zeros(op.size))
     n = 2 * n_half + 1
     expected = np.sort(2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
     np.testing.assert_allclose(eigenvalues, expected, atol=1e-10)
@@ -81,7 +83,7 @@ def test_eigensystem_trace_identity():
     cube = Cube((0,), 15)
     potential = {tuple(s): float(rng.normal()) for s in cube.coords().tolist()}
     op = _assemble(DELTA1, potential, cube)
-    eigenvalues, _ = eigensystem(op.matrix)
+    eigenvalues, _ = eigensystem(op, np.zeros(op.size))
     assert np.sum(eigenvalues) == pytest.approx(
         float(op.matrix.diagonal().sum()), abs=1e-8
     )
@@ -89,7 +91,7 @@ def test_eigensystem_trace_identity():
 
 def test_eigensystem_single_strong_site():
     op = _assemble(DELTA1, {(0,): 10.0}, Cube((0,), 5))
-    eigenvalues, iprs = eigensystem(op.matrix)
+    eigenvalues, iprs = eigensystem(op, np.zeros(op.size))
     top = np.argmax(eigenvalues)
     # rank-one dominated state: eigenvalue near 10, sharply peaked
     assert eigenvalues[top] == pytest.approx(10.0, abs=0.5)
@@ -98,9 +100,9 @@ def test_eigensystem_single_strong_site():
 
 def test_eigensystem_respects_cap():
     op = assemble_finite_volume(DELTA1, Cube((0,), 2048))
-    assert op.size == spectra.DENSE_CAP + 1
+    assert op.size == operators.DENSE_CAP + 1
     with pytest.raises(ValueError, match="cap 4096"):
-        eigensystem(op.matrix)
+        eigensystem(op, np.zeros(op.size))
 
 
 @pytest.mark.parametrize("width", [0.05, 5.0])
@@ -214,8 +216,9 @@ def test_edge_scan_weighted_contrast_smoke():
 def _edge_bins_reference(kernel, sparse, model, volume, realizations, bin_width):
     """Edge-scan bins with every realization re-assembled from its dict
     potential, placed site by site; each bin is [lo, next lo)."""
-    reports = [eigensystem(_assemble(kernel, sample_potential(model, sparse, r), volume).matrix, r)
-               for r in range(realizations)]
+    ops = [_assemble(kernel, sample_potential(model, sparse, r), volume)
+           for r in range(realizations)]
+    reports = [eigensystem(op, np.zeros(op.size), r) for r, op in enumerate(ops)]
     energies = np.concatenate([values for values, _ in reports])
     iprs = np.concatenate([ipr for _, ipr in reports])
     ratios = [spacing_ratios(values) for values, _ in reports]
@@ -259,6 +262,49 @@ def test_edge_scan_bins_match_site_by_site_reference(kernel, volume, sparse, mod
     assert sum(b.count for b in scan.bins) == 20 * volume.volume
 
 
+@pytest.mark.parametrize(
+    "kernel,cube",
+    [(DELTA1, Cube((3,), 30)), (RANGE2, Cube((-5,), 25)), (delta_symbol(2), Cube((1, -1), 5)),
+     (DELTA1, Cube((4,), 0))],
+    ids=["chain", "range2", "2d", "one-site"],
+)
+def test_eigensystem_of_a_diagonal_equals_eigensystem_of_the_folded_matrix(kernel, cube):
+    """eigensystem(op, d) adds d to the free band (or to the sparse matrix)
+    and gives the bits of the operator whose matrix already holds d."""
+    op = assemble_finite_volume(kernel, cube)
+    diag = np.random.default_rng(cube.volume).uniform(-3.0, 3.0, op.size)
+    folded = AssembledOperator(cube, op.matrix + sp.diags(diag))
+    assert (op.band is None) == (folded.band is None) == (kernel is not DELTA1)
+    got, want = eigensystem(op, diag, 4), eigensystem(folded, 0 * diag, 4)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_banded_edge_scan_builds_no_sparse_matrix_per_realization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+
+    sparse = sparse_set_from_sites([(i,) for i in range(-30, 31, 2)], 0.5, 1)
+    model = DisorderModel(UniformLaw(-1, 1), coupling=3.0, seed=2)
+    want = _scan(model, sparse)
+    monkeypatch.setattr(sp, "diags", refuse)
+    assert repr(_scan(model, sparse)) == repr(want)
+
+
+def test_edge_scan_opens_a_bin_below_a_floor_multiple_that_rounds_up(monkeypatch):
+    """floor(1.7 / 0.1) * 0.1 = 1.7000000000000002 lies above a lowest
+    state at 1.7: the grid then starts one bin lower, and every state lands
+    in the bin [lo, next lo) that holds it."""
+    assert math.floor(1.7 / 0.1) * 0.1 > 1.7
+    values = 1.7 + 0.013 * np.arange(61)
+    monkeypatch.setattr(spectra, "eigensystem",
+                        lambda op, diag, r: (values, np.full(61, 1.0 / 61)))
+    scan = _scan(DisorderModel(UniformLaw(-1, 1), coupling=0.0, seed=1),
+                 sparse_set_from_sites([], 0.5, 1))
+    assert sum(b.count for b in scan.bins) == 20 * 61
+    first = scan.bins[0]
+    assert first.lo <= 1.7 < scan.bins[1].lo and first.count == 20  # 1.7 alone
+
+
 def test_edge_scan_realization_floor():
     empty = sparse_set_from_sites([], 0.5, 1)
     with pytest.raises(ValueError):
@@ -297,32 +343,34 @@ def test_eigensystem_residual_fault_raises_numerical_error(monkeypatch):
         with monkeypatch.context() as m:
             _patch_solver(m, dim, _perturbed)
             with pytest.raises(NumericalError) as err:
-                eigensystem(op.matrix, realization=7)
+                eigensystem(op, np.zeros(op.size), realization=7)
         assert err.value.diagnostics["realization"] == 7
         assert err.value.diagnostics["residual"] > 1e-8
 
 
 @pytest.mark.parametrize("n", [2, 7, 401, 1000])
 def test_band_residual_equals_the_sparse_product_residual(monkeypatch, n):
-    """On random chains (random diagonal and couplings; one block at n = 2
-    and 7, blocks of 81 and 32 eigenvectors at n = 401 and 1,000) the band
-    stencil gives max_i ||A v_i - e_i v_i|| of the CSR product to
-    round-off; one perturbed eigenvector lifts it past 1e-8 and
-    eigensystem raises with its realization."""
+    """On random chains (random couplings, a random diagonal added to the
+    free band; one block at n = 2 and 7, blocks of 81 and 32 eigenvectors at
+    n = 401 and 1,000) the band stencil gives max_i ||A v_i - e_i v_i|| of
+    the CSR product to round-off; one perturbed eigenvector lifts it past
+    1e-8 and eigensystem raises with its realization."""
     rng = np.random.default_rng(n)
     off = rng.uniform(0.5, 1.5, n - 1)
-    matrix = sp.diags([off, rng.uniform(-5.0, 5.0, n), off], [-1, 0, 1], format="csr")
-    ab = operators.band_storage(matrix)
-    values, vectors, _ = spectra.dstevd(ab[1], ab[2, :max(n - 1, 1)], compute_v=1)
+    free = AssembledOperator(None, sp.diags([off, off], [-1, 1], format="csr"))  # cube unread
+    diag = rng.uniform(-5.0, 5.0, n)
+    matrix = free.matrix + sp.diags(diag)
+    values, vectors, _ = spectra.dstevd(diag, off, compute_v=1)
     csr = np.max(np.linalg.norm(matrix @ vectors - vectors * values, axis=0))
-    assert spectra._band_residual(ab, values, vectors) == pytest.approx(csr, rel=0, abs=1e-14)
+    assert spectra._band_residual(diag, off, values, vectors) == pytest.approx(csr, rel=0,
+                                                                              abs=1e-14)
     vectors[:, n // 2] += 1e-6 * rng.standard_normal(n)
     csr = np.max(np.linalg.norm(matrix @ vectors - vectors * values, axis=0))
-    assert spectra._band_residual(ab, values, vectors) == pytest.approx(csr, rel=1e-12)
+    assert spectra._band_residual(diag, off, values, vectors) == pytest.approx(csr, rel=1e-12)
 
     monkeypatch.setattr(spectra, "dstevd", lambda *args, **kwargs: (values, vectors, 0))
     with pytest.raises(NumericalError, match="residual above 1e-8") as err:
-        eigensystem(matrix, realization=11)
+        eigensystem(free, diag, realization=11)
     assert err.value.diagnostics["realization"] == 11
     assert err.value.diagnostics["residual"] == pytest.approx(csr, rel=1e-12)
 
@@ -362,10 +410,6 @@ def test_edge_scan_residual_fault_exits_three(monkeypatch, tmp_path, capsys):
 def test_edge_scan_eigensolver_failure_exits_three(monkeypatch, tmp_path, capsys, dim):
     _patch_solver(monkeypatch, dim, _diverging)
     _exits_three_naming_realization_zero(_edge_scan_config(tmp_path, dim), capsys)
-
-
-RANGE2 = SymbolSpec((((1, 1.0), (2, 0.35)),))
-ZERO = SymbolSpec(((),))
 
 
 def _lower_band(matrix, k):
@@ -408,8 +452,8 @@ def test_banded_path_matches_dense_eigh(monkeypatch, kernel, bandwidth, cube, sp
     monkeypatch.setattr(spectra, "dstevd", spy)
     for r in range(2):
         op = _assemble(kernel, sample_potential(model, sparse, r), cube)
-        assert spectra.is_tridiagonal(op.matrix) == (bandwidth <= 1)
-        eigenvalues, iprs = eigensystem(op.matrix, realization=r)
+        assert (op.band is not None) == (bandwidth <= 1)
+        eigenvalues, iprs = eigensystem(op, np.zeros(op.size), realization=r)
         dense = op.matrix.toarray()
         values, vectors = np.linalg.eigh(dense)
         scale = max(1.0, float(np.linalg.norm(dense, 2)))
@@ -445,7 +489,7 @@ def test_ipr_sum_equals_abs_fourth_power(kernel, half):
     sparse = generate_sparse_set(0.5, cube, "bernoulli_thinned", 2) if half else \
         sparse_set_from_sites([(0,)], 0.5, 1)
     op = _assemble(kernel, sample_potential(model, sparse, 0), cube)
-    _, iprs = eigensystem(op.matrix)
+    _, iprs = eigensystem(op, np.zeros(op.size))
     if kernel is RANGE2:
         _, vectors = np.linalg.eigh(op.matrix.toarray())
     else:
